@@ -39,8 +39,8 @@ from .metrics import (
     ComparisonReport,
     EmpiricalEstimates,
     GridKey,
+    build_estimates,
     compare,
-    estimate_delay,
     estimate_irt,
     estimate_tau,
 )

@@ -28,12 +28,13 @@ from .geometry import (
     Category,
     SpatialScenario,
     category_counts,
+    category_from_token,
     category_mix,
     drop_nodes,
     save_scenario,
 )
 from .policy import BackoffPolicy
-from .sim import SimConfig, run_simulation
+from .sim import STATS_CSV_HEADER, SimConfig, run_simulation
 
 __all__ = ["main", "build_parser"]
 
@@ -216,53 +217,43 @@ def _read_analytic_rows(path: Path) -> dict[tuple, an.AnalyticalResult]:
     return rows
 
 
-def _read_bits(path: Path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    return np.array([[c == "1" for c in ln] for ln in lines], dtype=bool)
+def _read_point(bits_path: Path, stats_path: Path) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """One simulated point's (n, periods) transmitted bits, category tokens and elapsed sums.
 
-
-def _read_stats(path: Path):
-    cats, tx_counts, elapsed_sums = [], [], []
-    with open(path, "r", encoding="ascii") as fh:
-        fh.readline()
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != 4:
-                continue
-            cats.append(parts[1])
-            tx_counts.append(int(parts[2]))
-            elapsed_sums.append(int(parts[3]))
-    return cats, np.array(tx_counts, dtype=np.int64), np.array(elapsed_sums, dtype=np.int64)
-
-
-def _estimates_from_files(
-    key: mt.GridKey, bits: np.ndarray, cats: list[str], tx: np.ndarray, elapsed_sum: np.ndarray,
-    category_token: str, mac: an.MacParameters,
-) -> mt.EmpiricalEstimates | None:
-    if category_token == "all":
-        sel = np.arange(len(cats))
-    else:
-        sel = np.array([i for i, c in enumerate(cats) if c == category_token], dtype=np.int64)
-    if sel.size == 0:
-        return None
-    periods = bits.shape[1]
-    sub_bits = bits[sel]
-    transmitted = int(sub_bits.sum())
-    tau = mt.proportion_ci(transmitted, int(sel.size) * periods)
-    tx_total = int(tx[sel].sum())
-    e_nbo = float(elapsed_sum[sel].sum()) / tx_total if tx_total else None
-    t_suc = an.success_time(mac)
-    total_delay = float(elapsed_sum[sel].sum()) * mac.t_slot + tx_total * t_suc
-    for row in sub_bits:
-        total_delay += mt.total_wait_periods(row) * mac.t_ibi
-    delay = total_delay / (int(sel.size) * periods)
-    irt = mt.estimate_irt(sub_bits)
-    r_hat = tau.value * t_suc / delay if delay > 0 else None
-    return mt.EmpiricalEstimates(
-        key=key, n_nodes=int(sel.size), n_periods=periods, tau=tau,
-        e_nbo_hat=e_nbo, e_nbo_ci=None, delay_hat=delay, r_hat=r_hat, irt=irt,
-    )
+    Raises ValueError when the bits/stats pair is malformed or inconsistent:
+    ragged or too short bits rows, a bad stats line, different node counts,
+    or a tx_count that differs from the node's count of '1's.
+    """
+    with open(bits_path, "rb") as fh:
+        rows = fh.read().split()
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError(f"{bits_path.name}: bits rows differ in length")
+    raw = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), len(rows[0]) if rows else 0)
+    bits = raw == ord("1")
+    if bits.shape[1] < mt.MIN_PERIODS:
+        raise ValueError(f"{bits_path.name}: {bits.shape[1]} periods, the estimators need {mt.MIN_PERIODS}")
+    with open(stats_path, "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != STATS_CSV_HEADER:
+        raise ValueError(f"{stats_path.name}: unexpected stats CSV header")
+    cats, tx, elapsed_sums = [], [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            _node, cat, n_tx, elapsed = line.split(",")
+            category_from_token(cat)
+            tx.append(int(n_tx))
+            elapsed_sums.append(int(elapsed))
+        except ValueError:
+            raise ValueError(f"{stats_path.name} line {lineno}: malformed stats row {line!r}") from None
+        cats.append(cat)
+    if len(cats) != bits.shape[0]:
+        raise ValueError(f"{bits_path.name} has {bits.shape[0]} nodes but {stats_path.name} has {len(cats)}")
+    ones = bits.sum(axis=1)
+    bad = np.flatnonzero(ones != tx)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{stats_path.name} node row {i + 1}: tx_count {tx[i]} but {ones[i]} '1's in {bits_path.name}")
+    return bits, cats, np.array(elapsed_sums, dtype=np.int64)
 
 
 def cmd_report(cfg: ExperimentConfig, analytic_path: Path | None = None, sim_dir: Path | None = None) -> int:
@@ -291,13 +282,17 @@ def cmd_report(cfg: ExperimentConfig, analytic_path: Path | None = None, sim_dir
         if status != "ok":
             missing.append(f"point {idx} ({policy_name} cw={cw} n_sta={n_sta}): {status}")
             continue
-        bits = _read_bits(sim_dir / parts[8])
-        cats, tx, elapsed_sum = _read_stats(sim_dir / parts[9])
+        try:
+            bits, cats, elapsed_sums = _read_point(sim_dir / parts[8], sim_dir / parts[9])
+        except (ValueError, OSError) as exc:
+            missing.append(f"point {idx} ({policy_name} cw={cw} n_sta={n_sta}): {exc}")
+            continue
         for tok, _cat in _reporting_categories(cfg, policy_name):
             key = mt.GridKey(policy_name, tok, cw, n_sta)
             seen_keys.add(key.as_tuple())
             analytic = analytic_rows.get(key.as_tuple())
-            empirical = _estimates_from_files(key, bits, cats, tx, elapsed_sum, tok, mac)
+            sel = [i for i, c in enumerate(cats) if tok in ("all", c)]
+            empirical = mt.build_estimates(key, bits[sel], elapsed_sums[sel], mac)
             if analytic is None or not np.isfinite(analytic.tau):
                 missing.append(f"no analytic row for {key.as_tuple()}")
                 continue

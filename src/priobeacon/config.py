@@ -22,6 +22,7 @@ from io import StringIO
 
 from .geometry import Category, CategoryThresholds, DropMode, Point2D, RegionSpec, category_from_token
 from .analytic import MacParameters
+from .metrics import MIN_PERIODS
 
 __all__ = ["ExperimentConfig", "parse_config", "parse_config_text", "canonical_text", "derive_seed", "splitmix64"]
 
@@ -160,6 +161,8 @@ class ExperimentConfig:
             raise ValueError("policy.cw must not be empty")
         if any(cw < 1 for cw in self.cw_values):
             raise ValueError("policy.cw values must be positive")
+        if "proposed" in self.policies and any(cw < 3 for cw in self.cw_values):
+            raise ValueError("policy.cw values must be at least 3 with the proposed policy (three priority chunks)")
         if not self.categories:
             raise ValueError("policy.categories must not be empty")
         for tok in self.categories:
@@ -172,8 +175,8 @@ class ExperimentConfig:
             raise ValueError("contention.sweep_mode must be subsample or rescale")
         if self.uncategorized not in ("contend", "report", "silent"):
             raise ValueError("sim.uncategorized must be contend, report or silent")
-        if self.periods < 1:
-            raise ValueError("sim.periods must be at least 1")
+        if self.periods < MIN_PERIODS:
+            raise ValueError(f"sim.periods must be at least {MIN_PERIODS}, the tau and IRT estimators' floor")
         self.thresholds()
         self.drop_mode_enum()
         self.region()

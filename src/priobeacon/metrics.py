@@ -28,16 +28,19 @@ __all__ = [
     "ComparisonReport",
     "estimate_tau",
     "estimate_irt",
-    "estimate_delay",
     "estimate_backoff_slots",
     "total_wait_periods",
     "build_estimates",
     "compare",
     "proportion_ci",
     "chi_square_geometric",
+    "MIN_PERIODS",
 ]
 
 Z95 = 1.959963984540054
+
+# Fewest beacon periods the tau and IRT estimators accept.
+MIN_PERIODS = 100
 
 
 @dataclass(frozen=True)
@@ -89,8 +92,8 @@ def estimate_tau(outcome: SimOutcome, category: Category | None = None) -> TauEs
 
     Returns None when the category has no nodes (absent, not zero).
     """
-    if outcome.n_periods < 100:
-        raise ValueError("tau estimation needs at least 100 periods")
+    if outcome.n_periods < MIN_PERIODS:
+        raise ValueError(f"tau estimation needs at least {MIN_PERIODS} periods")
     nodes = _select_nodes(outcome, category)
     if nodes.size == 0:
         return None
@@ -127,8 +130,8 @@ def estimate_irt(bit_sequences: np.ndarray) -> IrtEstimate:
     bits = np.asarray(bit_sequences, dtype=bool)
     if bits.ndim != 2:
         raise ValueError("bit_sequences must be a 2-d array")
-    if bits.shape[1] < 100:
-        raise ValueError("IRT estimation needs sequences of at least 100 periods")
+    if bits.shape[1] < MIN_PERIODS:
+        raise ValueError(f"IRT estimation needs sequences of at least {MIN_PERIODS} periods")
     gaps: list[np.ndarray] = []
     without = 0
     for row in bits:
@@ -166,27 +169,6 @@ def total_wait_periods(bits_row: np.ndarray) -> int:
     return int(waits.sum())
 
 
-def estimate_delay(outcome: SimOutcome, params: MacParameters, category: Category | None = None) -> float | None:
-    """Mean per-packet latency.
-
-    Transmitted packets contribute elapsed_backoff * T_slot + T_suc; an
-    expired packet contributes T_ibi per wasted period, accumulated from its
-    own period until the node's next transmission (censored at the end of
-    the run).
-    """
-    nodes = _select_nodes(outcome, category)
-    if nodes.size == 0:
-        return None
-    t_suc = success_time(params)
-    total = 0.0
-    for i in nodes:
-        transmitted = outcome.outcomes[:, i] != int(Outcome.EXPIRED)
-        elapsed = outcome.elapsed[:, i]
-        total += float((elapsed[transmitted] * params.t_slot + t_suc).sum())
-        total += total_wait_periods(transmitted) * params.t_ibi
-    return total / (int(nodes.size) * outcome.n_periods)
-
-
 def estimate_backoff_slots(outcome: SimOutcome, category: Category | None = None):
     """Mean and CI half-width of elapsed backoff slots over transmitted packets."""
     nodes = _select_nodes(outcome, category)
@@ -208,37 +190,47 @@ class EmpiricalEstimates:
     n_periods: int
     tau: TauEstimate
     e_nbo_hat: float | None
-    e_nbo_ci: float | None
     delay_hat: float
     r_hat: float | None
     irt: IrtEstimate
 
 
 def build_estimates(
-    outcome: SimOutcome,
-    params: MacParameters,
-    key: GridKey,
-    category: Category | None = None,
+    key: GridKey, bits: np.ndarray, elapsed_sums: np.ndarray, params: MacParameters
 ) -> EmpiricalEstimates | None:
-    """All empirical estimates for one tagged category of one run (None if absent)."""
-    nodes = _select_nodes(outcome, category)
-    if nodes.size == 0:
+    """All empirical estimates for one tagged node set (None if it is empty).
+
+    bits: (n, periods) bool, True where the node transmitted (delivered or
+    collided) in that period; elapsed_sums: (n,) summed elapsed backoff
+    slots over each node's transmitted periods.  `SimOutcome` gives both
+    (`transmitted_bits`, `elapsed_sums`), and so do the exported
+    `bits_*`/`stats_*` files.
+
+    E[N_bo] is the mean elapsed backoff per transmitted packet.  The delay
+    charges each transmitted packet elapsed * T_slot + T_suc, and each
+    expired one T_ibi per wasted period until the node's next transmission
+    (censored at the end of the run).
+    """
+    n, periods = bits.shape
+    if n == 0:
         return None
-    tau = estimate_tau(outcome, category)
-    nbo = estimate_backoff_slots(outcome, category)
-    delay = estimate_delay(outcome, params, category)
-    irt = estimate_irt(outcome.transmitted_bits()[nodes, :])
-    r_hat = tau.value * success_time(params) / delay if delay and delay > 0 else None
+    tx_total = int(bits.sum())
+    elapsed_total = float(elapsed_sums.sum())
+    tau = proportion_ci(tx_total, n * periods)
+    t_suc = success_time(params)
+    total_delay = elapsed_total * params.t_slot + tx_total * t_suc
+    for row in bits:
+        total_delay += total_wait_periods(row) * params.t_ibi
+    delay = total_delay / (n * periods)
     return EmpiricalEstimates(
         key=key,
-        n_nodes=int(nodes.size),
-        n_periods=outcome.n_periods,
+        n_nodes=n,
+        n_periods=periods,
         tau=tau,
-        e_nbo_hat=None if nbo is None else nbo[0],
-        e_nbo_ci=None if nbo is None else nbo[1],
+        e_nbo_hat=elapsed_total / tx_total if tx_total else None,
         delay_hat=delay,
-        r_hat=r_hat,
-        irt=irt,
+        r_hat=tau.value * t_suc / delay if delay > 0 else None,
+        irt=estimate_irt(bits),
     )
 
 

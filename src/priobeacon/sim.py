@@ -107,6 +107,10 @@ class SimOutcome:
         (delivered or collided) in that period."""
         return (self.outcomes != int(Outcome.EXPIRED)).T
 
+    def elapsed_sums(self) -> np.ndarray:
+        """(n,) int64: each node's elapsed backoff slots summed over its transmitted periods."""
+        return self.elapsed.sum(axis=0, dtype=np.int64, where=self.outcomes != int(Outcome.EXPIRED))
+
     def category_nodes(self, category: Category) -> np.ndarray:
         return np.flatnonzero(self.categories == int(category))
 
@@ -133,14 +137,11 @@ class SimOutcome:
 
     def to_stats_csv(self) -> str:
         """Diagnostic per-node stats: transmission count and summed elapsed backoff slots."""
-        tx = self.outcomes != int(Outcome.EXPIRED)
+        tx = self.transmitted_bits().sum(axis=1)
+        elapsed = self.elapsed_sums()
         lines = [STATS_CSV_HEADER]
         for i in range(self.n_nodes):
-            n_tx = int(tx[:, i].sum())
-            total_elapsed = int(self.elapsed[tx[:, i], i].sum()) if n_tx else 0
-            lines.append(
-                "%d,%s,%d,%d" % (self.node_ids[i], Category(int(self.categories[i])).token, n_tx, total_elapsed)
-            )
+            lines.append("%d,%s,%d,%d" % (self.node_ids[i], Category(int(self.categories[i])).token, tx[i], elapsed[i]))
         return "\n".join(lines) + "\n"
 
 

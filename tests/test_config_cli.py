@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from priobeacon import cli
 from priobeacon.cli import main
 from priobeacon.config import ExperimentConfig, canonical_text, derive_seed, parse_config_text, splitmix64
+from priobeacon.geometry import Category
+from priobeacon.metrics import GridKey, build_estimates
 
 
 class TestSeeds:
@@ -63,6 +66,17 @@ master = 7
     def test_bad_value_names_key(self):
         with pytest.raises(ValueError, match="sim.periods"):
             parse_config_text("[sim]\nperiods = many\n")
+
+    def test_too_few_periods_rejected(self):
+        with pytest.raises(ValueError, match="sim.periods"):
+            parse_config_text("[sim]\nperiods = 99\n")
+        assert parse_config_text("[sim]\nperiods = 100\n").periods == 100
+
+    def test_proposed_small_cw_rejected(self):
+        with pytest.raises(ValueError, match="policy.cw"):
+            parse_config_text("[policy]\ncw = 2 15\n")
+        assert parse_config_text("[policy]\npolicies = traditional\ncw = 2 15\n").cw_values == (2, 15)
+        assert parse_config_text("[policy]\ncw = 3 15\n").cw_values == (3, 15)
 
     def test_canonical_round_trip(self):
         cfg = parse_config_text("[policy]\ncw = 31\n[mac]\nt_slot = 66.7e-6\n[report]\ne_nbo_tol = 0.25\n")
@@ -313,3 +327,138 @@ dir = {tmp_path}/out
         assert main(["report", "--config", cfgp, "--include-uncategorized"]) == 0
         report = (tmp_path / "out" / "report.csv").read_text()
         assert ",proposed,uncat,127,40," in report
+
+
+class TestParseTimeLimits:
+    def test_sweep_with_too_few_periods_writes_nothing(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path, SMALL + f"[output]\ndir = {tmp_path}/out\n")
+        assert main(["sweep", "--config", cfgp, "--periods", "50"]) == 2
+        assert "sim.periods" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_with_proposed_small_cw_writes_nothing(self, tmp_path, capsys):
+        text = SMALL.replace("policies = traditional", "policies = proposed").replace("cw = 127", "cw = 2 15")
+        cfgp = write_config(tmp_path, text + f"[output]\ndir = {tmp_path}/out\n")
+        assert main(["sweep", "--config", cfgp]) == 2
+        assert "policy.cw" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+TWO_POINTS = """
+[policy]
+policies = traditional
+cw = 127
+[contention]
+n_sta = 10 20
+[sim]
+periods = 120
+full_connectivity = true
+[seeds]
+master = 5
+"""
+
+
+def _drop_stats_rows(text: str) -> str:
+    lines = text.splitlines()
+    return "\n".join(lines[:3] + lines[5:]) + "\n"
+
+
+def _bump_tx_count(text: str) -> str:
+    lines = text.splitlines()
+    node, cat, tx, elapsed = lines[4].split(",")
+    lines[4] = f"{node},{cat},{int(tx) - 1},{elapsed}"
+    return "\n".join(lines) + "\n"
+
+
+def _break_stats_row(text: str) -> str:
+    lines = text.splitlines()
+    lines[4] = lines[4].replace(",", ";")
+    return "\n".join(lines) + "\n"
+
+
+class TestReportPairValidation:
+    """A malformed bits/stats pair fails its own point; the others are still judged."""
+
+    @pytest.mark.parametrize(
+        "prefix, corrupt, reason",
+        [
+            ("bits", lambda t: "\n".join(t.splitlines()[:15]) + "\n", "has 15 nodes but"),
+            ("bits", lambda t: t.replace("\n", "0\n", 1), "differ in length"),
+            ("stats", _drop_stats_rows, "has 18"),
+            ("stats", _bump_tx_count, "tx_count"),
+            ("stats", _break_stats_row, "malformed stats row"),
+        ],
+        ids=["bits-cut-to-15-rows", "bits-ragged-row", "stats-missing-two-rows", "stats-tx-count", "stats-bad-line"],
+    )
+    def test_bad_pair_goes_to_missing(self, tmp_path, prefix, corrupt, reason):
+        cfgp = write_config(tmp_path, TWO_POINTS + f"[output]\ndir = {tmp_path}/out\n")
+        assert main(["analyze", "--config", cfgp]) == 0
+        assert main(["simulate", "--config", cfgp]) == 0
+        out = tmp_path / "out"
+        (path,) = out.glob(f"{prefix}_001_*_n20.*")
+        path.write_text(corrupt(path.read_text()))
+        assert main(["report", "--config", cfgp]) == 1
+        summary = (out / "summary.txt").read_text()
+        bad = [ln for ln in summary.splitlines() if ln.startswith("missing: point 1 (traditional cw=127 n_sta=20): ")]
+        assert len(bad) == 1 and reason in bad[0], summary
+        assert "point policy=traditional category=all cw=127 n_sta=10" in summary
+        report = (out / "report.csv").read_text()
+        assert "tau,traditional,all,127,10," in report
+        assert ",traditional,all,127,20," not in report
+
+
+class TestEstimatorRoundTrip:
+    """Estimates from a SimOutcome equal, exactly, those from the files cmd_simulate writes."""
+
+    @pytest.mark.parametrize("full_connectivity", [False, True], ids=["walker-700m", "full-connectivity"])
+    def test_outcome_and_files_agree(self, tmp_path, monkeypatch, full_connectivity):
+        text = f"""
+[policy]
+policies = proposed
+cw = 15
+[contention]
+n_sta = 80
+[mac]
+t_ibi = 0.003
+[sim]
+periods = 120
+full_connectivity = {str(full_connectivity).lower()}
+[seeds]
+master = 3
+[output]
+dir = {tmp_path}/out
+"""
+        outcomes = []
+        real_run = cli.run_simulation
+
+        def capture(config):
+            outcomes.append(real_run(config))
+            return outcomes[-1]
+
+        monkeypatch.setattr(cli, "run_simulation", capture)
+        assert main(["simulate", "--config", write_config(tmp_path, text)]) == 0
+        (outcome,) = outcomes
+        expected_engine = "full-connectivity" if full_connectivity else "slot-walker"
+        assert outcome.diagnostics["engine"] == expected_engine
+        if not full_connectivity:
+            assert outcome.diagnostics["hn_events"] > 0
+        # 60-slot periods: some packets expire, so the elapsed sums must skip them
+        assert 0 < outcome.transmitted_bits().mean() < 1
+        out = tmp_path / "out"
+        (bits_path,) = out.glob("bits_*.txt")
+        (stats_path,) = out.glob("stats_*.csv")
+        bits, cats, elapsed_sums = cli._read_point(bits_path, stats_path)
+
+        present = [Category(int(c)) for c in np.unique(outcome.categories)]
+        assert len(present) >= 3
+        selections = [("all", np.arange(outcome.n_nodes))]
+        selections += [(cat.token, outcome.category_nodes(cat)) for cat in present]
+        for tok, nodes in selections:
+            key = GridKey("proposed", tok, 15, 80)
+            from_outcome = build_estimates(
+                key, outcome.transmitted_bits()[nodes], outcome.elapsed_sums()[nodes], outcome.params
+            )
+            sel = [i for i, c in enumerate(cats) if tok in ("all", c)]
+            from_files = build_estimates(key, bits[sel], elapsed_sums[sel], outcome.params)
+            assert from_outcome is not None and from_outcome.n_nodes == len(nodes)
+            assert from_outcome == from_files, tok

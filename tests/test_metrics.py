@@ -10,7 +10,6 @@ from priobeacon.metrics import (
     chi_square_geometric,
     compare,
     build_estimates,
-    estimate_delay,
     estimate_irt,
     estimate_tau,
     proportion_ci,
@@ -31,6 +30,12 @@ def bits(s: str) -> np.ndarray:
 def run_single_node(policy, periods=1000, seed=5, params=PARAMS):
     sc = drop_nodes(REGION, TH, 1 / REGION.area, seed=0)
     return run_simulation(SimConfig(scenario=sc, policy=policy, params=params, n_periods=periods, seed=seed))
+
+
+def estimate_delay(out, params):
+    """Mean per-packet latency over all nodes of a run, through the shared estimator."""
+    key = GridKey(out.policy.kind.value, "all", out.policy.cw, out.n_nodes)
+    return build_estimates(key, out.transmitted_bits(), out.elapsed_sums(), params).delay_hat
 
 
 class TestProportionCi:
@@ -175,7 +180,7 @@ class TestCompare:
         out = run_simulation(
             SimConfig(scenario=sc, policy=BackoffPolicy.traditional(127), n_periods=150, seed=4, full_connectivity=True)
         )
-        emp = build_estimates(out, PARAMS, self.KEY, None)
+        emp = build_estimates(self.KEY, out.transmitted_bits(), out.elapsed_sums(), PARAMS)
         cfga = ContentionConfig(n_sta=40, policy=BackoffPolicy.traditional(127), params=PARAMS)
         ana = evaluate(cfga)
         if tau_emp is not None:

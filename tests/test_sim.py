@@ -113,6 +113,19 @@ class TestElapsedAndFreezing:
         draws = draw_matrix(cfg.policy, sc.categories(), 200, np.random.default_rng(3))
         assert np.array_equal(out.elapsed.ravel(), draws.ravel())
 
+    def test_elapsed_sums_skip_expired_periods(self):
+        params = MacParameters(t_ibi=3e-3)  # 60 slots: some packets expire
+        sc = make_scenario(seed=2)
+        out = run_simulation(
+            SimConfig(scenario=sc, policy=BackoffPolicy.traditional(15), params=params, n_periods=50, seed=4)
+        )
+        transmitted = out.outcomes != int(Outcome.EXPIRED)
+        assert 0 < transmitted.mean() < 1
+        expect = [int(out.elapsed[transmitted[:, i], i].sum()) for i in range(out.n_nodes)]
+        assert out.elapsed_sums().tolist() == expect
+        stats_sums = [int(ln.split(",")[3]) for ln in out.to_stats_csv().splitlines()[1:]]
+        assert stats_sums == expect
+
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("cw", [3, 15, 127, 511])

@@ -19,11 +19,22 @@ mutually non-adjacent stations overlap at a common receiver.  An event
 satisfying both is reported as SYNC, with both occurrences counted in the
 diagnostics.
 
-Two engine paths share these semantics: a closed-form vectorized path for
-aligned periods under full connectivity (where all stations sense the same
-medium, so transmissions serialize in draw order and ties collide), and a
-general slot walker for arbitrary adjacency or per-node phase offsets.
-Their equivalence on full-connectivity runs is covered by tests.
+Three engine paths share these slot semantics; `run_simulation` picks one
+from the config and the adjacency it builds:
+
+* aligned periods (``random_phase_offsets`` false) on a complete graph,
+  which includes ``full_connectivity``: a closed-form vectorized path (all
+  stations sense the same medium, so transmissions serialize in draw order
+  and ties collide);
+* aligned periods on any other adjacency: a period-batched engine.  Periods
+  are independent trials there, so it walks all of them at once and
+  classifies collisions from (periods, n) start/end arrays;
+* per-node phase offsets (``random_phase_offsets`` true): a slot walker over
+  the whole run, with collisions classified per cluster of overlapping
+  transmissions by `classify_collision`.
+
+Tests check the walker against the closed form on complete graphs and the
+batched engine against the walker on random adjacency.
 """
 
 from __future__ import annotations
@@ -132,8 +143,12 @@ class SimOutcome:
         return "\n".join(lines) + "\n"
 
     def to_bits_text(self) -> str:
+        """One line of '1'/'0' per node, one character per period."""
         bits = self.transmitted_bits()
-        return "\n".join("".join("1" if b else "0" for b in row) for row in bits) + "\n"
+        text = np.full((bits.shape[0], bits.shape[1] + 1), ord("\n"), dtype=np.uint8)
+        text[:, :-1] = bits
+        text[:, :-1] += ord("0")
+        return text.tobytes().decode("ascii")
 
     def to_stats_csv(self) -> str:
         """Diagnostic per-node stats: transmission count and summed elapsed backoff slots."""
@@ -221,18 +236,16 @@ def run_simulation(config: SimConfig) -> SimOutcome:
         adjacency = build_adjacency(sub, config.sense_range)
 
     rng = np.random.default_rng(config.seed)
-    if config.random_phase_offsets:
-        offsets = rng.integers(0, slots, size=n)
-    else:
-        offsets = np.zeros(n, dtype=np.int64)
+    offsets = rng.integers(0, slots, size=n) if config.random_phase_offsets else None
     draws = draw_matrix(config.policy, categories, config.n_periods, rng)
 
     occupancy = config.params.tx_occupancy_slots
-    complete = bool((adjacency | np.eye(n, dtype=bool)).all())
-    if not config.random_phase_offsets and complete:
+    if offsets is not None:
+        outcomes, elapsed, diag = _run_slot_walker(draws, offsets, adjacency, slots, occupancy)
+    elif (adjacency | np.eye(n, dtype=bool)).all():
         outcomes, elapsed, diag = _run_full_connectivity(draws, slots, occupancy)
     else:
-        outcomes, elapsed, diag = _run_slot_walker(draws, offsets, adjacency, slots, occupancy)
+        outcomes, elapsed, diag = _run_aligned_batched(draws, adjacency, slots, occupancy)
 
     return SimOutcome(
         node_ids=node_ids,
@@ -294,10 +307,96 @@ def _run_full_connectivity(draws: np.ndarray, slots: int, occupancy: int):
     return outcomes, elapsed, diag
 
 
+_CLASSIFY_CHUNK = 1 << 16  # (periods, n, n) elements per classification chunk
+
+
+def _run_aligned_batched(draws: np.ndarray, adjacency: np.ndarray, slots: int, occupancy: int):
+    """Aligned periods on any adjacency, all periods walked at once.
+
+    Every period starts fresh and occupancy is cut at the shared period end,
+    so periods are independent trials in which each node transmits at most
+    once.  Each period keeps its own clock: a quiet one (nothing on air, no
+    zero counter) jumps to its next zero counter, the others take one slot
+    step with the sensed-busy check as a matrix product over the adjacency.
+    Collisions are classified afterwards from the (periods, n) start and end
+    slots, in period chunks that bound the (periods, n, n) temporaries.
+
+    Two walker checks cannot fire here.  A counter reaches zero only in an
+    idle-sensed slot, or at a shared period start, so no adjacent station is
+    on air when it does: a zero counter always starts at once.  And every
+    start lies inside its period, so an end past the period end overlaps the
+    same transmissions as one cut at it.
+    """
+    periods, n = draws.shape
+    hears = adjacency.T.astype(np.float32)  # (on_air @ hears)[p, i] > 0: i senses a transmitter
+    start = np.full((periods, n), -1, dtype=np.int64)  # local start slot, -1 if expired
+    end = np.zeros((periods, n), dtype=np.int64)
+
+    # state of the periods still running, compacted as periods finish
+    rows = np.arange(periods)
+    t = np.zeros(periods, dtype=np.int64)
+    counter = draws.astype(np.int64)
+    pending = np.ones((periods, n), dtype=bool)
+    st = start.copy()
+    en = end.copy()
+    while rows.size:
+        ongoing = en > t[:, None]
+        starters = pending & (counter == 0)
+        step = (ongoing | starters).any(axis=1)
+        # a quiet period jumps to its next zero counter; past its end if none is pending
+        dt = np.where(step, 1, np.where(pending, counter, slots).min(axis=1))
+        sensed_busy = ((ongoing | starters).astype(np.float32) @ hears) > 0
+        decr = pending & ~starters & ~sensed_busy
+        counter -= decr * dt[:, None]
+        st = np.where(starters, t[:, None], st)
+        en = np.where(starters, t[:, None] + occupancy, en)
+        pending &= ~starters
+        t += dt
+        done = t >= slots
+        if done.any():
+            start[rows[done]] = st[done]
+            end[rows[done]] = en[done]
+            keep = ~done
+            rows, t, counter, pending, st, en = rows[keep], t[keep], counter[keep], pending[keep], st[keep], en[keep]
+
+    transmitted = start >= 0
+    others = ~np.eye(n, dtype=bool)
+    adj_f = adjacency.astype(np.float64)
+    sync_peer = adjacency & others
+    hidden_peer = ~adjacency & ((adj_f @ adj_f) > 0) & others  # non-adjacent, share a receiver
+    sync = np.zeros((periods, n), dtype=bool)
+    hn = np.zeros((periods, n), dtype=bool)
+    chunk = max(1, _CLASSIFY_CHUNK // (n * n))
+    for lo in range(0, periods, chunk):
+        s, e = start[lo : lo + chunk], end[lo : lo + chunk]
+        # an expired node (start -1, end 0) shares a start or overlaps only with
+        # another expired node, and expired rows are masked out below
+        same_start = s[:, :, None] == s[:, None, :]
+        sync[lo : lo + chunk] = (same_start & sync_peer).any(axis=2)
+        overlap = (s[:, :, None] < e[:, None, :]) & (s[:, None, :] < e[:, :, None])
+        hn[lo : lo + chunk] = (overlap & hidden_peer).any(axis=2)
+    sync &= transmitted
+    hn &= transmitted
+
+    outcomes = np.full((periods, n), int(Outcome.EXPIRED), dtype=np.int8)
+    outcomes[transmitted] = int(Outcome.DELIVERED)
+    outcomes[hn] = int(Outcome.COLLIDED_HIDDEN)
+    outcomes[sync] = int(Outcome.COLLIDED_SYNC)
+    diag = {
+        "engine": "aligned-batched",
+        "sync_events": int(sync.sum()),
+        "hn_events": int(hn.sum()),
+        "dual_label_events": int((sync & hn).sum()),
+    }
+    return outcomes, start.astype(np.int32), diag
+
+
 def _run_slot_walker(draws: np.ndarray, offsets: np.ndarray, adjacency: np.ndarray, slots: int, occupancy: int):
     """General engine: walks slots over the whole run, any adjacency, optional
     per-node phase offsets.  Quiet stretches (no occupancy, no zero counter)
-    are skipped in one jump."""
+    are skipped in one jump.  `run_simulation` uses it for phase-offset runs;
+    with zero offsets it is the reference the other two engines are tested
+    against."""
     periods, n = draws.shape
     adj_f = adjacency.astype(np.float64)
     common = (adj_f @ adj_f) > 0  # share at least one receiver

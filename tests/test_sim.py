@@ -9,7 +9,9 @@ from priobeacon.policy import BackoffPolicy, draw_matrix
 from priobeacon.sim import (
     Outcome,
     SimConfig,
+    SimOutcome,
     _full_adjacency,
+    _run_aligned_batched,
     _run_full_connectivity,
     _run_slot_walker,
     classify_collision,
@@ -126,6 +128,19 @@ class TestElapsedAndFreezing:
         stats_sums = [int(ln.split(",")[3]) for ln in out.to_stats_csv().splitlines()[1:]]
         assert stats_sums == expect
 
+    def test_bits_text_matches_per_character_join(self):
+        rng = np.random.default_rng(5)
+        periods, n = 37, 11
+        outcomes = rng.integers(0, len(Outcome), size=(periods, n)).astype(np.int8)
+        out = SimOutcome(
+            node_ids=np.arange(n), categories=np.ones(n, dtype=np.int64), outcomes=outcomes,
+            elapsed=np.where(outcomes == int(Outcome.EXPIRED), -1, 3).astype(np.int32),
+            policy=BackoffPolicy.traditional(15), params=MacParameters(), n_periods=periods, seed=0,
+            full_connectivity=False, random_phase_offsets=False, diagnostics={},
+        )
+        expect = "\n".join("".join("1" if b else "0" for b in row) for row in out.transmitted_bits()) + "\n"
+        assert out.to_bits_text() == expect
+
 
 class TestEngineEquivalence:
     @pytest.mark.parametrize("cw", [3, 15, 127, 511])
@@ -140,6 +155,36 @@ class TestEngineEquivalence:
         oB, eB, _ = _run_slot_walker(draws, np.zeros(len(cats), dtype=np.int64), _full_adjacency(len(cats)), slots, occ)
         assert np.array_equal(oA, oB)
         assert np.array_equal(eA, eB)
+
+    @pytest.mark.parametrize("occ", [1, 6])
+    def test_batched_matches_walker_random_adjacency(self, occ):
+        # aligned periods on random symmetric adjacency (plus the hidden-node chain),
+        # with roomy periods and with budgets below n*occ where packets expire
+        master = np.random.default_rng(occ)
+        adjacencies = [np.zeros((1, 1), dtype=bool), _full_adjacency(2), np.zeros((2, 2), dtype=bool)]
+        chain = TestCollisionClassification.CHAIN
+        adjacencies.append(chain)
+        for _ in range(10):
+            n = int(master.integers(3, 40))
+            upper = np.triu(master.random((n, n)) < master.uniform(0.1, 0.9), 1)
+            adjacencies.append(upper | upper.T)
+        totals = dict.fromkeys(("expired", "sync_events", "hn_events", "dual_label_events"), 0)
+        for adj in adjacencies:
+            n = adj.shape[0]
+            cw = int(master.choice([3, 15, 127]))
+            for slots in (max(2, n * occ // 2), cw + n * occ):
+                draws = master.integers(0, cw, size=(25, n))
+                if adj is chain:
+                    draws[0] = (0, 2, 0)  # the textbook hidden-node period
+                oW, eW, dW = _run_slot_walker(draws, np.zeros(n, dtype=np.int64), adj, slots, occ)
+                oB, eB, dB = _run_aligned_batched(draws, adj, slots, occ)
+                assert np.array_equal(oW, oB) and np.array_equal(eW, eB)
+                assert oB.dtype == oW.dtype and eB.dtype == eW.dtype
+                for key in ("sync_events", "hn_events", "dual_label_events"):
+                    assert dB[key] == dW[key], key
+                    totals[key] += dB[key]
+                totals["expired"] += int((oB == int(Outcome.EXPIRED)).sum())
+        assert all(v > 0 for v in totals.values()), totals
 
     def test_walker_fuzz_invariants_random_adjacency(self):
         # random topologies and window/period shapes: conservation, elapsed >= draw,

@@ -340,12 +340,11 @@ def _run_aligned_batched(draws: np.ndarray, adjacency: np.ndarray, slots: int, o
     st = start.copy()
     en = end.copy()
     while rows.size:
-        ongoing = en > t[:, None]
         starters = pending & (counter == 0)
-        step = (ongoing | starters).any(axis=1)
+        on_air = (en > t[:, None]) | starters
         # a quiet period jumps to its next zero counter; past its end if none is pending
-        dt = np.where(step, 1, np.where(pending, counter, slots).min(axis=1))
-        sensed_busy = ((ongoing | starters).astype(np.float32) @ hears) > 0
+        dt = np.where(on_air.any(axis=1), 1, np.where(pending, counter, slots).min(axis=1))
+        sensed_busy = (on_air.astype(np.float32) @ hears) > 0
         decr = pending & ~starters & ~sensed_busy
         counter -= decr * dt[:, None]
         st = np.where(starters, t[:, None], st)

@@ -84,6 +84,11 @@ class MacParameters:
                 raise ValueError(f"{name} must be non-negative")
         if self.payload_bytes < 0:
             raise ValueError("payload_bytes must be non-negative")
+        if self.tx_occupancy_slots < 1:
+            raise ValueError(
+                "a transmission must occupy at least one slot; "
+                "difs, sifs, header_airtime, payload_bytes and t_prop are all zero"
+            )
 
     @property
     def slots_per_beacon(self) -> int:

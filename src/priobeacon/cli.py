@@ -127,7 +127,7 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
             try:
                 result = an.evaluate(config)
                 rows.append(an.analytic_csv_row(config, result))
-            except an.ConvergenceError as exc:
+            except (an.ConvergenceError, ValueError) as exc:
                 rows.append(f"{policy_name},{tok},{cw},{n_sta},nan,nan,nan,nan,nan,nan,nan")
                 errors.append(f"point {idx} ({policy_name} {tok} cw={cw} n_sta={n_sta}): {exc}")
     path = out / "analytic.csv"

@@ -13,11 +13,11 @@ counter from its policy range.  Slot semantics:
 * a packet not transmitted by its period end expires; the next period
   starts with a fresh draw (no carryover).
 
-Collisions are classified after the fact: SYNC when two mutually adjacent
-transmitters start in the same slot, hidden-node (HN) when transmissions of
-mutually non-adjacent stations overlap at a common receiver.  An event
-satisfying both is reported as SYNC, with both occurrences counted in the
-diagnostics.
+Collisions are classified after the fact, by `classify_collision` alone:
+SYNC when two mutually adjacent transmitters start in the same slot,
+hidden-node (HN) when transmissions of mutually non-adjacent stations
+overlap at a common receiver.  An event satisfying both is reported as
+SYNC, with both occurrences counted in the diagnostics.
 
 Three engine paths share these slot semantics; `run_simulation` picks one
 from the config and the adjacency it builds:
@@ -27,14 +27,14 @@ from the config and the adjacency it builds:
   stations sense the same medium, so transmissions serialize in draw order
   and ties collide);
 * aligned periods on any other adjacency: a period-batched engine.  Periods
-  are independent trials there, so it walks all of them at once and
-  classifies collisions from (periods, n) start/end arrays;
+  are independent trials there, so it walks all of them at once;
 * per-node phase offsets (``random_phase_offsets`` true): a slot walker over
-  the whole run, with collisions classified per cluster of overlapping
-  transmissions by `classify_collision`.
+  the whole run.
 
-Tests check the walker against the closed form on complete graphs and the
-batched engine against the walker on random adjacency.
+The batched engine and the walker each hand the whole run's transmissions
+to `classify_collision` once.  Tests check the walker against the closed
+form on complete graphs, the batched engine against the walker on random
+adjacency, and `classify_collision` against a pairwise definition.
 """
 
 from __future__ import annotations
@@ -164,39 +164,51 @@ OUTCOME_CSV_HEADER = "node_id,category,delivered,sync,hn,expired"
 STATS_CSV_HEADER = "node_id,category,tx_count,sum_elapsed_slots"
 
 
-def classify_collision(events, adjacency: np.ndarray, _common: np.ndarray | None = None):
-    """Label transmission events as SYNC / HN / clean.
+def classify_collision(node, start, end, adjacency: np.ndarray):
+    """Label a run's transmission events as SYNC / HN / clean.
 
-    events: sequence of (node_index, start_slot, end_slot) with end exclusive.
-    SYNC: another transmitter adjacent to this one started in the same slot.
-    HN: a transmitter hidden from this one (non-adjacent) overlaps it at a
-    common receiver.  Events meeting both get the dominant SYNC label; the
-    diagnostics count how many carried both.
+    node, start, end: (k,) integer array-likes, one entry per event, start < end,
+    end exclusive (slots on one clock for the whole run); adjacency is the
+    symmetric (n, n) sensing graph.  Two events of different nodes collide
+    when their spans overlap:
 
-    Returns (labels, diagnostics) where labels[i] is an Outcome for event i.
+    * SYNC if the nodes are adjacent and start in the same slot;
+    * HN if the nodes are not adjacent but share a neighbour (a common
+      receiver).
+
+    An event in both kinds of pair is labelled SYNC; the diagnostics count it
+    under both and as dual.  Returns (labels, diagnostics): labels is a (k,)
+    int8 array of Outcome codes in the order of the input events.
     """
-    k = len(events)
-    if k == 0:
-        return [], {"sync_events": 0, "hn_events": 0, "dual_label_events": 0}
-    ids = np.array([e[0] for e in events], dtype=np.int64)
-    starts = np.array([e[1] for e in events], dtype=np.int64)
-    ends = np.array([e[2] for e in events], dtype=np.int64)
-    adj = adjacency[np.ix_(ids, ids)]
-    same_start = starts[:, None] == starts[None, :]
-    np.fill_diagonal(same_start, False)
-    sync = (adj & same_start).any(axis=1)
-    overlap = (starts[:, None] < ends[None, :]) & (starts[None, :] < ends[:, None])
-    np.fill_diagonal(overlap, False)
-    if _common is None:
-        rows = adjacency[ids]
-        common = (rows.astype(np.int64) @ rows.T.astype(np.int64)) > 0
-    else:
-        common = _common[np.ix_(ids, ids)]
-    hn = (overlap & ~adj & common).any(axis=1)
-    labels = [
-        Outcome.COLLIDED_SYNC if sync[i] else (Outcome.COLLIDED_HIDDEN if hn[i] else Outcome.DELIVERED)
-        for i in range(k)
-    ]
+    order = np.argsort(start, kind="stable")
+    node = np.asarray(node, dtype=np.int64)[order]
+    start = np.asarray(start, dtype=np.int64)[order]
+    end = np.asarray(end, dtype=np.int64)[order]
+    k = order.size
+    adj_f = adjacency.astype(np.float64)
+    hidden = ~adjacency & ((adj_f @ adj_f) > 0)  # non-adjacent, share a receiver
+    np.fill_diagonal(hidden, False)
+    sync = np.zeros(k, dtype=bool)
+    hn = np.zeros(k, dtype=bool)
+    # Sorted by start, event a overlaps a + lag iff that one starts before a
+    # ends; an a that fails at one lag fails at every larger lag.
+    a = np.arange(k)
+    lag = 1
+    while True:
+        a = a[a + lag < k]
+        a = a[start[a + lag] < end[a]]
+        if not a.size:
+            break
+        b = a + lag
+        pair_sync = adjacency[node[a], node[b]] & (start[a] == start[b])
+        pair_hn = hidden[node[a], node[b]]
+        sync[a[pair_sync]] = sync[b[pair_sync]] = True
+        hn[a[pair_hn]] = hn[b[pair_hn]] = True
+        lag += 1
+    labels = np.empty(k, dtype=np.int8)
+    labels[order] = np.where(
+        sync, int(Outcome.COLLIDED_SYNC), np.where(hn, int(Outcome.COLLIDED_HIDDEN), int(Outcome.DELIVERED))
+    )
     diag = {
         "sync_events": int(sync.sum()),
         "hn_events": int(hn.sum()),
@@ -307,9 +319,6 @@ def _run_full_connectivity(draws: np.ndarray, slots: int, occupancy: int):
     return outcomes, elapsed, diag
 
 
-_CLASSIFY_CHUNK = 1 << 16  # (periods, n, n) elements per classification chunk
-
-
 def _run_aligned_batched(draws: np.ndarray, adjacency: np.ndarray, slots: int, occupancy: int):
     """Aligned periods on any adjacency, all periods walked at once.
 
@@ -318,19 +327,17 @@ def _run_aligned_batched(draws: np.ndarray, adjacency: np.ndarray, slots: int, o
     once.  Each period keeps its own clock: a quiet one (nothing on air, no
     zero counter) jumps to its next zero counter, the others take one slot
     step with the sensed-busy check as a matrix product over the adjacency.
-    Collisions are classified afterwards from the (periods, n) start and end
-    slots, in period chunks that bound the (periods, n, n) temporaries.
+    Collisions are classified afterwards by `classify_collision` on the run's
+    clock: period p's slot s is p * slots + s, and each end is cut at its
+    period end, as the walker cuts it.
 
-    Two walker checks cannot fire here.  A counter reaches zero only in an
+    One walker check cannot fire here: a counter reaches zero only in an
     idle-sensed slot, or at a shared period start, so no adjacent station is
-    on air when it does: a zero counter always starts at once.  And every
-    start lies inside its period, so an end past the period end overlaps the
-    same transmissions as one cut at it.
+    on air when it does, and a zero counter always starts at once.
     """
     periods, n = draws.shape
     hears = adjacency.T.astype(np.float32)  # (on_air @ hears)[p, i] > 0: i senses a transmitter
     start = np.full((periods, n), -1, dtype=np.int64)  # local start slot, -1 if expired
-    end = np.zeros((periods, n), dtype=np.int64)
 
     # state of the periods still running, compacted as periods finish
     rows = np.arange(periods)
@@ -338,7 +345,7 @@ def _run_aligned_batched(draws: np.ndarray, adjacency: np.ndarray, slots: int, o
     counter = draws.astype(np.int64)
     pending = np.ones((periods, n), dtype=bool)
     st = start.copy()
-    en = end.copy()
+    en = np.zeros((periods, n), dtype=np.int64)
     while rows.size:
         starters = pending & (counter == 0)
         on_air = (en > t[:, None]) | starters
@@ -354,39 +361,16 @@ def _run_aligned_batched(draws: np.ndarray, adjacency: np.ndarray, slots: int, o
         done = t >= slots
         if done.any():
             start[rows[done]] = st[done]
-            end[rows[done]] = en[done]
             keep = ~done
             rows, t, counter, pending, st, en = rows[keep], t[keep], counter[keep], pending[keep], st[keep], en[keep]
 
-    transmitted = start >= 0
-    others = ~np.eye(n, dtype=bool)
-    adj_f = adjacency.astype(np.float64)
-    sync_peer = adjacency & others
-    hidden_peer = ~adjacency & ((adj_f @ adj_f) > 0) & others  # non-adjacent, share a receiver
-    sync = np.zeros((periods, n), dtype=bool)
-    hn = np.zeros((periods, n), dtype=bool)
-    chunk = max(1, _CLASSIFY_CHUNK // (n * n))
-    for lo in range(0, periods, chunk):
-        s, e = start[lo : lo + chunk], end[lo : lo + chunk]
-        # an expired node (start -1, end 0) shares a start or overlaps only with
-        # another expired node, and expired rows are masked out below
-        same_start = s[:, :, None] == s[:, None, :]
-        sync[lo : lo + chunk] = (same_start & sync_peer).any(axis=2)
-        overlap = (s[:, :, None] < e[:, None, :]) & (s[:, None, :] < e[:, :, None])
-        hn[lo : lo + chunk] = (overlap & hidden_peer).any(axis=2)
-    sync &= transmitted
-    hn &= transmitted
-
+    period, node = np.nonzero(start >= 0)
+    base = period * slots
+    local = start[period, node]
+    labels, diag = classify_collision(node, base + local, base + np.minimum(local + occupancy, slots), adjacency)
     outcomes = np.full((periods, n), int(Outcome.EXPIRED), dtype=np.int8)
-    outcomes[transmitted] = int(Outcome.DELIVERED)
-    outcomes[hn] = int(Outcome.COLLIDED_HIDDEN)
-    outcomes[sync] = int(Outcome.COLLIDED_SYNC)
-    diag = {
-        "engine": "aligned-batched",
-        "sync_events": int(sync.sum()),
-        "hn_events": int(hn.sum()),
-        "dual_label_events": int((sync & hn).sum()),
-    }
+    outcomes[period, node] = labels
+    diag["engine"] = "aligned-batched"
     return outcomes, start.astype(np.int32), diag
 
 
@@ -397,9 +381,6 @@ def _run_slot_walker(draws: np.ndarray, offsets: np.ndarray, adjacency: np.ndarr
     with zero offsets it is the reference the other two engines are tested
     against."""
     periods, n = draws.shape
-    adj_f = adjacency.astype(np.float64)
-    common = (adj_f @ adj_f) > 0  # share at least one receiver
-
     end_of_run = int(offsets.max()) + periods * slots
     packet = np.full(n, -1, dtype=np.int64)      # index of the active packet, -1 before activation
     counter = np.zeros(n, dtype=np.int64)
@@ -464,36 +445,10 @@ def _run_slot_walker(draws: np.ndarray, offsets: np.ndarray, adjacency: np.ndarr
         occ_left[occ_left > 0] -= 1
         t += 1
 
-    diag = _classify_events(ev_node, ev_start, ev_end, ev_packet, adjacency, common, outcomes)
+    labels, diag = classify_collision(ev_node, ev_start, ev_end, adjacency)
+    outcomes[ev_packet, ev_node] = labels
     diag["engine"] = "slot-walker"
     return outcomes, elapsed, diag
-
-
-def _classify_events(ev_node, ev_start, ev_end, ev_packet, adjacency, common, outcomes):
-    """Classify chronologically-clustered transmission events and write outcomes."""
-    sync_total = hn_total = dual_total = 0
-    k = len(ev_node)
-    idx = 0
-    starts = np.array(ev_start, dtype=np.int64)
-    order = np.argsort(starts, kind="stable")
-    while idx < k:
-        # grow a cluster: events whose spans can possibly overlap
-        cluster = [order[idx]]
-        cluster_end = ev_end[order[idx]]
-        j = idx + 1
-        while j < k and ev_start[order[j]] < cluster_end:
-            cluster.append(order[j])
-            cluster_end = max(cluster_end, ev_end[order[j]])
-            j += 1
-        events = [(ev_node[e], ev_start[e], ev_end[e]) for e in cluster]
-        labels, diag = classify_collision(events, adjacency, _common=common)
-        for e, lab in zip(cluster, labels):
-            outcomes[ev_packet[e], ev_node[e]] = int(lab)
-        sync_total += diag["sync_events"]
-        hn_total += diag["hn_events"]
-        dual_total += diag["dual_label_events"]
-        idx = j
-    return {"sync_events": sync_total, "hn_events": hn_total, "dual_label_events": dual_total}
 
 
 def empirical_pcol(outcome: SimOutcome):

@@ -55,6 +55,9 @@ class TestMacParameters:
             MacParameters(t_slot=0)
         with pytest.raises(ValueError):
             MacParameters(difs=-1e-6)
+        with pytest.raises(ValueError, match="at least one slot"):
+            MacParameters(difs=0, sifs=0, header_airtime=0, payload_bytes=0, t_prop=0)
+        assert MacParameters(difs=0, sifs=0, header_airtime=0, payload_bytes=0, t_prop=1e-9).tx_occupancy_slots == 1
 
 
 class TestSuccessTime:

@@ -302,6 +302,42 @@ dir = {tmp_path}/out
             lines = matches[0].read_text().strip().splitlines()[1:]
             assert [int(ln.split(",")[0]) for ln in lines] == list(range(n))
 
+    @pytest.mark.filterwarnings("ignore:contention window")
+    def test_unsolvable_analytic_rows_do_not_abort(self, tmp_path):
+        # 20-slot periods: the proposed cat2/cat3 ranges at cw 511 start past the
+        # period end, so those rows have no analytic value; the sweep carries on
+        text = f"""
+[policy]
+policies = traditional proposed
+cw = 15 511
+[contention]
+n_sta = 10
+[sim]
+periods = 120
+full_connectivity = true
+[mac]
+t_ibi = 0.001
+[seeds]
+master = 5
+[output]
+dir = {tmp_path}/out
+"""
+        cfgp = write_config(tmp_path, text)
+        assert main(["sweep", "--config", cfgp]) == 1
+        out = tmp_path / "out"
+        errors = (out / "analyze_errors.txt").read_text().splitlines()
+        assert [ln.split(":")[0] for ln in errors] == [
+            "point 3 (proposed cat2 cw=511 n_sta=10)", "point 3 (proposed cat3 cw=511 n_sta=10)"
+        ]
+        rows = (out / "analytic.csv").read_text().splitlines()[1:]
+        assert sum(",nan," in r for r in rows) == 2 and len(rows) == 8
+        manifest = (out / "manifest.csv").read_text().splitlines()[1:]
+        assert len(manifest) == 4 and all(",ok," in ln for ln in manifest)
+        summary = (out / "summary.txt").read_text()
+        for cat in ("cat2", "cat3"):
+            assert f"missing: no analytic row for ('proposed', '{cat}', 511, 10)" in summary
+        assert summary.endswith("overall: FAIL\n")
+
     def test_include_uncategorized_adds_rows(self, tmp_path):
         text = f"""
 [policy]
@@ -330,6 +366,13 @@ dir = {tmp_path}/out
 
 
 class TestParseTimeLimits:
+    def test_sweep_with_zero_occupancy_writes_nothing(self, tmp_path, capsys):
+        mac = "[mac]\ndifs = 0\nsifs = 0\nheader_airtime = 0\npayload_bytes = 0\nt_prop = 0\n"
+        cfgp = write_config(tmp_path, SMALL + mac + f"[output]\ndir = {tmp_path}/out\n")
+        assert main(["sweep", "--config", cfgp]) == 2
+        assert "at least one slot" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_with_too_few_periods_writes_nothing(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, SMALL + f"[output]\ndir = {tmp_path}/out\n")
         assert main(["sweep", "--config", cfgp, "--periods", "50"]) == 2

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from priobeacon.analytic import MacParameters
 from priobeacon.geometry import Category, CategoryThresholds, RegionSpec, drop_nodes
@@ -232,6 +234,31 @@ class TestEngineEquivalence:
                     assert eA[0, winner] == min(b1, b2)
 
 
+def pairwise_labels(node, start, end, adj):
+    """Brute-force SYNC/HN labels: every ordered pair of events of different nodes."""
+    k = len(node)
+    sync = [False] * k
+    hn = [False] * k
+    for a in range(k):
+        for b in range(k):
+            x, y = node[a], node[b]
+            if x == y or not (start[a] < end[b] and start[b] < end[a]):
+                continue
+            if adj[x, y]:
+                sync[a] = sync[a] or start[a] == start[b]
+            elif (adj[x] & adj[y]).any():
+                hn[a] = True
+    labels = [
+        Outcome.COLLIDED_SYNC if s else Outcome.COLLIDED_HIDDEN if h else Outcome.DELIVERED for s, h in zip(sync, hn)
+    ]
+    diag = {
+        "sync_events": sum(sync),
+        "hn_events": sum(hn),
+        "dual_label_events": sum(s and h for s, h in zip(sync, hn)),
+    }
+    return labels, diag
+
+
 class TestCollisionClassification:
     # chain 0-1-2: 0 and 2 are hidden from each other, 1 hears both
     CHAIN = np.array(
@@ -239,34 +266,60 @@ class TestCollisionClassification:
     )
 
     def test_sync_adjacent_same_slot(self):
-        labels, diag = classify_collision([(0, 0, 6), (1, 0, 6)], self.CHAIN)
-        assert labels == [Outcome.COLLIDED_SYNC, Outcome.COLLIDED_SYNC]
+        labels, diag = classify_collision([0, 1], [0, 0], [6, 6], self.CHAIN)
+        assert labels.dtype == np.int8
+        assert labels.tolist() == [Outcome.COLLIDED_SYNC, Outcome.COLLIDED_SYNC]
         assert diag["sync_events"] == 2
 
     def test_hidden_node_textbook(self):
-        labels, diag = classify_collision([(0, 0, 6), (2, 3, 9)], self.CHAIN)
-        assert labels == [Outcome.COLLIDED_HIDDEN, Outcome.COLLIDED_HIDDEN]
+        labels, diag = classify_collision([0, 2], [0, 3], [6, 9], self.CHAIN)
+        assert labels.tolist() == [Outcome.COLLIDED_HIDDEN, Outcome.COLLIDED_HIDDEN]
         assert diag["hn_events"] == 2
 
     def test_solo_transmission_clean(self):
-        labels, diag = classify_collision([(0, 0, 6)], self.CHAIN)
-        assert labels == [Outcome.DELIVERED]
+        labels, diag = classify_collision([0], [0], [6], self.CHAIN)
+        assert labels.tolist() == [Outcome.DELIVERED]
         assert diag == {"sync_events": 0, "hn_events": 0, "dual_label_events": 0}
 
     def test_non_overlapping_hidden_pair_clean(self):
-        labels, _ = classify_collision([(0, 0, 6), (2, 6, 12)], self.CHAIN)
-        assert labels == [Outcome.DELIVERED, Outcome.DELIVERED]
+        labels, _ = classify_collision([0, 2], [0, 6], [6, 12], self.CHAIN)
+        assert labels.tolist() == [Outcome.DELIVERED, Outcome.DELIVERED]
 
     def test_dual_label_reports_sync(self):
         # 0-1 adjacent (same start), 2 hidden from 0 but sharing receiver 3
         adj = np.zeros((4, 4), dtype=bool)
         for a, b in ((0, 1), (0, 3), (2, 3)):
             adj[a, b] = adj[b, a] = True
-        labels, diag = classify_collision([(0, 0, 6), (1, 0, 6), (2, 2, 8)], adj)
+        labels, diag = classify_collision([0, 1, 2], [0, 0, 2], [6, 6, 8], adj)
         assert labels[0] == Outcome.COLLIDED_SYNC
         assert labels[1] == Outcome.COLLIDED_SYNC
         assert labels[2] == Outcome.COLLIDED_HIDDEN
         assert diag["dual_label_events"] == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_pairwise_definition(self, data):
+        n = data.draw(st.integers(1, 7), label="n")
+        pairs = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n), label="pairs")
+        upper = np.triu(np.reshape(pairs, (n, n)), 1)
+        adj = upper | upper.T
+        # events on a run clock of `slots`-slot periods; ends cut at the period end
+        slots = data.draw(st.integers(2, 12), label="slots")
+        event = st.tuples(st.integers(0, n - 1), st.integers(0, 40), st.integers(1, 8))
+        raw = data.draw(st.lists(event, max_size=25), label="events")
+        node = [i for i, _, _ in raw]
+        start = [s for _, s, _ in raw]
+        end = [min(s + d, (s // slots + 1) * slots) for _, s, d in raw]
+        # one node transmitting back to back: its first event ends where the second starts
+        i, s, d1 = data.draw(event, label="first back-to-back event")
+        d2 = data.draw(st.integers(1, 8), label="second duration")
+        node += [i, i]
+        start += [s, s + d1]
+        end += [s + d1, s + d1 + d2]
+        labels, diag = classify_collision(node, start, end, adj)
+        expect, expect_diag = pairwise_labels(node, start, end, adj)
+        assert labels.tolist() == expect
+        assert diag == expect_diag
 
     def test_hidden_node_end_to_end(self):
         # force the textbook dynamics through the walker: 0 and 2 draw 0, 1 larger

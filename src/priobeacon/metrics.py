@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from .analytic import AnalyticalResult, MacParameters, success_time
 from .geometry import Category
@@ -335,5 +335,5 @@ def chi_square_geometric(gap_counts: Mapping[int, int], tau: float, min_expected
     dof = max(int(keep.sum()) - 2, 1)
     if keep.sum() <= 1:
         return stat, 0, 1.0 if stat == 0.0 else 0.0
-    pvalue = float(stats.chi2.sf(stat, dof))
+    pvalue = float(chdtrc(dof, stat))
     return stat, dof, pvalue

@@ -19,22 +19,26 @@ hidden-node (HN) when transmissions of mutually non-adjacent stations
 overlap at a common receiver.  An event satisfying both is reported as
 SYNC, with both occurrences counted in the diagnostics.
 
-Three engine paths share these slot semantics; `run_simulation` picks one
-from the config and the adjacency it builds:
+Two engines share these slot semantics; `run_simulation` picks one from
+the config and the adjacency it builds:
 
 * aligned periods (``random_phase_offsets`` false) on a complete graph,
-  which includes ``full_connectivity``: a closed-form vectorized path (all
-  stations sense the same medium, so transmissions serialize in draw order
-  and ties collide);
-* aligned periods on any other adjacency: a period-batched engine.  Periods
-  are independent trials there, so it walks all of them at once;
-* per-node phase offsets (``random_phase_offsets`` true): a slot walker over
-  the whole run.
+  which includes ``full_connectivity``: a closed form (all stations sense
+  the same medium, so transmissions serialize in draw order and ties
+  collide);
+* any other run: a walker over independent rows, each with its own clock.
+  An aligned run is one row per period (periods are independent trials),
+  a phase-offset run one row holding all its periods.
 
-The batched engine and the walker each hand the whole run's transmissions
-to `classify_collision` once.  Tests check the walker against the closed
-form on complete graphs, the batched engine against the walker on random
-adjacency, and `classify_collision` against a pairwise definition.
+The walker jumps from one state change to the next.  It relies on this
+condition: once the step's starters are on air, nothing changes until a
+transmission ends, a counter that senses no transmitter reaches zero, or a
+period boundary passes, so counters that sense nothing decrement by the
+whole jump and every other counter stays frozen.  It hands the whole run's
+transmissions to `classify_collision` once.  Tests check the walker against
+the closed form on complete graphs, against a per-slot reference walker on
+random adjacency in both layouts, and `classify_collision` against a
+pairwise definition.
 """
 
 from __future__ import annotations
@@ -253,11 +257,11 @@ def run_simulation(config: SimConfig) -> SimOutcome:
 
     occupancy = config.params.tx_occupancy_slots
     if offsets is not None:
-        outcomes, elapsed, diag = _run_slot_walker(draws, offsets, adjacency, slots, occupancy)
+        outcomes, elapsed, diag = _run_walker(draws[None], offsets, adjacency, slots, occupancy)
     elif (adjacency | np.eye(n, dtype=bool)).all():
         outcomes, elapsed, diag = _run_full_connectivity(draws, slots, occupancy)
     else:
-        outcomes, elapsed, diag = _run_aligned_batched(draws, adjacency, slots, occupancy)
+        outcomes, elapsed, diag = _run_walker(draws[:, None], np.zeros(n, dtype=np.int64), adjacency, slots, occupancy)
 
     return SimOutcome(
         node_ids=node_ids,
@@ -319,136 +323,73 @@ def _run_full_connectivity(draws: np.ndarray, slots: int, occupancy: int):
     return outcomes, elapsed, diag
 
 
-def _run_aligned_batched(draws: np.ndarray, adjacency: np.ndarray, slots: int, occupancy: int):
-    """Aligned periods on any adjacency, all periods walked at once.
+def _run_walker(draws: np.ndarray, offsets: np.ndarray, adjacency: np.ndarray, slots: int, occupancy: int):
+    """Walk independent rows of consecutive periods, any adjacency.
 
-    Every period starts fresh and occupancy is cut at the shared period end,
-    so periods are independent trials in which each node transmits at most
-    once.  Each period keeps its own clock: a quiet one (nothing on air, no
-    zero counter) jumps to its next zero counter, the others take one slot
-    step with the sensed-busy check as a matrix product over the adjacency.
-    Collisions are classified afterwards by `classify_collision` on the run's
-    clock: period p's slot s is p * slots + s, and each end is cut at its
-    period end, as the walker cuts it.
+    draws is (rows, periods, n); node i's period p of a row starts at
+    offsets[i] + p * slots on that row's clock.  `run_simulation` passes an
+    aligned run as one row per period with zero offsets (periods are
+    independent trials there) and a phase-offset run as a single row.
 
-    One walker check cannot fire here: a counter reaches zero only in an
-    idle-sensed slot, or at a shared period start, so no adjacent station is
-    on air when it does, and a zero counter always starts at once.
+    Every row keeps its own clock and jumps to its earliest state change
+    (see the module docstring).  A zero counter blocked by an ongoing
+    transmission senses that transmission, so it stays frozen with the rest.
+    Collisions are classified afterwards from `elapsed`, with row r placed
+    at r * span on one run clock and each transmission cut at its period
+    end.  Returns (outcomes, elapsed, diagnostics), rows of periods stacked
+    into (rows * periods, n).
     """
-    periods, n = draws.shape
-    hears = adjacency.T.astype(np.float32)  # (on_air @ hears)[p, i] > 0: i senses a transmitter
-    start = np.full((periods, n), -1, dtype=np.int64)  # local start slot, -1 if expired
+    rows_n, periods, n = draws.shape
+    span = int(offsets.max()) + periods * slots  # one row's run
+    hears = adjacency.T.astype(np.float32)  # (on_air @ hears)[r, i] > 0: i senses a transmitter
+    cols = np.arange(n)
+    elapsed = np.full((rows_n, periods, n), -1, dtype=np.int32)
 
-    # state of the periods still running, compacted as periods finish
-    rows = np.arange(periods)
-    t = np.zeros(periods, dtype=np.int64)
-    counter = draws.astype(np.int64)
-    pending = np.ones((periods, n), dtype=bool)
-    st = start.copy()
-    en = np.zeros((periods, n), dtype=np.int64)
+    # state of the rows still running, compacted as rows finish
+    rows = np.arange(rows_n)
+    t = np.zeros(rows_n, dtype=np.int64)
+    packet = np.full((rows_n, n), -1, dtype=np.int64)  # the node's current period, -1 before its first
+    counter = np.zeros((rows_n, n), dtype=np.int64)
+    pending = np.zeros((rows_n, n), dtype=bool)
+    end = np.zeros((rows_n, n), dtype=np.int64)  # end of the node's transmission
+    boundary = np.broadcast_to(offsets, (rows_n, n)).astype(np.int64)
     while rows.size:
-        starters = pending & (counter == 0)
-        on_air = (en > t[:, None]) | starters
-        # a quiet period jumps to its next zero counter; past its end if none is pending
-        dt = np.where(on_air.any(axis=1), 1, np.where(pending, counter, slots).min(axis=1))
-        sensed_busy = (on_air.astype(np.float32) @ hears) > 0
-        decr = pending & ~starters & ~sensed_busy
-        counter -= decr * dt[:, None]
-        st = np.where(starters, t[:, None], st)
-        en = np.where(starters, t[:, None] + occupancy, en)
-        pending &= ~starters
-        t += dt
-        done = t >= slots
-        if done.any():
-            start[rows[done]] = st[done]
-            keep = ~done
-            rows, t, counter, pending, st, en = rows[keep], t[keep], counter[keep], pending[keep], st[keep], en[keep]
-
-    period, node = np.nonzero(start >= 0)
-    base = period * slots
-    local = start[period, node]
-    labels, diag = classify_collision(node, base + local, base + np.minimum(local + occupancy, slots), adjacency)
-    outcomes = np.full((periods, n), int(Outcome.EXPIRED), dtype=np.int8)
-    outcomes[period, node] = labels
-    diag["engine"] = "aligned-batched"
-    return outcomes, start.astype(np.int32), diag
-
-
-def _run_slot_walker(draws: np.ndarray, offsets: np.ndarray, adjacency: np.ndarray, slots: int, occupancy: int):
-    """General engine: walks slots over the whole run, any adjacency, optional
-    per-node phase offsets.  Quiet stretches (no occupancy, no zero counter)
-    are skipped in one jump.  `run_simulation` uses it for phase-offset runs;
-    with zero offsets it is the reference the other two engines are tested
-    against."""
-    periods, n = draws.shape
-    end_of_run = int(offsets.max()) + periods * slots
-    packet = np.full(n, -1, dtype=np.int64)      # index of the active packet, -1 before activation
-    counter = np.zeros(n, dtype=np.int64)
-    pending = np.zeros(n, dtype=bool)
-    active = np.zeros(n, dtype=bool)
-    occ_left = np.zeros(n, dtype=np.int64)
-    next_boundary = offsets.copy()
-
-    outcomes = np.full((periods, n), int(Outcome.EXPIRED), dtype=np.int8)
-    elapsed = np.full((periods, n), -1, dtype=np.int32)
-    ev_node: list[int] = []
-    ev_start: list[int] = []
-    ev_end: list[int] = []
-    ev_packet: list[int] = []
-
-    t = 0
-    while t < end_of_run:
-        at_boundary = next_boundary == t
-        if at_boundary.any():
-            for i in np.flatnonzero(at_boundary):
-                occ_left[i] = 0  # occupancy never crosses the owner's boundary
-                packet[i] += 1  # an un-transmitted previous packet stays EXPIRED
-                if packet[i] < periods:
-                    active[i] = True
-                    pending[i] = True
-                    counter[i] = draws[packet[i], i]
-                    next_boundary[i] = offsets[i] + (packet[i] + 1) * slots
-                else:
-                    active[i] = False
-                    pending[i] = False
-                    next_boundary[i] = end_of_run + 1
-
-        ongoing = occ_left > 0
-        contenders = active & pending
-        if not ongoing.any():
-            ready = contenders & (counter == 0)
-            if not ready.any():
-                # nothing can change until a counter reaches zero or a boundary hits
-                dt = int(next_boundary.min()) - t
-                if contenders.any():
-                    dt = min(dt, int(counter[contenders].min()))
-                dt = min(max(dt, 1), end_of_run - t)
-                counter[contenders] -= dt
-                t += dt
-                continue
-        busy_at_start = (adjacency & ongoing).any(axis=1)
-        starters = contenders & (counter == 0) & ~busy_at_start
-        transmitting = ongoing | starters
-        sensed_busy = (adjacency & transmitting).any(axis=1)
-        decr = contenders & ~starters & (counter > 0) & ~sensed_busy
-        counter[decr] -= 1
+        at_boundary = boundary == t[:, None]
+        if at_boundary.any():  # a fresh packet; an untransmitted one stays expired
+            packet += at_boundary
+            fresh = at_boundary & (packet < periods)
+            counter = np.where(fresh, draws[rows[:, None], np.minimum(packet, periods - 1), cols], counter)
+            pending = np.where(at_boundary, fresh, pending)
+            boundary += at_boundary * slots
+        ongoing = end > t[:, None]
+        busy_at_start = (ongoing.astype(np.float32) @ hears) > 0
+        starters = pending & (counter == 0) & ~busy_at_start
+        on_air = ongoing | starters
         if starters.any():
-            for i in np.flatnonzero(starters):
-                end = int(min(t + occupancy, next_boundary[i]))
-                ev_node.append(i)
-                ev_start.append(t)
-                ev_end.append(end)
-                ev_packet.append(int(packet[i]))
-                elapsed[packet[i], i] = t - (next_boundary[i] - slots)
-                pending[i] = False
-                occ_left[i] = end - t
-        occ_left[occ_left > 0] -= 1
-        t += 1
+            r, i = np.nonzero(starters)
+            elapsed[rows[r], packet[r, i], i] = t[r] - boundary[r, i] + slots
+            end = np.where(starters, np.minimum(t[:, None] + occupancy, boundary), end)
+            pending &= ~starters
+        decr = pending & ((on_air.astype(np.float32) @ hears) == 0)
+        change = np.where(on_air, end, np.where(decr, np.minimum(t[:, None] + counter, boundary), boundary))
+        dt = np.minimum(change.min(axis=1), span) - t
+        counter -= decr * dt[:, None]
+        t += dt
+        done = t >= span
+        if done.any():
+            keep = ~done
+            rows, t, packet, counter, pending, end, boundary = (
+                rows[keep], t[keep], packet[keep], counter[keep], pending[keep], end[keep], boundary[keep]
+            )
 
-    labels, diag = classify_collision(ev_node, ev_start, ev_end, adjacency)
-    outcomes[ev_packet, ev_node] = labels
+    row, period, node = np.nonzero(elapsed >= 0)
+    base = row * span + offsets[node] + period * slots
+    start = base + elapsed[row, period, node]
+    labels, diag = classify_collision(node, start, np.minimum(start + occupancy, base + slots), adjacency)
+    outcomes = np.full((rows_n, periods, n), int(Outcome.EXPIRED), dtype=np.int8)
+    outcomes[row, period, node] = labels
     diag["engine"] = "slot-walker"
-    return outcomes, elapsed, diag
+    return outcomes.reshape(-1, n), elapsed.reshape(-1, n), diag
 
 
 def empirical_pcol(outcome: SimOutcome):

@@ -481,7 +481,7 @@ dir = {tmp_path}/out
         monkeypatch.setattr(cli, "run_simulation", capture)
         assert main(["simulate", "--config", write_config(tmp_path, text)]) == 0
         (outcome,) = outcomes
-        expected_engine = "full-connectivity" if full_connectivity else "aligned-batched"
+        expected_engine = "full-connectivity" if full_connectivity else "slot-walker"
         assert outcome.diagnostics["engine"] == expected_engine
         if not full_connectivity:
             assert outcome.diagnostics["hn_events"] > 0

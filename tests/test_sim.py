@@ -13,9 +13,8 @@ from priobeacon.sim import (
     SimConfig,
     SimOutcome,
     _full_adjacency,
-    _run_aligned_batched,
     _run_full_connectivity,
-    _run_slot_walker,
+    _run_walker,
     classify_collision,
     empirical_pcol,
     run_simulation,
@@ -23,6 +22,82 @@ from priobeacon.sim import (
 
 REGION = RegionSpec()
 TH = CategoryThresholds()
+
+
+def reference_walk(draws: np.ndarray, offsets: np.ndarray, adjacency: np.ndarray, slots: int, occupancy: int):
+    """Per-slot oracle for `_run_walker`: steps every busy slot of the whole
+    run, any adjacency, optional per-node phase offsets.  Quiet stretches (no
+    occupancy, no zero counter) are skipped in one jump.  draws is
+    (periods, n); it returns (outcomes, elapsed, diagnostics)."""
+    periods, n = draws.shape
+    end_of_run = int(offsets.max()) + periods * slots
+    packet = np.full(n, -1, dtype=np.int64)      # index of the active packet, -1 before activation
+    counter = np.zeros(n, dtype=np.int64)
+    pending = np.zeros(n, dtype=bool)
+    active = np.zeros(n, dtype=bool)
+    occ_left = np.zeros(n, dtype=np.int64)
+    next_boundary = offsets.copy()
+
+    outcomes = np.full((periods, n), int(Outcome.EXPIRED), dtype=np.int8)
+    elapsed = np.full((periods, n), -1, dtype=np.int32)
+    ev_node: list[int] = []
+    ev_start: list[int] = []
+    ev_end: list[int] = []
+    ev_packet: list[int] = []
+
+    t = 0
+    while t < end_of_run:
+        at_boundary = next_boundary == t
+        if at_boundary.any():
+            for i in np.flatnonzero(at_boundary):
+                occ_left[i] = 0  # occupancy never crosses the owner's boundary
+                packet[i] += 1  # an un-transmitted previous packet stays EXPIRED
+                if packet[i] < periods:
+                    active[i] = True
+                    pending[i] = True
+                    counter[i] = draws[packet[i], i]
+                    next_boundary[i] = offsets[i] + (packet[i] + 1) * slots
+                else:
+                    active[i] = False
+                    pending[i] = False
+                    next_boundary[i] = end_of_run + 1
+
+        ongoing = occ_left > 0
+        contenders = active & pending
+        if not ongoing.any():
+            ready = contenders & (counter == 0)
+            if not ready.any():
+                # nothing can change until a counter reaches zero or a boundary hits
+                dt = int(next_boundary.min()) - t
+                if contenders.any():
+                    dt = min(dt, int(counter[contenders].min()))
+                dt = min(max(dt, 1), end_of_run - t)
+                counter[contenders] -= dt
+                t += dt
+                continue
+        busy_at_start = (adjacency & ongoing).any(axis=1)
+        starters = contenders & (counter == 0) & ~busy_at_start
+        transmitting = ongoing | starters
+        sensed_busy = (adjacency & transmitting).any(axis=1)
+        decr = contenders & ~starters & (counter > 0) & ~sensed_busy
+        counter[decr] -= 1
+        if starters.any():
+            for i in np.flatnonzero(starters):
+                end = int(min(t + occupancy, next_boundary[i]))
+                ev_node.append(i)
+                ev_start.append(t)
+                ev_end.append(end)
+                ev_packet.append(int(packet[i]))
+                elapsed[packet[i], i] = t - (next_boundary[i] - slots)
+                pending[i] = False
+                occ_left[i] = end - t
+        occ_left[occ_left > 0] -= 1
+        t += 1
+
+    labels, diag = classify_collision(ev_node, ev_start, ev_end, adjacency)
+    outcomes[ev_packet, ev_node] = labels
+    diag["engine"] = "slot-walker"
+    return outcomes, elapsed, diag
 
 
 def make_scenario(seed=1, density=2e-5):
@@ -154,14 +229,17 @@ class TestEngineEquivalence:
         params = MacParameters()
         slots, occ = params.slots_per_beacon, params.tx_occupancy_slots
         oA, eA, _ = _run_full_connectivity(draws, slots, occ)
-        oB, eB, _ = _run_slot_walker(draws, np.zeros(len(cats), dtype=np.int64), _full_adjacency(len(cats)), slots, occ)
+        n = len(cats)
+        oB, eB, _ = _run_walker(draws[:, None], np.zeros(n, dtype=np.int64), _full_adjacency(n), slots, occ)
         assert np.array_equal(oA, oB)
         assert np.array_equal(eA, eB)
 
     @pytest.mark.parametrize("occ", [1, 6])
     def test_batched_matches_walker_random_adjacency(self, occ):
-        # aligned periods on random symmetric adjacency (plus the hidden-node chain),
-        # with roomy periods and with budgets below n*occ where packets expire
+        # random symmetric adjacency (plus the hidden-node chain), with roomy periods
+        # and with budgets below n*occ where packets expire, in both layouts the
+        # walker is run in: rows of single periods with zero offsets, and one row
+        # of all periods with random per-node offsets
         master = np.random.default_rng(occ)
         adjacencies = [np.zeros((1, 1), dtype=bool), _full_adjacency(2), np.zeros((2, 2), dtype=bool)]
         chain = TestCollisionClassification.CHAIN
@@ -170,7 +248,8 @@ class TestEngineEquivalence:
             n = int(master.integers(3, 40))
             upper = np.triu(master.random((n, n)) < master.uniform(0.1, 0.9), 1)
             adjacencies.append(upper | upper.T)
-        totals = dict.fromkeys(("expired", "sync_events", "hn_events", "dual_label_events"), 0)
+        keys = ("expired", "sync_events", "hn_events", "dual_label_events")
+        totals = {layout: dict.fromkeys(keys, 0) for layout in ("aligned", "offset")}
         for adj in adjacencies:
             n = adj.shape[0]
             cw = int(master.choice([3, 15, 127]))
@@ -178,15 +257,18 @@ class TestEngineEquivalence:
                 draws = master.integers(0, cw, size=(25, n))
                 if adj is chain:
                     draws[0] = (0, 2, 0)  # the textbook hidden-node period
-                oW, eW, dW = _run_slot_walker(draws, np.zeros(n, dtype=np.int64), adj, slots, occ)
-                oB, eB, dB = _run_aligned_batched(draws, adj, slots, occ)
-                assert np.array_equal(oW, oB) and np.array_equal(eW, eB)
-                assert oB.dtype == oW.dtype and eB.dtype == eW.dtype
-                for key in ("sync_events", "hn_events", "dual_label_events"):
-                    assert dB[key] == dW[key], key
-                    totals[key] += dB[key]
-                totals["expired"] += int((oB == int(Outcome.EXPIRED)).sum())
-        assert all(v > 0 for v in totals.values()), totals
+                zero = np.zeros(n, dtype=np.int64)
+                offsets = master.integers(0, slots, size=n)
+                for layout, rows, offs in (("aligned", draws[:, None], zero), ("offset", draws[None], offsets)):
+                    oW, eW, dW = reference_walk(draws, offs, adj, slots, occ)
+                    oB, eB, dB = _run_walker(rows, offs, adj, slots, occ)
+                    assert np.array_equal(oW, oB) and np.array_equal(eW, eB), layout
+                    assert oB.dtype == oW.dtype and eB.dtype == eW.dtype
+                    for key in keys[1:]:
+                        assert dB[key] == dW[key], (layout, key)
+                        totals[layout][key] += dB[key]
+                    totals[layout]["expired"] += int((oB == int(Outcome.EXPIRED)).sum())
+        assert all(v > 0 for t in totals.values() for v in t.values()), totals
 
     def test_walker_fuzz_invariants_random_adjacency(self):
         # random topologies and window/period shapes: conservation, elapsed >= draw,
@@ -203,7 +285,7 @@ class TestEngineEquivalence:
                     adj[i, j] = adj[j, i] = master.random() < 0.5
             cw = int(master.integers(2, slots + 10))
             draws = master.integers(0, cw, size=(periods, n))
-            o, e, diag = _run_slot_walker(draws, np.zeros(n, dtype=np.int64), adj, slots, occ)
+            o, e, diag = _run_walker(draws[:, None], np.zeros(n, dtype=np.int64), adj, slots, occ)
             assert ((o >= 0) & (o <= 3)).all()
             transmitted = o != int(Outcome.EXPIRED)
             assert (e[transmitted] >= draws[transmitted]).all()
@@ -223,7 +305,7 @@ class TestEngineEquivalence:
             for b2 in range(3):
                 draws = np.array([[b1, b2]])
                 oA, eA, _ = _run_full_connectivity(draws, 4, 6)
-                oB, eB, _ = _run_slot_walker(draws, np.zeros(2, dtype=np.int64), _full_adjacency(2), 4, 6)
+                oB, eB, _ = _run_walker(draws[:, None], np.zeros(2, dtype=np.int64), _full_adjacency(2), 4, 6)
                 assert np.array_equal(oA, oB) and np.array_equal(eA, eB)
                 if b1 == b2:
                     assert list(oA[0]) == [int(Outcome.COLLIDED_SYNC)] * 2
@@ -324,7 +406,7 @@ class TestCollisionClassification:
     def test_hidden_node_end_to_end(self):
         # force the textbook dynamics through the walker: 0 and 2 draw 0, 1 larger
         draws = np.array([[0, 2, 0]])
-        o, e, diag = _run_slot_walker(draws, np.zeros(3, dtype=np.int64), self.CHAIN, 30, 6)
+        o, e, diag = _run_walker(draws[:, None], np.zeros(3, dtype=np.int64), self.CHAIN, 30, 6)
         assert o[0, 0] == int(Outcome.COLLIDED_HIDDEN)
         assert o[0, 2] == int(Outcome.COLLIDED_HIDDEN)
         assert o[0, 1] == int(Outcome.DELIVERED)

@@ -58,6 +58,7 @@ __all__ = [
     "evaluate",
     "ANALYTIC_CSV_HEADER",
     "analytic_csv_row",
+    "analytic_csv_values",
 ]
 
 
@@ -359,10 +360,12 @@ def evaluate(config: ContentionConfig, tol: float = 1e-10, max_iter: int = 200) 
 ANALYTIC_CSV_HEADER = "policy,category,cw,n_sta,tau,e_nbo,e_texp_s,e_tbo_s,t_suc_s,e_t_s,r"
 
 
+def analytic_csv_values(result: AnalyticalResult) -> str:
+    """The value columns of an analytic CSV row, at full round-trip precision."""
+    values = (result.tau, result.e_nbo, result.e_texp, result.e_tbo, result.t_suc, result.e_t, result.r)
+    return ",".join(repr(float(v)) for v in values)
+
+
 def analytic_csv_row(config: ContentionConfig, result: AnalyticalResult) -> str:
     category = config.category.token if config.category is not None else "all"
-    values = (result.tau, result.e_nbo, result.e_texp, result.e_tbo, result.t_suc, result.e_t, result.r)
-    return ",".join(
-        [config.policy.kind.value, category, str(config.policy.cw), str(config.n_sta)]
-        + [repr(float(v)) for v in values]
-    )
+    return f"{config.policy.kind.value},{category},{config.policy.cw},{config.n_sta},{analytic_csv_values(result)}"

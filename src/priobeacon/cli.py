@@ -61,15 +61,23 @@ def _drop_scenario(cfg: ExperimentConfig) -> SpatialScenario:
 
 
 def _point_scenario(cfg: ExperimentConfig, scenario: SpatialScenario, point_index: int, n_sta: int) -> SpatialScenario:
+    """The stations that contend at a grid point, in the model and the simulation alike: the subsample
+    of the drop (or the rescaled drop), less its uncategorized nodes under `uncategorized = silent`."""
     if cfg.sweep_mode == "rescale":
         density = n_sta / cfg.region().area
-        return drop_nodes(
+        sub = drop_nodes(
             cfg.region(), cfg.thresholds(), density, cfg.drop_mode_enum(), seed=cfg.subsample_seed(point_index)
         )
-    if n_sta == scenario.n_nodes:
-        return scenario
-    rng = np.random.default_rng(cfg.subsample_seed(point_index))
-    return scenario.subsample(n_sta, rng)
+    elif n_sta == scenario.n_nodes:
+        sub = scenario
+    else:
+        sub = scenario.subsample(n_sta, np.random.default_rng(cfg.subsample_seed(point_index)))
+    if cfg.uncategorized == "silent":
+        sub = replace(sub, nodes=tuple(nd for nd in sub.nodes if nd.category is not Category.UNCATEGORIZED))
+    return sub
+
+
+_NAN_RESULT = an.AnalyticalResult(*[np.nan] * 7)  # the values of a point the model could not evaluate
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
@@ -111,25 +119,21 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
             sub = _point_scenario(cfg, scenario, idx, n_sta)
             mix = category_mix(sub)
         except ValueError as exc:
-            for tok, _ in _reporting_categories(cfg, policy_name):
-                rows.append(f"{policy_name},{tok},{cw},{n_sta},nan,nan,nan,nan,nan,nan,nan")
+            sub = None
             errors.append(f"point {idx} ({policy_name} cw={cw} n_sta={n_sta}): {exc}")
-            continue
         policy = _make_policy(cfg, policy_name, cw)
         for tok, cat in _reporting_categories(cfg, policy_name):
-            config = an.ContentionConfig(
-                n_sta=n_sta,
-                policy=policy,
-                category=cat,
-                params=mac,
-                category_mix=mix if policy_name == "proposed" else None,
-            )
-            try:
-                result = an.evaluate(config)
-                rows.append(an.analytic_csv_row(config, result))
-            except (an.ConvergenceError, ValueError) as exc:
-                rows.append(f"{policy_name},{tok},{cw},{n_sta},nan,nan,nan,nan,nan,nan,nan")
-                errors.append(f"point {idx} ({policy_name} {tok} cw={cw} n_sta={n_sta}): {exc}")
+            result = _NAN_RESULT
+            if sub is not None:
+                config = an.ContentionConfig(
+                    n_sta=sub.n_nodes, policy=policy, category=cat, params=mac, category_mix=mix
+                )
+                try:
+                    result = an.evaluate(config)
+                except (an.ConvergenceError, ValueError) as exc:
+                    errors.append(f"point {idx} ({policy_name} {tok} cw={cw} n_sta={n_sta}): {exc}")
+            # keyed by the grid point, which report joins on, whatever the station count modeled
+            rows.append(f"{policy_name},{tok},{cw},{n_sta},{an.analytic_csv_values(result)}")
     path = out / "analytic.csv"
     _write_text(path, "\n".join(rows) + "\n")
     print(f"analytic grid: {len(rows) - 1} rows -> {path}")
@@ -167,7 +171,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                 seed=sim_seed,
                 full_connectivity=cfg.full_connectivity,
                 random_phase_offsets=cfg.random_phase_offsets,
-                uncategorized=cfg.uncategorized,
             )
             outcome = run_simulation(sim_config)
             _write_text(out / names[0], outcome.to_outcome_csv())

@@ -16,7 +16,7 @@ from typing import Mapping
 import numpy as np
 from scipy.special import chdtrc
 
-from .analytic import AnalyticalResult, MacParameters, success_time
+from .analytic import AnalyticalResult, MacParameters, irt_distribution, success_time
 from .geometry import Category
 from .sim import Outcome, SimOutcome
 
@@ -300,16 +300,13 @@ def chi_square_geometric(gap_counts: Mapping[int, int], tau: float, min_expected
     (statistic, dof, p_value); a fully concentrated matching distribution
     yields statistic 0 and p-value 1.
     """
-    if not (0.0 < tau <= 1.0):
-        raise ValueError("tau must lie in (0, 1]")
     total = sum(gap_counts.values())
     if total == 0:
         raise ValueError("no gaps observed")
     k_max = max(gap_counts)
     observed = np.array([gap_counts.get(g, 0) for g in range(1, k_max + 1)] + [0], dtype=float)
-    q = 1.0 - tau
-    probs = np.array([(q ** (g - 1)) * tau for g in range(1, k_max + 1)] + [q ** k_max], dtype=float)
-    expected = probs * total
+    law = irt_distribution(tau, k_max)
+    expected = np.array([*law.pmf.values(), law.truncation_mass], dtype=float) * total
     # pool from the right until all expected bins are big enough
     obs_bins: list[float] = []
     exp_bins: list[float] = []

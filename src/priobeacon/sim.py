@@ -1,7 +1,9 @@
 """Slot-accurate Monte Carlo engine for saturated per-beacon broadcast.
 
-Per beacon period every station holds one fresh packet and draws a backoff
-counter from its policy range.  Slot semantics:
+Every node of the given scenario contends; which vehicles those are (a
+subsample, a rescaled drop, uncategorized nodes left out) is the caller's
+choice.  Per beacon period every station holds one fresh packet and draws a
+backoff counter from its policy range.  Slot semantics:
 
 * a station whose counter is zero transmits in the first slot with no
   ongoing adjacent transmission at the slot start (simultaneous starts
@@ -44,7 +46,7 @@ pairwise definition.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -74,6 +76,8 @@ class Outcome(IntEnum):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One simulation run: all of `scenario`'s nodes contend under `policy`."""
+
     scenario: SpatialScenario
     policy: BackoffPolicy
     params: MacParameters = field(default_factory=MacParameters)
@@ -82,15 +86,12 @@ class SimConfig:
     seed: int = 0
     full_connectivity: bool = False
     random_phase_offsets: bool = False
-    uncategorized: str = "contend"  # contend | report | silent
 
     def __post_init__(self):
         if self.n_periods < 1:
             raise ValueError("n_periods must be at least 1")
         if not (self.sense_range > 0):
             raise ValueError("sense_range must be positive")
-        if self.uncategorized not in ("contend", "report", "silent"):
-            raise ValueError("uncategorized must be one of contend/report/silent")
 
 
 @dataclass
@@ -230,10 +231,7 @@ def _full_adjacency(n: int) -> np.ndarray:
 def run_simulation(config: SimConfig) -> SimOutcome:
     """Run the Monte Carlo engine; deterministic under the config seed."""
     scenario = config.scenario
-    nodes = list(scenario.nodes)
-    if config.uncategorized == "silent":
-        nodes = [nd for nd in nodes if nd.category is not Category.UNCATEGORIZED]
-    n = len(nodes)
+    n = scenario.n_nodes
     if n == 0:
         raise ValueError("simulation needs at least one contending node")
     slots = config.params.slots_per_beacon
@@ -243,13 +241,9 @@ def run_simulation(config: SimConfig) -> SimOutcome:
             "large draws will always expire",
             stacklevel=2,
         )
-    node_ids = np.array([nd.id for nd in nodes], dtype=np.int64)
-    categories = np.array([int(nd.category) for nd in nodes], dtype=np.int64)
-    if config.full_connectivity:
-        adjacency = _full_adjacency(n)
-    else:
-        sub = scenario if len(nodes) == scenario.n_nodes else _filtered(scenario, nodes)
-        adjacency = build_adjacency(sub, config.sense_range)
+    node_ids = np.array([nd.id for nd in scenario.nodes], dtype=np.int64)
+    categories = scenario.categories()
+    adjacency = _full_adjacency(n) if config.full_connectivity else build_adjacency(scenario, config.sense_range)
 
     rng = np.random.default_rng(config.seed)
     offsets = rng.integers(0, slots, size=n) if config.random_phase_offsets else None
@@ -276,10 +270,6 @@ def run_simulation(config: SimConfig) -> SimOutcome:
         random_phase_offsets=config.random_phase_offsets,
         diagnostics=diag,
     )
-
-
-def _filtered(scenario: SpatialScenario, nodes) -> SpatialScenario:
-    return replace(scenario, nodes=tuple(nodes))
 
 
 def _run_full_connectivity(draws: np.ndarray, slots: int, occupancy: int):

@@ -1,10 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from priobeacon import analytic as an
 from priobeacon import cli
 from priobeacon.cli import main
-from priobeacon.config import ExperimentConfig, canonical_text, derive_seed, parse_config_text, splitmix64
-from priobeacon.geometry import Category
+from priobeacon.config import ExperimentConfig, canonical_text, derive_seed, parse_config, parse_config_text, splitmix64
+from priobeacon.geometry import Category, category_from_token
 from priobeacon.metrics import GridKey, build_estimates
 
 
@@ -95,6 +98,20 @@ def write_config(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+@pytest.fixture
+def sim_outcomes(monkeypatch):
+    """Every SimOutcome that cmd_simulate produces, in grid order."""
+    outcomes = []
+    real_run = cli.run_simulation
+
+    def capture(config):
+        outcomes.append(real_run(config))
+        return outcomes[-1]
+
+    monkeypatch.setattr(cli, "run_simulation", capture)
+    return outcomes
 
 
 SMALL = """
@@ -454,7 +471,7 @@ class TestEstimatorRoundTrip:
     """Estimates from a SimOutcome equal, exactly, those from the files cmd_simulate writes."""
 
     @pytest.mark.parametrize("full_connectivity", [False, True], ids=["walker-700m", "full-connectivity"])
-    def test_outcome_and_files_agree(self, tmp_path, monkeypatch, full_connectivity):
+    def test_outcome_and_files_agree(self, tmp_path, sim_outcomes, full_connectivity):
         text = f"""
 [policy]
 policies = proposed
@@ -471,16 +488,8 @@ master = 3
 [output]
 dir = {tmp_path}/out
 """
-        outcomes = []
-        real_run = cli.run_simulation
-
-        def capture(config):
-            outcomes.append(real_run(config))
-            return outcomes[-1]
-
-        monkeypatch.setattr(cli, "run_simulation", capture)
         assert main(["simulate", "--config", write_config(tmp_path, text)]) == 0
-        (outcome,) = outcomes
+        (outcome,) = sim_outcomes
         expected_engine = "full-connectivity" if full_connectivity else "slot-walker"
         assert outcome.diagnostics["engine"] == expected_engine
         if not full_connectivity:
@@ -505,3 +514,110 @@ dir = {tmp_path}/out
             from_files = build_estimates(key, bits[sel], elapsed_sums[sel], outcome.params)
             assert from_outcome is not None and from_outcome.n_nodes == len(nodes)
             assert from_outcome == from_files, tok
+
+
+SILENT = """
+[policy]
+policies = traditional proposed
+cw = 127
+[contention]
+n_sta = 40 80
+[sim]
+periods = 120
+full_connectivity = true
+uncategorized = silent
+[seeds]
+master = 5
+"""
+
+
+def _rows_against_simulated_stations(cfgp: str) -> list[tuple[int, int, str, str]]:
+    """(grid n_sta, simulated station count, analytic.csv row, expected row) per analytic row.
+
+    The expected row is `evaluate` on the station count and category mix
+    read from the point's stats file, keyed by the grid point.
+    """
+    cfg = parse_config(cfgp)
+    out = Path(cfg.out_dir)
+    rows = {ln.rsplit(",", 7)[0]: ln for ln in (out / "analytic.csv").read_text().splitlines()[1:]}
+    checked = []
+    for line in (out / "manifest.csv").read_text().splitlines()[1:]:
+        parts = line.split(",")
+        policy_name, cw, n_sta = parts[1], int(parts[2]), int(parts[3])
+        cats = [category_from_token(ln.split(",")[1]) for ln in (out / parts[9]).read_text().splitlines()[1:]]
+        mix = {c: cats.count(c) / len(cats) for c in Category}
+        policy = cli._make_policy(cfg, policy_name, cw)
+        for tok, cat in cli._reporting_categories(cfg, policy_name):
+            model = an.ContentionConfig(
+                n_sta=len(cats), policy=policy, category=cat, params=cfg.mac_params(), category_mix=mix
+            )
+            key = f"{policy_name},{tok},{cw},{n_sta}"
+            checked.append((n_sta, len(cats), rows[key], f"{key},{an.analytic_csv_values(an.evaluate(model))}"))
+    return checked
+
+
+class TestPointStations:
+    """The model and the simulation of a grid point run the same stations."""
+
+    def test_silent_uncategorized_removed(self, tmp_path, sim_outcomes):
+        text = SILENT.replace("traditional proposed", "proposed").replace("n_sta = 40 80", "n_sta = 80")
+        cfgp = write_config(tmp_path, text + f"[output]\ndir = {tmp_path}/out\n")
+        assert main(["simulate", "--config", cfgp]) == 0
+        sc = cli._drop_scenario(parse_config(cfgp))  # n_sta 80 is the whole drop
+        (out,) = sim_outcomes
+        assert (out.categories != int(Category.UNCATEGORIZED)).all()
+        assert out.n_nodes == sum(1 for nd in sc.nodes if nd.category is not Category.UNCATEGORIZED)
+
+    def test_silent_sweep_models_the_simulated_stations(self, tmp_path):
+        cfgp = write_config(tmp_path, SILENT + f"[output]\ndir = {tmp_path}/out\n")
+        main(["sweep", "--config", cfgp])
+        checked = _rows_against_simulated_stations(cfgp)
+        assert len(checked) == 8
+        assert any(n != n_sta for n_sta, n, _, _ in checked)  # silent left some stations out
+        for _n_sta, _n, row, expected in checked:
+            assert row == expected
+        out = tmp_path / "out"
+        files = ["analytic.csv", "report.csv", "summary.txt"]
+        for path in [*out.glob("outcome_*.csv"), *out.glob("stats_*.csv"), *(out / f for f in files)]:
+            assert "uncat" not in path.read_text(), path.name
+
+    def test_rescale_poissoncount_models_the_simulated_stations(self, tmp_path):
+        text = f"""
+[scenario]
+drop_mode = poissoncount
+[policy]
+policies = traditional
+cw = 127
+[contention]
+n_sta = 10 20 40 80
+sweep_mode = rescale
+[sim]
+periods = 120
+full_connectivity = true
+[seeds]
+master = 5
+[output]
+dir = {tmp_path}/out
+"""
+        cfgp = write_config(tmp_path, text)
+        main(["sweep", "--config", cfgp])
+        checked = _rows_against_simulated_stations(cfgp)
+        assert [n_sta for n_sta, *_ in checked] == [10, 20, 40, 80]
+        assert any(n != n_sta for n_sta, n, _, _ in checked)  # a Poisson count rarely hits n_sta
+        for _n_sta, _n, row, expected in checked:
+            assert row == expected
+
+    def test_silent_with_no_station_left_fails_per_point(self, tmp_path):
+        # every vehicle lies beyond 3 m of the danger, so all are uncategorized and silent
+        text = SILENT + f"[scenario]\nth1 = 1\nth2 = 2\nth3 = 3\n[output]\ndir = {tmp_path}/out\n"
+        assert main(["sweep", "--config", write_config(tmp_path, text)]) == 1
+        out = tmp_path / "out"
+        rows = (out / "analytic.csv").read_text().splitlines()[1:]
+        assert len(rows) == 8 and all(r.endswith(",nan,nan,nan,nan,nan,nan,nan") for r in rows)
+        errors = (out / "analyze_errors.txt").read_text().splitlines()
+        assert len(errors) == 4 and all("empty scenario" in ln for ln in errors)
+        manifest = (out / "manifest.csv").read_text().splitlines()[1:]
+        assert len(manifest) == 4 and all(",error: " in ln for ln in manifest)
+        summary = (out / "summary.txt").read_text()
+        assert summary.count("missing: point ") == 4
+        assert summary.endswith("overall: FAIL\n")

@@ -161,17 +161,6 @@ class TestBasics:
         )
         assert out.counts()[Outcome.COLLIDED_HIDDEN].sum() == 0
 
-    def test_silent_uncategorized_removed(self):
-        sc = make_scenario(seed=1)
-        out = run_simulation(
-            SimConfig(
-                scenario=sc, policy=BackoffPolicy.proposed(127, TH), n_periods=100, seed=1,
-                full_connectivity=True, uncategorized="silent",
-            )
-        )
-        assert (out.categories != int(Category.UNCATEGORIZED)).all()
-        assert out.n_nodes == sum(1 for nd in sc.nodes if nd.category is not Category.UNCATEGORIZED)
-
 
 class TestElapsedAndFreezing:
     def test_elapsed_at_least_draw(self):

@@ -34,7 +34,7 @@ from .analytic import (
     solve_tau,
     success_time,
 )
-from .sim import Outcome, SimConfig, SimOutcome, classify_collision, empirical_pcol, run_simulation
+from .sim import Outcome, SimConfig, SimOutcome, classify_collision, empirical_pcol, run_simulation, run_simulations
 from .metrics import (
     ComparisonReport,
     EmpiricalEstimates,

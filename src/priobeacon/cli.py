@@ -34,7 +34,8 @@ from .geometry import (
     save_scenario,
 )
 from .policy import BackoffPolicy
-from .sim import STATS_CSV_HEADER, SimConfig, run_simulation
+from .sim import STATS_CSV_HEADER, SimConfig, run_simulations
+from .sim import run_simulation  # noqa: F401  unused here, but perfbench/tracer.py wraps cli.run_simulation
 
 __all__ = ["main", "build_parser"]
 
@@ -154,36 +155,47 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     scenario = _drop_scenario(cfg)
     mac = cfg.mac_params()
-    manifest = ["index,policy,cw,n_sta,sim_seed,subsample_seed,status,outcome_file,bits_file,stats_file,full_connectivity"]
+    points = []  # (grid point, its SimConfig or the reason it has none)
     for idx, policy_name, cw, n_sta in cfg.grid_points():
-        sim_seed = cfg.sim_seed(idx)
-        sub_seed = cfg.subsample_seed(idx)
-        tag = f"{idx:03d}_{policy_name}_cw{cw}_n{n_sta}"
-        names = (f"outcome_{tag}.csv", f"bits_{tag}.txt", f"stats_{tag}.csv")
         try:
-            sub = _point_scenario(cfg, scenario, idx, n_sta)
-            sim_config = SimConfig(
-                scenario=sub,
+            config = SimConfig(
+                scenario=_point_scenario(cfg, scenario, idx, n_sta),
                 policy=_make_policy(cfg, policy_name, cw),
                 params=mac,
                 sense_range=cfg.sense_range,
                 n_periods=cfg.periods,
-                seed=sim_seed,
+                seed=cfg.sim_seed(idx),
                 full_connectivity=cfg.full_connectivity,
                 random_phase_offsets=cfg.random_phase_offsets,
             )
-            outcome = run_simulation(sim_config)
+        except ValueError as exc:
+            config = f"error: {exc}"
+        points.append(((idx, policy_name, cw, n_sta), config))
+    outcomes = run_simulations([config for _, config in points if isinstance(config, SimConfig)])
+    manifest = ["index,policy,cw,n_sta,sim_seed,subsample_seed,status,outcome_file,bits_file,stats_file,full_connectivity"]
+    sim_points = ["index,stations,engine,sync_events,hn_events,dual_label_events"]
+    for (idx, policy_name, cw, n_sta), config in points:
+        tag = f"{idx:03d}_{policy_name}_cw{cw}_n{n_sta}"
+        names = (f"outcome_{tag}.csv", f"bits_{tag}.txt", f"stats_{tag}.csv")
+        if isinstance(config, SimConfig):
+            outcome = next(outcomes)
             _write_text(out / names[0], outcome.to_outcome_csv())
             _write_text(out / names[1], outcome.to_bits_text())
             _write_text(out / names[2], outcome.to_stats_csv())
+            diag = outcome.diagnostics
+            sim_points.append(
+                f"{idx},{outcome.n_nodes},{diag['engine']},{diag['sync_events']},{diag['hn_events']},"
+                f"{diag['dual_label_events']}"
+            )
             status = "ok"
-        except ValueError as exc:
-            status = f"error: {exc}"
+        else:
+            status = config
             names = ("", "", "")
         manifest.append(
-            f"{idx},{policy_name},{cw},{n_sta},{sim_seed},{sub_seed},{status},"
+            f"{idx},{policy_name},{cw},{n_sta},{cfg.sim_seed(idx)},{cfg.subsample_seed(idx)},{status},"
             f"{names[0]},{names[1]},{names[2]},{str(cfg.full_connectivity).lower()}"
         )
+    _write_text(out / "sim_points.csv", "\n".join(sim_points) + "\n")
     _write_text(out / "manifest.csv", "\n".join(manifest) + "\n")
     meta = [
         _SEED_RULE,

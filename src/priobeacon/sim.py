@@ -21,31 +21,35 @@ hidden-node (HN) when transmissions of mutually non-adjacent stations
 overlap at a common receiver.  An event satisfying both is reported as
 SYNC, with both occurrences counted in the diagnostics.
 
-Two engines share these slot semantics; `run_simulation` picks one from
-the config and the adjacency it builds:
+Two engines share these slot semantics; `run_simulations` picks one per
+config from the config and the adjacency it builds (`run_simulation` is
+its one-config case):
 
 * aligned periods (``random_phase_offsets`` false) on a complete graph,
   which includes ``full_connectivity``: a closed form (all stations sense
   the same medium, so transmissions serialize in draw order and ties
   collide);
-* any other run: a walker over independent rows, each with its own clock.
-  An aligned run is one row per period (periods are independent trials),
-  a phase-offset run one row holding all its periods.
+* any other run: a walker over independent rows, each with its own clock,
+  sensing block and span.  An aligned run is walked alone, one row per
+  period (periods are independent trials).  The phase-offset runs of a
+  batch are walked together, one row each, holding all of the run's
+  periods, with the node axis padded to the largest station count.
 
 The walker jumps from one state change to the next.  It relies on this
 condition: once the step's starters are on air, nothing changes until a
 transmission ends, a counter that senses no transmitter reaches zero, or a
 period boundary passes, so counters that sense nothing decrement by the
-whole jump and every other counter stays frozen.  It hands the whole run's
+whole jump and every other counter stays frozen.  It hands each run's
 transmissions to `classify_collision` once.  Tests check the walker against
 the closed form on complete graphs, against a per-slot reference walker on
-random adjacency in both layouts, and `classify_collision` against a
-pairwise definition.
+random adjacency in both layouts and with runs of different sizes stacked
+in one walk, and `classify_collision` against a pairwise definition.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -60,6 +64,7 @@ __all__ = [
     "SimConfig",
     "SimOutcome",
     "run_simulation",
+    "run_simulations",
     "classify_collision",
     "empirical_pcol",
     "OUTCOME_CSV_HEADER",
@@ -92,6 +97,8 @@ class SimConfig:
             raise ValueError("n_periods must be at least 1")
         if not (self.sense_range > 0):
             raise ValueError("sense_range must be positive")
+        if self.scenario.n_nodes == 0:
+            raise ValueError("simulation needs at least one contending node")
 
 
 @dataclass
@@ -230,46 +237,72 @@ def _full_adjacency(n: int) -> np.ndarray:
 
 def run_simulation(config: SimConfig) -> SimOutcome:
     """Run the Monte Carlo engine; deterministic under the config seed."""
+    return next(run_simulations([config]))
+
+
+def run_simulations(configs) -> Iterator[SimOutcome]:
+    """Yield one SimOutcome per config, in config order, each deterministic under its own seed.
+
+    Every phase-offset run of the batch is one row of a single walk (one walk
+    per slot budget, occupancy and period count), made before the first
+    outcome is yielded.  Any other run is computed when it is yielded, so a
+    batch of long aligned runs holds one run's arrays at a time.
+    """
+    configs = list(configs)
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for k, config in enumerate(configs):
+        slots = config.params.slots_per_beacon
+        if config.policy.cw > slots:
+            warnings.warn(
+                f"contention window {config.policy.cw} exceeds {slots} slots per beacon; "
+                "large draws will always expire",
+                stacklevel=2,
+            )
+        if config.random_phase_offsets:
+            groups.setdefault((slots, config.params.tx_occupancy_slots, config.n_periods), []).append(k)
+    walked = {}
+    for (slots, occupancy, _), ks in groups.items():
+        runs = [(draws[None], offsets, adjacency) for draws, offsets, adjacency in (_draw(configs[k]) for k in ks)]
+        walked.update(zip(ks, _run_walker(runs, slots, occupancy)))
+    for k, config in enumerate(configs):
+        outcomes, elapsed, diag = walked.pop(k) if k in walked else _run_aligned(config)
+        yield SimOutcome(
+            node_ids=np.array([nd.id for nd in config.scenario.nodes], dtype=np.int64),
+            categories=config.scenario.categories(),
+            outcomes=outcomes,
+            elapsed=elapsed,
+            policy=config.policy,
+            params=config.params,
+            n_periods=config.n_periods,
+            seed=config.seed,
+            full_connectivity=config.full_connectivity,
+            random_phase_offsets=config.random_phase_offsets,
+            diagnostics=diag,
+        )
+
+
+def _draw(config: SimConfig):
+    """A run's (periods, n) backoff draws, phase offsets (None for aligned
+    periods) and sensing graph; its seed's stream gives the offsets first."""
     scenario = config.scenario
     n = scenario.n_nodes
-    if n == 0:
-        raise ValueError("simulation needs at least one contending node")
     slots = config.params.slots_per_beacon
-    if config.policy.cw > slots:
-        warnings.warn(
-            f"contention window {config.policy.cw} exceeds {slots} slots per beacon; "
-            "large draws will always expire",
-            stacklevel=2,
-        )
-    node_ids = np.array([nd.id for nd in scenario.nodes], dtype=np.int64)
-    categories = scenario.categories()
     adjacency = _full_adjacency(n) if config.full_connectivity else build_adjacency(scenario, config.sense_range)
-
     rng = np.random.default_rng(config.seed)
     offsets = rng.integers(0, slots, size=n) if config.random_phase_offsets else None
-    draws = draw_matrix(config.policy, categories, config.n_periods, rng)
+    draws = draw_matrix(config.policy, scenario.categories(), config.n_periods, rng)
+    return draws, offsets, adjacency
 
-    occupancy = config.params.tx_occupancy_slots
-    if offsets is not None:
-        outcomes, elapsed, diag = _run_walker(draws[None], offsets, adjacency, slots, occupancy)
-    elif (adjacency | np.eye(n, dtype=bool)).all():
-        outcomes, elapsed, diag = _run_full_connectivity(draws, slots, occupancy)
-    else:
-        outcomes, elapsed, diag = _run_walker(draws[:, None], np.zeros(n, dtype=np.int64), adjacency, slots, occupancy)
 
-    return SimOutcome(
-        node_ids=node_ids,
-        categories=categories,
-        outcomes=outcomes,
-        elapsed=elapsed,
-        policy=config.policy,
-        params=config.params,
-        n_periods=config.n_periods,
-        seed=config.seed,
-        full_connectivity=config.full_connectivity,
-        random_phase_offsets=config.random_phase_offsets,
-        diagnostics=diag,
-    )
+def _run_aligned(config: SimConfig):
+    """An aligned run on its own: the closed form on a complete graph, else one walker row per period."""
+    draws, _, adjacency = _draw(config)
+    n = adjacency.shape[0]
+    slots, occupancy = config.params.slots_per_beacon, config.params.tx_occupancy_slots
+    if (adjacency | np.eye(n, dtype=bool)).all():
+        return _run_full_connectivity(draws, slots, occupancy)
+    (result,) = _run_walker([(draws[:, None], np.zeros(n, dtype=np.int64), adjacency)], slots, occupancy)
+    return result
 
 
 def _run_full_connectivity(draws: np.ndarray, slots: int, occupancy: int):
@@ -313,36 +346,57 @@ def _run_full_connectivity(draws: np.ndarray, slots: int, occupancy: int):
     return outcomes, elapsed, diag
 
 
-def _run_walker(draws: np.ndarray, offsets: np.ndarray, adjacency: np.ndarray, slots: int, occupancy: int):
-    """Walk independent rows of consecutive periods, any adjacency.
+def _run_walker(runs, slots: int, occupancy: int):
+    """Walk independent rows of consecutive periods, any adjacency, rows from several runs.
 
-    draws is (rows, periods, n); node i's period p of a row starts at
-    offsets[i] + p * slots on that row's clock.  `run_simulation` passes an
-    aligned run as one row per period with zero offsets (periods are
-    independent trials there) and a phase-offset run as a single row.
+    runs is a list of (draws, offsets, adjacency), one per run: draws is
+    (rows, periods, n) with the same periods in every run, and node i's
+    period p of a row starts at offsets[i] + p * slots on that row's clock.
+    `run_simulations` passes an aligned run alone, as one row per period with
+    zero offsets (periods are independent trials there), and every
+    phase-offset run of a batch together, one row each.
 
-    Every row keeps its own clock and jumps to its earliest state change
-    (see the module docstring).  A zero counter blocked by an ongoing
-    transmission senses that transmission, so it stays frozen with the rest.
-    Collisions are classified afterwards from `elapsed`, with row r placed
-    at r * span on one run clock and each transmission cut at its period
-    end.  Returns (outcomes, elapsed, diagnostics), rows of periods stacked
-    into (rows * periods, n).
+    The rows of all runs are stacked, the node axis padded to the largest n;
+    padded nodes are never pending and add no boundary events.  Each row
+    has its run's sensing block and its own span (its run's last offset plus
+    periods * slots), keeps its own clock and jumps to its earliest state
+    change (see the module docstring).  Each node counts the on-air
+    transmitters it senses: a starter adds its block row, an ender takes it
+    away.  A zero counter blocked by an ongoing transmission senses that
+    transmission, so it stays frozen with the rest.  Collisions are
+    classified afterwards, run by run, from `elapsed`, with row r of a run
+    placed at r * span on one run clock and each transmission cut at its
+    period end.  Returns one (outcomes, elapsed, diagnostics) per run, its
+    rows of periods stacked into (rows * periods, n).
     """
-    rows_n, periods, n = draws.shape
-    span = int(offsets.max()) + periods * slots  # one row's run
-    hears = adjacency.T.astype(np.float32)  # (on_air @ hears)[r, i] > 0: i senses a transmitter
+    periods = runs[0][0].shape[1]
+    n = max(adjacency.shape[0] for _, _, adjacency in runs)
+    sizes = [draws.shape[0] for draws, _, _ in runs]
+    first = np.cumsum([0, *sizes])  # run k holds rows first[k]:first[k + 1]
+    run_span = [int(offsets.max()) + periods * slots for _, offsets, _ in runs]
+    span = np.repeat(run_span, sizes)
+    block = np.repeat(np.arange(len(runs)), sizes)  # each row's sensing block
+    hears = np.zeros((len(runs), n, n), dtype=np.int32)  # hears[b, j, i]: i senses a transmitting j
+    # the smallest integer type that holds every draw keeps the padded stack small
+    draws = np.zeros((first[-1], periods, n), dtype=np.min_scalar_type(max(int(d.max()) for d, _, _ in runs)))
+    boundary = np.full((first[-1], n), np.iinfo(np.int64).max)  # padded nodes: never
+    for k, (run_draws, offsets, adjacency) in enumerate(runs):
+        m = adjacency.shape[0]
+        hears[k, :m, :m] = adjacency.T
+        draws[first[k]:first[k + 1], :, :m] = run_draws
+        boundary[first[k]:first[k + 1], :m] = offsets
     cols = np.arange(n)
-    elapsed = np.full((rows_n, periods, n), -1, dtype=np.int32)
+    elapsed = np.full((first[-1], periods, n), -1, dtype=np.int32)
 
     # state of the rows still running, compacted as rows finish
-    rows = np.arange(rows_n)
-    t = np.zeros(rows_n, dtype=np.int64)
-    packet = np.full((rows_n, n), -1, dtype=np.int64)  # the node's current period, -1 before its first
-    counter = np.zeros((rows_n, n), dtype=np.int64)
-    pending = np.zeros((rows_n, n), dtype=bool)
-    end = np.zeros((rows_n, n), dtype=np.int64)  # end of the node's transmission
-    boundary = np.broadcast_to(offsets, (rows_n, n)).astype(np.int64)
+    rows = np.arange(first[-1])
+    t = np.zeros(rows.size, dtype=np.int64)
+    packet = np.full((rows.size, n), -1, dtype=np.int64)  # the node's current period, -1 before its first
+    counter = np.zeros((rows.size, n), dtype=np.int64)
+    pending = np.zeros((rows.size, n), dtype=bool)
+    on_air = np.zeros((rows.size, n), dtype=bool)
+    end = np.zeros((rows.size, n), dtype=np.int64)  # end of the node's transmission
+    heard = np.zeros((rows.size, n), dtype=np.int32)  # on-air transmitters the node senses
     while rows.size:
         at_boundary = boundary == t[:, None]
         if at_boundary.any():  # a fresh packet; an untransmitted one stays expired
@@ -351,16 +405,20 @@ def _run_walker(draws: np.ndarray, offsets: np.ndarray, adjacency: np.ndarray, s
             counter = np.where(fresh, draws[rows[:, None], np.minimum(packet, periods - 1), cols], counter)
             pending = np.where(at_boundary, fresh, pending)
             boundary += at_boundary * slots
-        ongoing = end > t[:, None]
-        busy_at_start = (ongoing.astype(np.float32) @ hears) > 0
-        starters = pending & (counter == 0) & ~busy_at_start
-        on_air = ongoing | starters
+        ended = on_air & (end <= t[:, None])
+        if ended.any():
+            r, i = np.nonzero(ended)
+            np.subtract.at(heard, r, hears[block[rows[r]], i])
+            on_air &= ~ended
+        starters = pending & (counter == 0) & (heard == 0)
         if starters.any():
             r, i = np.nonzero(starters)
             elapsed[rows[r], packet[r, i], i] = t[r] - boundary[r, i] + slots
-            end = np.where(starters, np.minimum(t[:, None] + occupancy, boundary), end)
+            end[r, i] = np.minimum(t[r] + occupancy, boundary[r, i])
+            np.add.at(heard, r, hears[block[rows[r]], i])
+            on_air |= starters
             pending &= ~starters
-        decr = pending & ((on_air.astype(np.float32) @ hears) == 0)
+        decr = pending & (heard == 0)
         change = np.where(on_air, end, np.where(decr, np.minimum(t[:, None] + counter, boundary), boundary))
         dt = np.minimum(change.min(axis=1), span) - t
         counter -= decr * dt[:, None]
@@ -368,18 +426,24 @@ def _run_walker(draws: np.ndarray, offsets: np.ndarray, adjacency: np.ndarray, s
         done = t >= span
         if done.any():
             keep = ~done
-            rows, t, packet, counter, pending, end, boundary = (
-                rows[keep], t[keep], packet[keep], counter[keep], pending[keep], end[keep], boundary[keep]
+            rows, t, span, packet, counter, pending, on_air, end, heard, boundary = (
+                rows[keep], t[keep], span[keep], packet[keep], counter[keep], pending[keep], on_air[keep],
+                end[keep], heard[keep], boundary[keep],
             )
 
-    row, period, node = np.nonzero(elapsed >= 0)
-    base = row * span + offsets[node] + period * slots
-    start = base + elapsed[row, period, node]
-    labels, diag = classify_collision(node, start, np.minimum(start + occupancy, base + slots), adjacency)
-    outcomes = np.full((rows_n, periods, n), int(Outcome.EXPIRED), dtype=np.int8)
-    outcomes[row, period, node] = labels
-    diag["engine"] = "slot-walker"
-    return outcomes.reshape(-1, n), elapsed.reshape(-1, n), diag
+    results = []
+    for k, (_, offsets, adjacency) in enumerate(runs):
+        m = adjacency.shape[0]
+        run_elapsed = elapsed[first[k]:first[k + 1], :, :m]
+        row, period, node = np.nonzero(run_elapsed >= 0)
+        base = row * run_span[k] + offsets[node] + period * slots
+        start = base + run_elapsed[row, period, node]
+        labels, diag = classify_collision(node, start, np.minimum(start + occupancy, base + slots), adjacency)
+        outcomes = np.full(run_elapsed.shape, int(Outcome.EXPIRED), dtype=np.int8)
+        outcomes[row, period, node] = labels
+        diag["engine"] = "slot-walker"
+        results.append((outcomes.reshape(-1, m), run_elapsed.reshape(-1, m), diag))
+    return results
 
 
 def empirical_pcol(outcome: SimOutcome):

@@ -104,13 +104,14 @@ def write_config(tmp_path, text, name="exp.ini"):
 def sim_outcomes(monkeypatch):
     """Every SimOutcome that cmd_simulate produces, in grid order."""
     outcomes = []
-    real_run = cli.run_simulation
+    real_run = cli.run_simulations
 
-    def capture(config):
-        outcomes.append(real_run(config))
-        return outcomes[-1]
+    def capture(configs):
+        for outcome in real_run(configs):
+            outcomes.append(outcome)
+            yield outcome
 
-    monkeypatch.setattr(cli, "run_simulation", capture)
+    monkeypatch.setattr(cli, "run_simulations", capture)
     return outcomes
 
 
@@ -568,6 +569,24 @@ class TestPointStations:
         assert (out.categories != int(Category.UNCATEGORIZED)).all()
         assert out.n_nodes == sum(1 for nd in sc.nodes if nd.category is not Category.UNCATEGORIZED)
 
+    @pytest.mark.parametrize("sim", ["full_connectivity = true", "random_phase_offsets = true"])
+    def test_sim_points_record_stations_and_diagnostics(self, tmp_path, sim_outcomes, sim):
+        text = SILENT.replace("full_connectivity = true", sim) + f"[output]\ndir = {tmp_path}/out\n"
+        assert main(["simulate", "--config", write_config(tmp_path, text)]) == 0
+        out = tmp_path / "out"
+        manifest = [ln.split(",") for ln in (out / "manifest.csv").read_text().splitlines()[1:]]
+        lines = (out / "sim_points.csv").read_text().splitlines()
+        assert lines[0] == "index,stations,engine,sync_events,hn_events,dual_label_events"
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert [r[0] for r in rows] == [m[0] for m in manifest]
+        assert len(sim_outcomes) == len(rows) == 4
+        for row, point, outcome in zip(rows, manifest, sim_outcomes):
+            stations = len((out / point[9]).read_text().splitlines()) - 1
+            assert int(row[1]) == stations == outcome.n_nodes
+            diag = outcome.diagnostics
+            assert row[2:] == [diag["engine"], *(str(diag[k]) for k in ("sync_events", "hn_events", "dual_label_events"))]
+        assert any(int(r[1]) < int(m[3]) for r, m in zip(rows, manifest))  # silent left some stations out
+
     def test_silent_sweep_models_the_simulated_stations(self, tmp_path):
         cfgp = write_config(tmp_path, SILENT + f"[output]\ndir = {tmp_path}/out\n")
         main(["sweep", "--config", cfgp])
@@ -618,6 +637,7 @@ dir = {tmp_path}/out
         assert len(errors) == 4 and all("empty scenario" in ln for ln in errors)
         manifest = (out / "manifest.csv").read_text().splitlines()[1:]
         assert len(manifest) == 4 and all(",error: " in ln for ln in manifest)
+        assert (out / "sim_points.csv").read_text().splitlines()[1:] == []
         summary = (out / "summary.txt").read_text()
         assert summary.count("missing: point ") == 4
         assert summary.endswith("overall: FAIL\n")

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from priobeacon.sim import (
     classify_collision,
     empirical_pcol,
     run_simulation,
+    run_simulations,
 )
+from priobeacon import sim
 
 REGION = RegionSpec()
 TH = CategoryThresholds()
@@ -219,7 +222,7 @@ class TestEngineEquivalence:
         slots, occ = params.slots_per_beacon, params.tx_occupancy_slots
         oA, eA, _ = _run_full_connectivity(draws, slots, occ)
         n = len(cats)
-        oB, eB, _ = _run_walker(draws[:, None], np.zeros(n, dtype=np.int64), _full_adjacency(n), slots, occ)
+        ((oB, eB, _),) = _run_walker([(draws[:, None], np.zeros(n, dtype=np.int64), _full_adjacency(n))], slots, occ)
         assert np.array_equal(oA, oB)
         assert np.array_equal(eA, eB)
 
@@ -250,7 +253,7 @@ class TestEngineEquivalence:
                 offsets = master.integers(0, slots, size=n)
                 for layout, rows, offs in (("aligned", draws[:, None], zero), ("offset", draws[None], offsets)):
                     oW, eW, dW = reference_walk(draws, offs, adj, slots, occ)
-                    oB, eB, dB = _run_walker(rows, offs, adj, slots, occ)
+                    ((oB, eB, dB),) = _run_walker([(rows, offs, adj)], slots, occ)
                     assert np.array_equal(oW, oB) and np.array_equal(eW, eB), layout
                     assert oB.dtype == oW.dtype and eB.dtype == eW.dtype
                     for key in keys[1:]:
@@ -258,6 +261,90 @@ class TestEngineEquivalence:
                         totals[layout][key] += dB[key]
                     totals[layout]["expired"] += int((oB == int(Outcome.EXPIRED)).sum())
         assert all(v > 0 for t in totals.values() for v in t.values()), totals
+
+    @pytest.mark.parametrize("occ", [1, 6])
+    def test_stacked_runs_match_reference(self, occ):
+        # runs of different sizes as rows of one walk, the node axis padded to the
+        # largest: n = 1, n = 2, the hidden-node chain and random graphs of up to 12
+        # nodes, each one row with random per-node offsets; each run must equal the
+        # per-slot reference walked alone, with budgets below and above the largest
+        # run's n*occ
+        master = np.random.default_rng(10 + occ)
+        adjacencies = [np.zeros((1, 1), dtype=bool), _full_adjacency(2), TestCollisionClassification.CHAIN]
+        for _ in range(8):
+            n = int(master.integers(3, 13))
+            upper = np.triu(master.random((n, n)) < master.uniform(0.1, 0.9), 1)
+            adjacencies.append(upper | upper.T)
+        keys = ("expired", "sync_events", "hn_events", "dual_label_events")
+        totals = dict.fromkeys(keys, 0)
+        for slots in (12 * occ // 2, 127 + 12 * occ):
+            runs = []
+            for adj in adjacencies:
+                n = adj.shape[0]
+                draws = master.integers(0, int(master.choice([3, 15, 127])), size=(25, n))
+                runs.append((draws[None], master.integers(0, slots, size=n), adj))
+            results = _run_walker(runs, slots, occ)
+            assert len(results) == len(runs)
+            for (rows, offs, adj), (oB, eB, dB) in zip(runs, results):
+                oW, eW, dW = reference_walk(rows[0], offs, adj, slots, occ)
+                assert np.array_equal(oW, oB) and np.array_equal(eW, eB), adj.shape
+                assert oB.dtype == oW.dtype and eB.dtype == eW.dtype
+                assert dB == dW
+                for key in keys[1:]:
+                    totals[key] += dB[key]
+                totals["expired"] += int((oB == int(Outcome.EXPIRED)).sum())
+        assert all(v > 0 for v in totals.values()), totals
+
+    def test_run_simulations_matches_run_simulation(self):
+        # a mixed batch: phase-offset runs at several n (two period counts, so two
+        # stacked walks), an aligned 700 m run and a full-connectivity run
+        sc = make_scenario(seed=1)
+        params = MacParameters(t_ibi=3e-3)  # 60 slots: packets expire
+        rng = np.random.default_rng(0)
+        subs = [sc.subsample(n, rng) for n in (1, 5, 12)] + [sc]
+        offset_runs = [
+            SimConfig(
+                scenario=sub, policy=BackoffPolicy.proposed(15, TH) if k % 2 else BackoffPolicy.traditional(31),
+                params=params, n_periods=40, seed=k, random_phase_offsets=True,
+            )
+            for k, sub in enumerate(subs)
+        ]
+        aligned = SimConfig(scenario=sc, policy=BackoffPolicy.traditional(15), params=params, n_periods=30, seed=7)
+        full = replace(aligned, seed=8, full_connectivity=True)
+        second_walk = replace(offset_runs[-1], n_periods=25, seed=9, full_connectivity=True)
+        configs = [*offset_runs[:2], aligned, offset_runs[2], full, offset_runs[3], second_walk]
+        batch = list(run_simulations(configs))
+        assert len(batch) == len(configs)
+        for config, got in zip(configs, batch):
+            want = run_simulation(config)
+            for name in ("node_ids", "categories", "outcomes", "elapsed"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert got.diagnostics == want.diagnostics
+            assert (got.n_periods, got.seed, got.policy) == (config.n_periods, config.seed, config.policy)
+        engines = [out.diagnostics["engine"] for out in batch]
+        assert engines.count("full-connectivity") == 1 and engines.count("slot-walker") == len(configs) - 1
+        assert sum(out.diagnostics["hn_events"] for out in batch) > 0
+
+    def test_run_simulations_computes_aligned_runs_when_yielded(self, monkeypatch):
+        calls = []
+        real = sim._run_full_connectivity
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sim, "_run_full_connectivity", counted)
+        sc = make_scenario(seed=2)
+        configs = [
+            SimConfig(scenario=sc, policy=BackoffPolicy.traditional(15), n_periods=20, seed=s, full_connectivity=True)
+            for s in range(3)
+        ]
+        outcomes = run_simulations(configs)
+        assert not calls
+        next(outcomes)
+        assert len(calls) == 1
+        assert len(list(outcomes)) == 2 and len(calls) == 3
 
     def test_walker_fuzz_invariants_random_adjacency(self):
         # random topologies and window/period shapes: conservation, elapsed >= draw,
@@ -274,7 +361,7 @@ class TestEngineEquivalence:
                     adj[i, j] = adj[j, i] = master.random() < 0.5
             cw = int(master.integers(2, slots + 10))
             draws = master.integers(0, cw, size=(periods, n))
-            o, e, diag = _run_walker(draws[:, None], np.zeros(n, dtype=np.int64), adj, slots, occ)
+            ((o, e, diag),) = _run_walker([(draws[:, None], np.zeros(n, dtype=np.int64), adj)], slots, occ)
             assert ((o >= 0) & (o <= 3)).all()
             transmitted = o != int(Outcome.EXPIRED)
             assert (e[transmitted] >= draws[transmitted]).all()
@@ -294,7 +381,7 @@ class TestEngineEquivalence:
             for b2 in range(3):
                 draws = np.array([[b1, b2]])
                 oA, eA, _ = _run_full_connectivity(draws, 4, 6)
-                oB, eB, _ = _run_walker(draws[:, None], np.zeros(2, dtype=np.int64), _full_adjacency(2), 4, 6)
+                ((oB, eB, _),) = _run_walker([(draws[:, None], np.zeros(2, dtype=np.int64), _full_adjacency(2))], 4, 6)
                 assert np.array_equal(oA, oB) and np.array_equal(eA, eB)
                 if b1 == b2:
                     assert list(oA[0]) == [int(Outcome.COLLIDED_SYNC)] * 2
@@ -395,7 +482,7 @@ class TestCollisionClassification:
     def test_hidden_node_end_to_end(self):
         # force the textbook dynamics through the walker: 0 and 2 draw 0, 1 larger
         draws = np.array([[0, 2, 0]])
-        o, e, diag = _run_walker(draws[:, None], np.zeros(3, dtype=np.int64), self.CHAIN, 30, 6)
+        ((o, e, diag),) = _run_walker([(draws[:, None], np.zeros(3, dtype=np.int64), self.CHAIN)], 30, 6)
         assert o[0, 0] == int(Outcome.COLLIDED_HIDDEN)
         assert o[0, 2] == int(Outcome.COLLIDED_HIDDEN)
         assert o[0, 1] == int(Outcome.DELIVERED)

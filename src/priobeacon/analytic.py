@@ -342,12 +342,11 @@ class AnalyticalResult:
     t_suc: float
     e_t: float
     r: float
-    p_col_assumed: float = 0.0
 
 
-def evaluate(config: ContentionConfig, tol: float = 1e-10, max_iter: int = 200) -> AnalyticalResult:
+def evaluate(config: ContentionConfig) -> AnalyticalResult:
     """Run the full model for one configuration."""
-    sol = solve_tau(config, tol=tol, max_iter=max_iter)
+    sol = solve_tau(config)
     e_nbo = expected_backoff_slots(config, sol)
     e_texp = expiration_time(sol.tau, config.params)
     e_tbo = backoff_time(e_nbo, config.params)

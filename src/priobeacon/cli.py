@@ -33,17 +33,11 @@ from .geometry import (
     drop_nodes,
     save_scenario,
 )
-from .policy import BackoffPolicy
+from .policy import BackoffPolicy, PolicyKind
 from .sim import STATS_CSV_HEADER, SimConfig, run_simulations
 from .sim import run_simulation  # noqa: F401  unused here, but perfbench/tracer.py wraps cli.run_simulation
 
 __all__ = ["main", "build_parser"]
-
-
-def _make_policy(cfg: ExperimentConfig, policy_name: str, cw: int) -> BackoffPolicy:
-    if policy_name == "traditional":
-        return BackoffPolicy.traditional(cw)
-    return BackoffPolicy.proposed(cw, cfg.thresholds())
 
 
 def _reporting_categories(cfg: ExperimentConfig, policy_name: str) -> list[tuple[str, Category | None]]:
@@ -69,8 +63,6 @@ def _point_scenario(cfg: ExperimentConfig, scenario: SpatialScenario, point_inde
         sub = drop_nodes(
             cfg.region(), cfg.thresholds(), density, cfg.drop_mode_enum(), seed=cfg.subsample_seed(point_index)
         )
-    elif n_sta == scenario.n_nodes:
-        sub = scenario
     else:
         sub = scenario.subsample(n_sta, np.random.default_rng(cfg.subsample_seed(point_index)))
     if cfg.uncategorized == "silent":
@@ -122,7 +114,7 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
         except ValueError as exc:
             sub = None
             errors.append(f"point {idx} ({policy_name} cw={cw} n_sta={n_sta}): {exc}")
-        policy = _make_policy(cfg, policy_name, cw)
+        policy = BackoffPolicy(PolicyKind(policy_name), cw)
         for tok, cat in _reporting_categories(cfg, policy_name):
             result = _NAN_RESULT
             if sub is not None:
@@ -160,7 +152,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         try:
             config = SimConfig(
                 scenario=_point_scenario(cfg, scenario, idx, n_sta),
-                policy=_make_policy(cfg, policy_name, cw),
+                policy=BackoffPolicy(PolicyKind(policy_name), cw),
                 params=mac,
                 sense_range=cfg.sense_range,
                 n_periods=cfg.periods,

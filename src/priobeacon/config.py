@@ -17,6 +17,7 @@ and 2+2i for the sweep subsample.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from io import StringIO
 
@@ -177,6 +178,12 @@ class ExperimentConfig:
             raise ValueError("sim.uncategorized must be contend, report or silent")
         if self.periods < MIN_PERIODS:
             raise ValueError(f"sim.periods must be at least {MIN_PERIODS}, the tau and IRT estimators' floor")
+        for name, value in (("sim.sense_range", self.sense_range), ("scenario.density", self.density)):
+            if not (0 < value < math.inf):
+                raise ValueError(f"{name} must be positive and finite")
+        for name, value in self.tolerances().items():
+            if not (0 <= value < math.inf):
+                raise ValueError(f"report.{name}_tol must be non-negative and finite")
         self.thresholds()
         self.drop_mode_enum()
         self.region()
@@ -243,7 +250,10 @@ def _parse_value(kind: str, raw: str, where: str):
 
 def parse_config_text(text: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
-    parser.read_string(text)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config file: {exc}") from None
     overrides = {}
     for section in parser.sections():
         if section not in _SCHEMA:

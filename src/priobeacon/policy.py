@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import Category, CategoryThresholds
+from .geometry import Category
 
 __all__ = ["PolicyKind", "BackoffPolicy", "BackoffRange", "backoff_range", "draw_backoff", "draw_matrix"]
 
@@ -54,24 +54,20 @@ class BackoffRange:
 class BackoffPolicy:
     kind: PolicyKind
     cw: int
-    thresholds: CategoryThresholds | None = None
 
     def __post_init__(self):
         if self.cw < 1:
             raise ValueError("contention window must be a positive slot count")
-        if self.kind is PolicyKind.PROPOSED:
-            if self.cw < 3:
-                raise ValueError("proposed policy needs cw >= 3 for three non-degenerate chunks")
-            if self.thresholds is None:
-                raise ValueError("proposed policy requires category thresholds")
+        if self.kind is PolicyKind.PROPOSED and self.cw < 3:
+            raise ValueError("proposed policy needs cw >= 3 for three non-degenerate chunks")
 
     @staticmethod
     def traditional(cw: int) -> "BackoffPolicy":
         return BackoffPolicy(PolicyKind.TRADITIONAL, cw)
 
     @staticmethod
-    def proposed(cw: int, thresholds: CategoryThresholds | None = None) -> "BackoffPolicy":
-        return BackoffPolicy(PolicyKind.PROPOSED, cw, thresholds or CategoryThresholds())
+    def proposed(cw: int) -> "BackoffPolicy":
+        return BackoffPolicy(PolicyKind.PROPOSED, cw)
 
 
 def backoff_range(policy: BackoffPolicy, category: Category) -> BackoffRange:

@@ -52,6 +52,7 @@ import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -103,23 +104,33 @@ class SimConfig:
 
 @dataclass
 class SimOutcome:
-    """Per-node, per-period results of one simulation run."""
+    """Per-node, per-period results of one simulation run of `config`.
 
-    node_ids: np.ndarray          # (n,)
-    categories: np.ndarray        # (n,) Category values
+    Node i is `config.scenario.nodes[i]`; row p of `outcomes` and `elapsed`
+    is beacon period p.
+    """
+
+    config: SimConfig
     outcomes: np.ndarray          # (periods, n) Outcome codes
     elapsed: np.ndarray           # (periods, n) slots from period start to tx start, -1 if expired
-    policy: BackoffPolicy
-    params: MacParameters
-    n_periods: int
-    seed: int
-    full_connectivity: bool
-    random_phase_offsets: bool
     diagnostics: dict
+
+    @cached_property
+    def node_ids(self) -> np.ndarray:
+        return np.array([nd.id for nd in self.config.scenario.nodes], dtype=np.int64)
+
+    @cached_property
+    def categories(self) -> np.ndarray:
+        """(n,) Category values."""
+        return self.config.scenario.categories()
 
     @property
     def n_nodes(self) -> int:
-        return self.node_ids.shape[0]
+        return self.outcomes.shape[1]
+
+    @property
+    def n_periods(self) -> int:
+        return self.outcomes.shape[0]
 
     def counts(self) -> dict[Outcome, np.ndarray]:
         """Per-node counters of each outcome; they sum to n_periods per node."""
@@ -265,20 +276,7 @@ def run_simulations(configs) -> Iterator[SimOutcome]:
         runs = [(draws[None], offsets, adjacency) for draws, offsets, adjacency in (_draw(configs[k]) for k in ks)]
         walked.update(zip(ks, _run_walker(runs, slots, occupancy)))
     for k, config in enumerate(configs):
-        outcomes, elapsed, diag = walked.pop(k) if k in walked else _run_aligned(config)
-        yield SimOutcome(
-            node_ids=np.array([nd.id for nd in config.scenario.nodes], dtype=np.int64),
-            categories=config.scenario.categories(),
-            outcomes=outcomes,
-            elapsed=elapsed,
-            policy=config.policy,
-            params=config.params,
-            n_periods=config.n_periods,
-            seed=config.seed,
-            full_connectivity=config.full_connectivity,
-            random_phase_offsets=config.random_phase_offsets,
-            diagnostics=diag,
-        )
+        yield SimOutcome(config, *(walked.pop(k) if k in walked else _run_aligned(config)))
 
 
 def _draw(config: SimConfig):
@@ -317,16 +315,14 @@ def _run_full_connectivity(draws: np.ndarray, slots: int, occupancy: int):
     order = np.argsort(draws, axis=1, kind="stable")
     sorted_d = np.take_along_axis(draws, order, axis=1)
     new_group = np.ones((periods, n), dtype=bool)
-    if n > 1:
-        new_group[:, 1:] = sorted_d[:, 1:] != sorted_d[:, :-1]
+    new_group[:, 1:] = sorted_d[:, 1:] != sorted_d[:, :-1]
     gidx = np.cumsum(new_group, axis=1) - 1
     tx_slot = sorted_d + gidx * occupancy
     expired = tx_slot >= slots
     tie = np.zeros((periods, n), dtype=bool)
-    if n > 1:
-        eq = sorted_d[:, 1:] == sorted_d[:, :-1]
-        tie[:, 1:] |= eq
-        tie[:, :-1] |= eq
+    eq = sorted_d[:, 1:] == sorted_d[:, :-1]
+    tie[:, 1:] |= eq
+    tie[:, :-1] |= eq
     out_sorted = np.full((periods, n), int(Outcome.DELIVERED), dtype=np.int8)
     out_sorted[tie] = int(Outcome.COLLIDED_SYNC)
     out_sorted[expired] = int(Outcome.EXPIRED)
@@ -360,10 +356,13 @@ def _run_walker(runs, slots: int, occupancy: int):
     padded nodes are never pending and add no boundary events.  Each row
     has its run's sensing block and its own span (its run's last offset plus
     periods * slots), keeps its own clock and jumps to its earliest state
-    change (see the module docstring).  Each node counts the on-air
-    transmitters it senses: a starter adds its block row, an ender takes it
-    away.  A zero counter blocked by an ongoing transmission senses that
-    transmission, so it stays frozen with the rest.  Collisions are
+    change (see the module docstring).  A node's packet is pending while its
+    counter is >= 0 (the counter is -1 when none is), and the node is on air
+    while end > t; it ends a transmission when end == t, which the jump
+    never passes.  Each node counts the on-air transmitters it senses: a
+    starter adds its block row, an ender takes it away.  A zero counter
+    blocked by an ongoing transmission senses that transmission, so it
+    stays frozen with the rest.  Collisions are
     classified afterwards, run by run, from `elapsed`, with row r of a run
     placed at r * span on one run clock and each transmission cut at its
     period end.  Returns one (outcomes, elapsed, diagnostics) per run, its
@@ -392,43 +391,38 @@ def _run_walker(runs, slots: int, occupancy: int):
     rows = np.arange(first[-1])
     t = np.zeros(rows.size, dtype=np.int64)
     packet = np.full((rows.size, n), -1, dtype=np.int64)  # the node's current period, -1 before its first
-    counter = np.zeros((rows.size, n), dtype=np.int64)
-    pending = np.zeros((rows.size, n), dtype=bool)
-    on_air = np.zeros((rows.size, n), dtype=bool)
-    end = np.zeros((rows.size, n), dtype=np.int64)  # end of the node's transmission
+    counter = np.full((rows.size, n), -1, dtype=np.int64)  # -1 while no packet is pending
+    end = np.full((rows.size, n), -1, dtype=np.int64)  # end of the node's last transmission
     heard = np.zeros((rows.size, n), dtype=np.int32)  # on-air transmitters the node senses
     while rows.size:
         at_boundary = boundary == t[:, None]
         if at_boundary.any():  # a fresh packet; an untransmitted one stays expired
             packet += at_boundary
             fresh = at_boundary & (packet < periods)
-            counter = np.where(fresh, draws[rows[:, None], np.minimum(packet, periods - 1), cols], counter)
-            pending = np.where(at_boundary, fresh, pending)
+            draw = draws[rows[:, None], np.minimum(packet, periods - 1), cols]
+            counter = np.where(fresh, draw, np.where(at_boundary, -1, counter))
             boundary += at_boundary * slots
-        ended = on_air & (end <= t[:, None])
+        ended = end == t[:, None]
         if ended.any():
             r, i = np.nonzero(ended)
             np.subtract.at(heard, r, hears[block[rows[r]], i])
-            on_air &= ~ended
-        starters = pending & (counter == 0) & (heard == 0)
+        starters = (counter == 0) & (heard == 0)
         if starters.any():
             r, i = np.nonzero(starters)
             elapsed[rows[r], packet[r, i], i] = t[r] - boundary[r, i] + slots
             end[r, i] = np.minimum(t[r] + occupancy, boundary[r, i])
             np.add.at(heard, r, hears[block[rows[r]], i])
-            on_air |= starters
-            pending &= ~starters
-        decr = pending & (heard == 0)
-        change = np.where(on_air, end, np.where(decr, np.minimum(t[:, None] + counter, boundary), boundary))
+            counter[r, i] = -1
+        decr = (counter >= 0) & (heard == 0)
+        change = np.where(end > t[:, None], end, np.where(decr, np.minimum(t[:, None] + counter, boundary), boundary))
         dt = np.minimum(change.min(axis=1), span) - t
         counter -= decr * dt[:, None]
         t += dt
         done = t >= span
         if done.any():
             keep = ~done
-            rows, t, span, packet, counter, pending, on_air, end, heard, boundary = (
-                rows[keep], t[keep], span[keep], packet[keep], counter[keep], pending[keep], on_air[keep],
-                end[keep], heard[keep], boundary[keep],
+            rows, t, span, packet, counter, end, heard, boundary = (
+                rows[keep], t[keep], span[keep], packet[keep], counter[keep], end[keep], heard[keep], boundary[keep]
             )
 
     results = []

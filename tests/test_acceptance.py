@@ -90,7 +90,7 @@ def record(report, num: int, ok: bool, detail: str) -> None:
 
 
 def make_policy(name: str, cw: int) -> BackoffPolicy:
-    return BackoffPolicy.traditional(cw) if name == "traditional" else BackoffPolicy.proposed(cw, TH)
+    return BackoffPolicy.traditional(cw) if name == "traditional" else BackoffPolicy.proposed(cw)
 
 
 @dataclass

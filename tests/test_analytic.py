@@ -280,7 +280,6 @@ class TestEvaluate:
         res = evaluate(traditional_config(40, 127))
         rebuilt = (1.0 - res.tau) * res.e_texp + res.tau * (res.e_tbo + res.t_suc)
         assert res.e_t == rebuilt
-        assert res.p_col_assumed == 0.0
 
     def test_throughput_bounds_and_monotonicity(self):
         rs = [evaluate(traditional_config(n, 127)).r for n in (1, 10, 40, 80)]

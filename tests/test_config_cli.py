@@ -9,6 +9,7 @@ from priobeacon.cli import main
 from priobeacon.config import ExperimentConfig, canonical_text, derive_seed, parse_config, parse_config_text, splitmix64
 from priobeacon.geometry import Category, category_from_token
 from priobeacon.metrics import GridKey, build_estimates
+from priobeacon.policy import BackoffPolicy, PolicyKind
 
 
 class TestSeeds:
@@ -404,6 +405,42 @@ class TestParseTimeLimits:
         assert "policy.cw" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("master = 5\n" + SMALL, "no section headers"),
+            (SMALL + "[seeds]\nmaster = 6\n", "section 'seeds' already exists"),
+            (SMALL.replace("periods = 120", "periods = 120\nperiods = 130"), "option 'periods'"),
+        ],
+        ids=["key-before-section", "duplicate-section", "duplicate-key"],
+    )
+    def test_sweep_with_malformed_file_writes_nothing(self, tmp_path, capsys, monkeypatch, text, reason):
+        monkeypatch.chdir(tmp_path)
+        cfgp = write_config(tmp_path, text + "[output]\ndir = out\n")
+        assert main(["sweep", "--config", cfgp]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed config file") and reason in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "section, line, name",
+        [
+            ("sim", "sense_range = 0", "sim.sense_range"),
+            ("sim", "sense_range = inf", "sim.sense_range"),
+            ("scenario", "density = 0", "scenario.density"),
+            ("scenario", "density = nan", "scenario.density"),
+            ("report", "tau_tol = -1", "report.tau_tol"),
+            ("report", "delay_tol = inf", "report.delay_tol"),
+        ],
+    )
+    def test_sweep_with_bad_value_writes_nothing(self, tmp_path, capsys, section, line, name):
+        header = f"[{section}]\n"
+        text = SMALL.replace(header, header + line + "\n") if header in SMALL else SMALL + header + line + "\n"
+        cfgp = write_config(tmp_path, text + f"[output]\ndir = {tmp_path}/out\n")
+        assert main(["sweep", "--config", cfgp]) == 2
+        assert f"config error: {name} must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 TWO_POINTS = """
 [policy]
@@ -509,10 +546,10 @@ dir = {tmp_path}/out
         for tok, nodes in selections:
             key = GridKey("proposed", tok, 15, 80)
             from_outcome = build_estimates(
-                key, outcome.transmitted_bits()[nodes], outcome.elapsed_sums()[nodes], outcome.params
+                key, outcome.transmitted_bits()[nodes], outcome.elapsed_sums()[nodes], outcome.config.params
             )
             sel = [i for i, c in enumerate(cats) if tok in ("all", c)]
-            from_files = build_estimates(key, bits[sel], elapsed_sums[sel], outcome.params)
+            from_files = build_estimates(key, bits[sel], elapsed_sums[sel], outcome.config.params)
             assert from_outcome is not None and from_outcome.n_nodes == len(nodes)
             assert from_outcome == from_files, tok
 
@@ -547,7 +584,7 @@ def _rows_against_simulated_stations(cfgp: str) -> list[tuple[int, int, str, str
         policy_name, cw, n_sta = parts[1], int(parts[2]), int(parts[3])
         cats = [category_from_token(ln.split(",")[1]) for ln in (out / parts[9]).read_text().splitlines()[1:]]
         mix = {c: cats.count(c) / len(cats) for c in Category}
-        policy = cli._make_policy(cfg, policy_name, cw)
+        policy = BackoffPolicy(PolicyKind(policy_name), cw)
         for tok, cat in cli._reporting_categories(cfg, policy_name):
             model = an.ContentionConfig(
                 n_sta=len(cats), policy=policy, category=cat, params=cfg.mac_params(), category_mix=mix

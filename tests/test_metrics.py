@@ -34,7 +34,8 @@ def run_single_node(policy, periods=1000, seed=5, params=PARAMS):
 
 def estimate_delay(out, params):
     """Mean per-packet latency over all nodes of a run, through the shared estimator."""
-    key = GridKey(out.policy.kind.value, "all", out.policy.cw, out.n_nodes)
+    policy = out.config.policy
+    key = GridKey(policy.kind.value, "all", policy.cw, out.n_nodes)
     return build_estimates(key, out.transmitted_bits(), out.elapsed_sums(), params).delay_hat
 
 
@@ -64,7 +65,7 @@ class TestEstimateTau:
         sc = drop_nodes(REGION, TH, 1 / REGION.area, seed=1)
         with pytest.warns(UserWarning):
             out = run_simulation(
-                SimConfig(scenario=sc, policy=BackoffPolicy.proposed(10, TH), params=params, n_periods=200, seed=2)
+                SimConfig(scenario=sc, policy=BackoffPolicy.proposed(10), params=params, n_periods=200, seed=2)
             )
         est = estimate_tau(out)
         assert est.value == 0.0
@@ -138,14 +139,14 @@ class TestEstimateDelay:
         sc = drop_nodes(REGION, TH, 1 / REGION.area, seed=1)
         with pytest.warns(UserWarning):
             out = run_simulation(
-                SimConfig(scenario=sc, policy=BackoffPolicy.proposed(10, TH), params=params, n_periods=100, seed=2)
+                SimConfig(scenario=sc, policy=BackoffPolicy.proposed(10), params=params, n_periods=100, seed=2)
             )
         got = estimate_delay(out, params)
         # every period waits until the censored end: mean run length (P+1)/2
         assert got == pytest.approx(params.t_ibi * 101 / 2, rel=1e-12)
 
     def test_transmitted_only_decomposition(self):
-        out = run_single_node(BackoffPolicy.proposed(127, TH), periods=2000, seed=9)
+        out = run_single_node(BackoffPolicy.proposed(127), periods=2000, seed=9)
         transmitted = out.elapsed[out.elapsed >= 0]
         mean_delay_tx = float(transmitted.mean()) * PARAMS.t_slot + success_time(PARAMS)
         got = estimate_delay(out, PARAMS)

@@ -125,7 +125,7 @@ class TestBasics:
     def test_conservation(self):
         sc = make_scenario()
         out = run_simulation(
-            SimConfig(scenario=sc, policy=BackoffPolicy.proposed(15, TH), n_periods=400, seed=2, full_connectivity=True)
+            SimConfig(scenario=sc, policy=BackoffPolicy.proposed(15), n_periods=400, seed=2, full_connectivity=True)
         )
         counts = out.counts()
         total = sum(counts[oc] for oc in Outcome)
@@ -148,7 +148,7 @@ class TestBasics:
 
     def test_seed_determinism_byte_for_byte(self):
         sc = make_scenario(seed=3)
-        cfg = SimConfig(scenario=sc, policy=BackoffPolicy.proposed(127, TH), n_periods=200, seed=11, full_connectivity=True)
+        cfg = SimConfig(scenario=sc, policy=BackoffPolicy.proposed(127), n_periods=200, seed=11, full_connectivity=True)
         a = run_simulation(cfg)
         b = run_simulation(cfg)
         assert np.array_equal(a.outcomes, b.outcomes)
@@ -201,11 +201,11 @@ class TestElapsedAndFreezing:
         rng = np.random.default_rng(5)
         periods, n = 37, 11
         outcomes = rng.integers(0, len(Outcome), size=(periods, n)).astype(np.int8)
+        config = SimConfig(scenario=make_scenario(density=n / REGION.area), policy=BackoffPolicy.traditional(15))
+        assert config.scenario.n_nodes == n
         out = SimOutcome(
-            node_ids=np.arange(n), categories=np.ones(n, dtype=np.int64), outcomes=outcomes,
-            elapsed=np.where(outcomes == int(Outcome.EXPIRED), -1, 3).astype(np.int32),
-            policy=BackoffPolicy.traditional(15), params=MacParameters(), n_periods=periods, seed=0,
-            full_connectivity=False, random_phase_offsets=False, diagnostics={},
+            config=config, outcomes=outcomes,
+            elapsed=np.where(outcomes == int(Outcome.EXPIRED), -1, 3).astype(np.int32), diagnostics={},
         )
         expect = "\n".join("".join("1" if b else "0" for b in row) for row in out.transmitted_bits()) + "\n"
         assert out.to_bits_text() == expect
@@ -216,7 +216,7 @@ class TestEngineEquivalence:
     def test_walker_matches_closed_form(self, cw):
         sc = make_scenario(seed=1)
         cats = sc.categories()
-        policy = BackoffPolicy.proposed(cw, TH) if cw >= 3 else BackoffPolicy.traditional(cw)
+        policy = BackoffPolicy.proposed(cw) if cw >= 3 else BackoffPolicy.traditional(cw)
         draws = draw_matrix(policy, cats, 40, np.random.default_rng(cw))
         params = MacParameters()
         slots, occ = params.slots_per_beacon, params.tx_occupancy_slots
@@ -304,7 +304,7 @@ class TestEngineEquivalence:
         subs = [sc.subsample(n, rng) for n in (1, 5, 12)] + [sc]
         offset_runs = [
             SimConfig(
-                scenario=sub, policy=BackoffPolicy.proposed(15, TH) if k % 2 else BackoffPolicy.traditional(31),
+                scenario=sub, policy=BackoffPolicy.proposed(15) if k % 2 else BackoffPolicy.traditional(31),
                 params=params, n_periods=40, seed=k, random_phase_offsets=True,
             )
             for k, sub in enumerate(subs)
@@ -321,7 +321,7 @@ class TestEngineEquivalence:
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
             assert got.diagnostics == want.diagnostics
-            assert (got.n_periods, got.seed, got.policy) == (config.n_periods, config.seed, config.policy)
+            assert got.config is config and got.n_periods == config.n_periods
         engines = [out.diagnostics["engine"] for out in batch]
         assert engines.count("full-connectivity") == 1 and engines.count("slot-walker") == len(configs) - 1
         assert sum(out.diagnostics["hn_events"] for out in batch) > 0
@@ -509,7 +509,7 @@ class TestPriorityRealization:
     def test_delivered_rate_ordering_under_proposed(self):
         sc = make_scenario(seed=1)  # cat1/cat2/cat3 = 7/9/17
         out = run_simulation(
-            SimConfig(scenario=sc, policy=BackoffPolicy.proposed(127, TH), n_periods=2000, seed=21, full_connectivity=True)
+            SimConfig(scenario=sc, policy=BackoffPolicy.proposed(127), n_periods=2000, seed=21, full_connectivity=True)
         )
         counts = out.counts()[Outcome.DELIVERED]
         rates = {}
@@ -543,7 +543,7 @@ class TestEmpiricalPcol:
         params = MacParameters(t_ibi=200e-6)  # 4 slots
         out = run_simulation(
             SimConfig(
-                scenario=sc, policy=BackoffPolicy.proposed(10, TH), params=params,
+                scenario=sc, policy=BackoffPolicy.proposed(10), params=params,
                 n_periods=100, seed=1, full_connectivity=True,
             )
         )

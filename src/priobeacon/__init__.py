@@ -16,7 +16,7 @@ from .geometry import (
     load_scenario,
     save_scenario,
 )
-from .policy import BackoffPolicy, BackoffRange, PolicyKind, backoff_range, draw_backoff
+from .policy import BackoffPolicy, BackoffRange, PolicyKind, backoff_range
 from .analytic import (
     AnalyticalResult,
     ContentionConfig,
@@ -42,7 +42,6 @@ from .metrics import (
     build_estimates,
     compare,
     estimate_irt,
-    estimate_tau,
 )
 from .config import ExperimentConfig, canonical_text, derive_seed, parse_config
 

@@ -58,7 +58,6 @@ __all__ = [
     "evaluate",
     "ANALYTIC_CSV_HEADER",
     "analytic_csv_row",
-    "analytic_csv_values",
 ]
 
 
@@ -76,9 +75,16 @@ class MacParameters:
     t_prop: float = 1e-6
 
     def __post_init__(self):
+        for name in ("t_ibi", "t_slot", "difs", "sifs", "header_airtime", "data_rate", "t_prop"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("t_ibi", "t_slot", "data_rate"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive")
+        if not math.isfinite(self.t_ibi / self.t_slot):
+            raise ValueError("t_ibi / t_slot must be finite")
+        if self.slots_per_beacon < 1:
+            raise ValueError("t_ibi must be at least one t_slot long")
         # header/payload may degenerate to zero; the other times just can't be negative
         for name in ("difs", "sifs", "header_airtime", "t_prop"):
             if getattr(self, name) < 0:
@@ -302,17 +308,6 @@ class IrtDistribution:
     def n_max(self) -> int:
         return max(self.pmf)
 
-    def cdf(self) -> dict[int, float]:
-        out = {}
-        acc = 0.0
-        for n in sorted(self.pmf):
-            acc += self.pmf[n]
-            out[n] = acc
-        return out
-
-    def mean(self) -> float:
-        return 1.0 / self.tau
-
     def truncated_mean_with_tail(self) -> float:
         """Mean reassembled from the truncated pmf plus the geometric tail
         E[N | N > n_max] = n_max + 1/tau."""
@@ -359,12 +354,8 @@ def evaluate(config: ContentionConfig) -> AnalyticalResult:
 ANALYTIC_CSV_HEADER = "policy,category,cw,n_sta,tau,e_nbo,e_texp_s,e_tbo_s,t_suc_s,e_t_s,r"
 
 
-def analytic_csv_values(result: AnalyticalResult) -> str:
-    """The value columns of an analytic CSV row, at full round-trip precision."""
+def analytic_csv_row(key: tuple[str, str, int, int], result: AnalyticalResult) -> str:
+    """One analytic CSV row: the grid key (policy, category token, cw, n_sta),
+    then the result's values at full round-trip precision."""
     values = (result.tau, result.e_nbo, result.e_texp, result.e_tbo, result.t_suc, result.e_t, result.r)
-    return ",".join(repr(float(v)) for v in values)
-
-
-def analytic_csv_row(config: ContentionConfig, result: AnalyticalResult) -> str:
-    category = config.category.token if config.category is not None else "all"
-    return f"{config.policy.kind.value},{category},{config.policy.cw},{config.n_sta},{analytic_csv_values(result)}"
+    return ",".join([*map(str, key), *(repr(float(v)) for v in values)])

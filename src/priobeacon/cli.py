@@ -15,6 +15,7 @@ are byte-identical.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -126,7 +127,7 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
                 except (an.ConvergenceError, ValueError) as exc:
                     errors.append(f"point {idx} ({policy_name} {tok} cw={cw} n_sta={n_sta}): {exc}")
             # keyed by the grid point, which report joins on, whatever the station count modeled
-            rows.append(f"{policy_name},{tok},{cw},{n_sta},{an.analytic_csv_values(result)}")
+            rows.append(an.analytic_csv_row((policy_name, tok, cw, n_sta), result))
     path = out / "analytic.csv"
     _write_text(path, "\n".join(rows) + "\n")
     print(f"analytic grid: {len(rows) - 1} rows -> {path}")
@@ -154,10 +155,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                 scenario=_point_scenario(cfg, scenario, idx, n_sta),
                 policy=BackoffPolicy(PolicyKind(policy_name), cw),
                 params=mac,
-                sense_range=cfg.sense_range,
+                sense_range=math.inf if cfg.full_connectivity else cfg.sense_range,
                 n_periods=cfg.periods,
                 seed=cfg.sim_seed(idx),
-                full_connectivity=cfg.full_connectivity,
                 random_phase_offsets=cfg.random_phase_offsets,
             )
         except ValueError as exc:
@@ -299,7 +299,7 @@ def cmd_report(cfg: ExperimentConfig, analytic_path: Path | None = None, sim_dir
             seen_keys.add(key.as_tuple())
             analytic = analytic_rows.get(key.as_tuple())
             sel = [i for i, c in enumerate(cats) if tok in ("all", c)]
-            empirical = mt.build_estimates(key, bits[sel], elapsed_sums[sel], mac)
+            empirical = mt.build_estimates(bits[sel], elapsed_sums[sel], mac)
             if analytic is None or not np.isfinite(analytic.tau):
                 missing.append(f"no analytic row for {key.as_tuple()}")
                 continue

@@ -229,7 +229,7 @@ def drop_nodes(
 
 
 def build_adjacency(scenario: SpatialScenario, sense_range: float) -> np.ndarray:
-    """Boolean adjacency matrix: nodes are neighbors iff pairwise distance <= sense_range.
+    """Boolean adjacency matrix: nodes are neighbors iff pairwise distance <= sense_range (all pairs at inf).
 
     Symmetric and irreflexive.
     """

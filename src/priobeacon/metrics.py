@@ -26,7 +26,6 @@ __all__ = [
     "IrtEstimate",
     "EmpiricalEstimates",
     "ComparisonReport",
-    "estimate_tau",
     "estimate_irt",
     "estimate_backoff_slots",
     "total_wait_periods",
@@ -62,7 +61,6 @@ class TauEstimate:
     half_width: float
     lo: float
     hi: float
-    n_samples: int
 
 
 def proportion_ci(successes: int, trials: int, z: float = Z95) -> TauEstimate:
@@ -72,33 +70,13 @@ def proportion_ci(successes: int, trials: int, z: float = Z95) -> TauEstimate:
     p = successes / trials
     if 0.0 < p < 1.0:
         hw = z * math.sqrt(p * (1.0 - p) / trials)
-        return TauEstimate(p, hw, max(0.0, p - hw), min(1.0, p + hw), trials)
+        return TauEstimate(p, hw, max(0.0, p - hw), min(1.0, p + hw))
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom
     hw = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
     lo = 0.0 if p == 0.0 else max(0.0, center - hw)
     hi = 1.0 if p == 1.0 else min(1.0, center + hw)
-    return TauEstimate(p, hw, lo, hi, trials)
-
-
-def _select_nodes(outcome: SimOutcome, category: Category | None) -> np.ndarray:
-    if category is None:
-        return np.arange(outcome.n_nodes)
-    return outcome.category_nodes(category)
-
-
-def estimate_tau(outcome: SimOutcome, category: Category | None = None) -> TauEstimate | None:
-    """Per-beacon transmission probability over the tagged-category nodes.
-
-    Returns None when the category has no nodes (absent, not zero).
-    """
-    if outcome.n_periods < MIN_PERIODS:
-        raise ValueError(f"tau estimation needs at least {MIN_PERIODS} periods")
-    nodes = _select_nodes(outcome, category)
-    if nodes.size == 0:
-        return None
-    transmitted = int((outcome.outcomes[:, nodes] != int(Outcome.EXPIRED)).sum())
-    return proportion_ci(transmitted, int(nodes.size) * outcome.n_periods)
+    return TauEstimate(p, hw, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -170,8 +148,9 @@ def total_wait_periods(bits_row: np.ndarray) -> int:
 
 
 def estimate_backoff_slots(outcome: SimOutcome, category: Category | None = None):
-    """Mean and CI half-width of elapsed backoff slots over transmitted packets."""
-    nodes = _select_nodes(outcome, category)
+    """Mean and CI half-width of elapsed backoff slots over the transmitted
+    packets of a category's nodes (of every node when category is None)."""
+    nodes = np.arange(outcome.n_nodes) if category is None else outcome.category_nodes(category)
     if nodes.size == 0:
         return None
     sub = outcome.outcomes[:, nodes] != int(Outcome.EXPIRED)
@@ -185,7 +164,6 @@ def estimate_backoff_slots(outcome: SimOutcome, category: Category | None = None
 
 @dataclass(frozen=True)
 class EmpiricalEstimates:
-    key: GridKey
     n_nodes: int
     n_periods: int
     tau: TauEstimate
@@ -195,21 +173,21 @@ class EmpiricalEstimates:
     irt: IrtEstimate
 
 
-def build_estimates(
-    key: GridKey, bits: np.ndarray, elapsed_sums: np.ndarray, params: MacParameters
-) -> EmpiricalEstimates | None:
+def build_estimates(bits: np.ndarray, elapsed_sums: np.ndarray, params: MacParameters) -> EmpiricalEstimates | None:
     """All empirical estimates for one tagged node set (None if it is empty).
 
     bits: (n, periods) bool, True where the node transmitted (delivered or
     collided) in that period; elapsed_sums: (n,) summed elapsed backoff
-    slots over each node's transmitted periods.  `SimOutcome` gives both
-    (`transmitted_bits`, `elapsed_sums`), and so do the exported
-    `bits_*`/`stats_*` files.
+    slots over each node's transmitted periods.  The caller picks the rows
+    of the tagged nodes: `SimOutcome` gives both arrays (`transmitted_bits`,
+    `elapsed_sums`, indexed by `category_nodes`), and so do the exported
+    `bits_*`/`stats_*` files.  `compare` takes the grid key.
 
-    E[N_bo] is the mean elapsed backoff per transmitted packet.  The delay
-    charges each transmitted packet elapsed * T_slot + T_suc, and each
-    expired one T_ibi per wasted period until the node's next transmission
-    (censored at the end of the run).
+    tau_hat is the transmitted fraction of node-periods, with its CI from
+    `proportion_ci`.  E[N_bo] is the mean elapsed backoff per transmitted
+    packet.  The delay charges each transmitted packet elapsed * T_slot +
+    T_suc, and each expired one T_ibi per wasted period until the node's
+    next transmission (censored at the end of the run).
     """
     n, periods = bits.shape
     if n == 0:
@@ -223,7 +201,6 @@ def build_estimates(
         total_delay += total_wait_periods(row) * params.t_ibi
     delay = total_delay / (n * periods)
     return EmpiricalEstimates(
-        key=key,
         n_nodes=n,
         n_periods=periods,
         tau=tau,
@@ -270,8 +247,6 @@ def compare(
     |tau_analytic - tau_hat|; 'e_nbo', 'delay' and 'r' are relative bounds.
     Metrics without a configured tolerance are reported but not judged.
     """
-    if empirical.key != key:
-        raise ValueError(f"configuration mismatch: {empirical.key} vs {key}")
     rows: dict[str, tuple[float, float, float, float | None, bool | None]] = {}
 
     def add(name: str, a: float, e: float | None, relative: bool):

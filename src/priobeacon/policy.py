@@ -22,7 +22,7 @@ import numpy as np
 
 from .geometry import Category
 
-__all__ = ["PolicyKind", "BackoffPolicy", "BackoffRange", "backoff_range", "draw_backoff", "draw_matrix"]
+__all__ = ["PolicyKind", "BackoffPolicy", "BackoffRange", "backoff_range", "draw_matrix"]
 
 
 class PolicyKind(Enum):
@@ -40,14 +40,6 @@ class BackoffRange:
     def __post_init__(self):
         if not (0 <= self.lo <= self.hi):
             raise ValueError(f"invalid backoff range [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> int:
-        return self.hi - self.lo + 1
-
-    @property
-    def mean(self) -> float:
-        return (self.lo + self.hi) / 2.0
 
 
 @dataclass(frozen=True)
@@ -86,12 +78,6 @@ def backoff_range(policy: BackoffPolicy, category: Category) -> BackoffRange:
     if category is Category.CAT2:
         return BackoffRange(cut1 + 1, cut2)
     return BackoffRange(cut2 + 1, top)
-
-
-def draw_backoff(policy: BackoffPolicy, category: Category, rng: np.random.Generator) -> int:
-    """One uniform draw from the station's backoff range."""
-    r = backoff_range(policy, category)
-    return int(rng.integers(r.lo, r.hi + 1))
 
 
 def draw_matrix(policy: BackoffPolicy, categories: np.ndarray, n_periods: int, rng: np.random.Generator) -> np.ndarray:

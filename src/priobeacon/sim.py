@@ -26,7 +26,7 @@ config from the config and the adjacency it builds (`run_simulation` is
 its one-config case):
 
 * aligned periods (``random_phase_offsets`` false) on a complete graph,
-  which includes ``full_connectivity``: a closed form (all stations sense
+  which includes ``sense_range = inf``: a closed form (all stations sense
   the same medium, so transmissions serialize in draw order and ties
   collide);
 * any other run: a walker over independent rows, each with its own clock,
@@ -82,7 +82,11 @@ class Outcome(IntEnum):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One simulation run: all of `scenario`'s nodes contend under `policy`."""
+    """One simulation run: all of `scenario`'s nodes contend under `policy`.
+
+    Two nodes sense each other within `sense_range` metres; `math.inf`
+    gives complete sensing (full connectivity).
+    """
 
     scenario: SpatialScenario
     policy: BackoffPolicy
@@ -90,7 +94,6 @@ class SimConfig:
     sense_range: float = 700.0
     n_periods: int = 1000
     seed: int = 0
-    full_connectivity: bool = False
     random_phase_offsets: bool = False
 
     def __post_init__(self):
@@ -240,12 +243,6 @@ def classify_collision(node, start, end, adjacency: np.ndarray):
     return labels, diag
 
 
-def _full_adjacency(n: int) -> np.ndarray:
-    adj = np.ones((n, n), dtype=bool)
-    np.fill_diagonal(adj, False)
-    return adj
-
-
 def run_simulation(config: SimConfig) -> SimOutcome:
     """Run the Monte Carlo engine; deterministic under the config seed."""
     return next(run_simulations([config]))
@@ -285,7 +282,7 @@ def _draw(config: SimConfig):
     scenario = config.scenario
     n = scenario.n_nodes
     slots = config.params.slots_per_beacon
-    adjacency = _full_adjacency(n) if config.full_connectivity else build_adjacency(scenario, config.sense_range)
+    adjacency = build_adjacency(scenario, config.sense_range)
     rng = np.random.default_rng(config.seed)
     offsets = rng.integers(0, slots, size=n) if config.random_phase_offsets else None
     draws = draw_matrix(config.policy, scenario.categories(), config.n_periods, rng)

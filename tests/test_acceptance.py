@@ -45,6 +45,7 @@ the model departs from the paper or the bounds were misread is not settled.
   approximation (p_col pinned to 0), which the simulator refutes.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +62,7 @@ from priobeacon.analytic import (
 )
 from priobeacon.cli import main
 from priobeacon.geometry import Category, CategoryThresholds, RegionSpec, category_mix, drop_nodes
-from priobeacon.metrics import chi_square_geometric, estimate_backoff_slots, estimate_irt, estimate_tau
+from priobeacon.metrics import build_estimates, chi_square_geometric, estimate_backoff_slots
 from priobeacon.policy import BackoffPolicy
 from priobeacon.sim import Outcome, SimConfig, empirical_pcol, run_simulation
 
@@ -93,12 +94,17 @@ def make_policy(name: str, cw: int) -> BackoffPolicy:
     return BackoffPolicy.traditional(cw) if name == "traditional" else BackoffPolicy.proposed(cw)
 
 
+def estimates(out, category):
+    """The estimates `report` computes, over a category's nodes (every node for None); None if absent."""
+    nodes = np.arange(out.n_nodes) if category is None else out.category_nodes(category)
+    return build_estimates(out.transmitted_bits()[nodes], out.elapsed_sums()[nodes], out.config.params)
+
+
 @dataclass
 class GridData:
     chain: dict            # n_sta -> nested subsampled scenario
     mixes: dict            # n_sta -> category mix
     analytic: dict         # (policy, category, cw, n) -> AnalyticalResult
-    configs: dict          # (policy, category, cw, n) -> ContentionConfig
     sims: dict             # (policy, cw, n) -> SimOutcome
 
 
@@ -112,20 +118,19 @@ def grid() -> GridData:
         chain[n] = current
     mixes = {n: category_mix(chain[n]) for n in N_FINE}
 
-    analytic, configs = {}, {}
+    analytic = {}
     for policy_name, category in ARMS:
         for cw in CW_VALUES:
             for n in N_FINE:
-                cfg = ContentionConfig(
-                    n_sta=n,
-                    policy=make_policy(policy_name, cw),
-                    category=category,
-                    params=PARAMS,
-                    category_mix=mixes[n] if policy_name == "proposed" else None,
+                analytic[(policy_name, category, cw, n)] = evaluate(
+                    ContentionConfig(
+                        n_sta=n,
+                        policy=make_policy(policy_name, cw),
+                        category=category,
+                        params=PARAMS,
+                        category_mix=mixes[n] if policy_name == "proposed" else None,
+                    )
                 )
-                key = (policy_name, category, cw, n)
-                configs[key] = cfg
-                analytic[key] = evaluate(cfg)
 
     sims = {}
     for policy_name in ("traditional", "proposed"):
@@ -138,10 +143,10 @@ def grid() -> GridData:
                         params=PARAMS,
                         n_periods=PERIODS,
                         seed=1000 + 37 * cw + n,
-                        full_connectivity=True,
+                        sense_range=math.inf,
                     )
                 )
-    return GridData(chain=chain, mixes=mixes, analytic=analytic, configs=configs, sims=sims)
+    return GridData(chain=chain, mixes=mixes, analytic=analytic, sims=sims)
 
 
 @dataclass
@@ -167,7 +172,7 @@ def expiry(grid) -> ExpiryData:
                     params=PARAMS_EXPIRY,
                     n_periods=PERIODS,
                     seed=1000 + 37 * 127 + n,
-                    full_connectivity=True,
+                    sense_range=math.inf,
                 )
             )
             for category in categories:
@@ -179,16 +184,16 @@ def expiry(grid) -> ExpiryData:
                     category_mix=grid.mixes[n] if policy_name == "proposed" else None,
                 )
                 analytic[(policy_name, category, n)] = solve_tau(cfg).tau
-                sims[(category, n)] = estimate_tau(out, category)
-                assert sims[(category, n)] is not None, f"no {category} nodes at ({policy_name}, 127, {n})"
+                est = estimates(out, category)
+                assert est is not None, f"no {category} nodes at ({policy_name}, 127, {n})"
+                sims[(category, n)] = est.tau
     return ExpiryData(analytic=analytic, sims=sims)
 
 
 def sim_tau(grid: GridData, policy_name: str, category, cw: int, n: int) -> float:
-    out = grid.sims[(policy_name, cw, n)]
-    est = estimate_tau(out, category)
+    est = estimates(grid.sims[(policy_name, cw, n)], category)
     assert est is not None, f"no {category} nodes at ({policy_name}, {cw}, {n})"
-    return est.value
+    return est.tau.value
 
 
 def test_criterion_01_oracle_equivalence(grid, criterion_report):
@@ -349,8 +354,9 @@ def test_criterion_06_throughput_consistency(grid, criterion_report, tmp_path):
     """R recomputed from emitted CSV columns matches stored R within 1e-9 relative;
     R in [0,1]; R non-increasing in N_sta."""
     rows = [ANALYTIC_CSV_HEADER]
-    for key, cfg in grid.configs.items():
-        rows.append(analytic_csv_row(cfg, grid.analytic[key]))
+    for (policy_name, category, cw, n), result in grid.analytic.items():
+        token = "all" if category is None else category.token
+        rows.append(analytic_csv_row((policy_name, token, cw, n), result))
     path = tmp_path / "analytic.csv"
     path.write_text("\n".join(rows) + "\n")
     worst_rel = 0.0
@@ -377,17 +383,14 @@ def test_criterion_06_throughput_consistency(grid, criterion_report, tmp_path):
 def test_criterion_07_irt_geometric_law(grid, criterion_report):
     """Proposed-cat1, CW=15, N=80: gaps fit Geometric(tau_hat) at 1%; mean within 5%
     of 1/tau_hat; proposed-cat1 IRT CDF dominates traditional over gaps 1..10."""
-    out_p = grid.sims[("proposed", 15, 80)]
-    cat1 = out_p.category_nodes(Category.CAT1)
-    tau_hat = estimate_tau(out_p, Category.CAT1).value
-    irt_p = estimate_irt(out_p.transmitted_bits()[cat1, :])
+    est_p = estimates(grid.sims[("proposed", 15, 80)], Category.CAT1)
+    tau_hat, irt_p = est_p.tau.value, est_p.irt
     counts = {g: int(round(p * irt_p.gap_count)) for g, p in irt_p.pmf.items()}
     stat, dof, pvalue = chi_square_geometric(counts, tau_hat)
     gof_ok = pvalue > 0.01
     mean_ok = abs(irt_p.mean() - 1.0 / tau_hat) <= 0.05 / tau_hat
 
-    out_t = grid.sims[("traditional", 15, 80)]
-    irt_t = estimate_irt(out_t.transmitted_bits())
+    irt_t = estimates(grid.sims[("traditional", 15, 80)], None).irt
     cdf_p, cdf_t = irt_p.cdf(), irt_t.cdf()
 
     def cdf_at(cdf, g):
@@ -502,7 +505,7 @@ def test_criterion_10_exhaustive_micro_oracle(grid, criterion_report):
     out = run_simulation(
         SimConfig(
             scenario=scenario, policy=BackoffPolicy.traditional(3), params=params,
-            n_periods=100_000, seed=123, full_connectivity=True,
+            n_periods=100_000, seed=123, sense_range=math.inf,
         )
     )
     total = out.outcomes.size

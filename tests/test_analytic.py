@@ -289,12 +289,11 @@ class TestEvaluate:
     def test_csv_row_round_trips(self):
         cfg = proposed_config(40, 127, Category.CAT2)
         res = evaluate(cfg)
-        row = analytic_csv_row(cfg, res)
+        row = analytic_csv_row(("proposed", "cat2", 127, 40), res)
         parts = row.split(",")
         assert len(parts) == len(ANALYTIC_CSV_HEADER.split(","))
-        assert parts[0] == "proposed" and parts[1] == "cat2"
-        assert float(parts[4]) == res.tau
-        assert float(parts[10]) == res.r
+        assert parts[:4] == ["proposed", "cat2", "127", "40"]
+        assert [float(v) for v in parts[4:]] == [res.tau, res.e_nbo, res.e_texp, res.e_tbo, res.t_suc, res.e_t, res.r]
 
     def test_interior_regime_consistency(self):
         # in a genuinely expiring regime every piece still fits together

@@ -8,7 +8,7 @@ from priobeacon import cli
 from priobeacon.cli import main
 from priobeacon.config import ExperimentConfig, canonical_text, derive_seed, parse_config, parse_config_text, splitmix64
 from priobeacon.geometry import Category, category_from_token
-from priobeacon.metrics import GridKey, build_estimates
+from priobeacon.metrics import build_estimates
 from priobeacon.policy import BackoffPolicy, PolicyKind
 
 
@@ -431,6 +431,10 @@ class TestParseTimeLimits:
             ("scenario", "density = nan", "scenario.density"),
             ("report", "tau_tol = -1", "report.tau_tol"),
             ("report", "delay_tol = inf", "report.delay_tol"),
+            ("mac", "t_ibi = 0.00004", "t_ibi"),  # shorter than t_slot: no slot per period
+            ("mac", "t_ibi = inf", "t_ibi"),
+            ("mac", "difs = inf", "difs"),
+            ("mac", "t_ibi = 1e300\nt_slot = 1e-300", "t_ibi / t_slot"),  # finite times, infinite slot count
         ],
     )
     def test_sweep_with_bad_value_writes_nothing(self, tmp_path, capsys, section, line, name):
@@ -544,12 +548,11 @@ dir = {tmp_path}/out
         selections = [("all", np.arange(outcome.n_nodes))]
         selections += [(cat.token, outcome.category_nodes(cat)) for cat in present]
         for tok, nodes in selections:
-            key = GridKey("proposed", tok, 15, 80)
             from_outcome = build_estimates(
-                key, outcome.transmitted_bits()[nodes], outcome.elapsed_sums()[nodes], outcome.config.params
+                outcome.transmitted_bits()[nodes], outcome.elapsed_sums()[nodes], outcome.config.params
             )
             sel = [i for i, c in enumerate(cats) if tok in ("all", c)]
-            from_files = build_estimates(key, bits[sel], elapsed_sums[sel], outcome.config.params)
+            from_files = build_estimates(bits[sel], elapsed_sums[sel], outcome.config.params)
             assert from_outcome is not None and from_outcome.n_nodes == len(nodes)
             assert from_outcome == from_files, tok
 
@@ -589,8 +592,8 @@ def _rows_against_simulated_stations(cfgp: str) -> list[tuple[int, int, str, str
             model = an.ContentionConfig(
                 n_sta=len(cats), policy=policy, category=cat, params=cfg.mac_params(), category_mix=mix
             )
-            key = f"{policy_name},{tok},{cw},{n_sta}"
-            checked.append((n_sta, len(cats), rows[key], f"{key},{an.analytic_csv_values(an.evaluate(model))}"))
+            expected = an.analytic_csv_row((policy_name, tok, cw, n_sta), an.evaluate(model))
+            checked.append((n_sta, len(cats), rows[f"{policy_name},{tok},{cw},{n_sta}"], expected))
     return checked
 
 

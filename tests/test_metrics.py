@@ -10,13 +10,13 @@ from priobeacon.metrics import (
     chi_square_geometric,
     compare,
     build_estimates,
+    estimate_backoff_slots,
     estimate_irt,
-    estimate_tau,
     proportion_ci,
     total_wait_periods,
 )
 from priobeacon.policy import BackoffPolicy
-from priobeacon.sim import SimConfig, run_simulation
+from priobeacon.sim import Outcome, SimConfig, run_simulation
 
 REGION = RegionSpec()
 TH = CategoryThresholds()
@@ -32,11 +32,10 @@ def run_single_node(policy, periods=1000, seed=5, params=PARAMS):
     return run_simulation(SimConfig(scenario=sc, policy=policy, params=params, n_periods=periods, seed=seed))
 
 
-def estimate_delay(out, params):
-    """Mean per-packet latency over all nodes of a run, through the shared estimator."""
-    policy = out.config.policy
-    key = GridKey(policy.kind.value, "all", policy.cw, out.n_nodes)
-    return build_estimates(key, out.transmitted_bits(), out.elapsed_sums(), params).delay_hat
+def estimates(out, category=None):
+    """The estimates `report` computes, over a category's nodes (every node for None); None if absent."""
+    nodes = np.arange(out.n_nodes) if category is None else out.category_nodes(category)
+    return build_estimates(out.transmitted_bits()[nodes], out.elapsed_sums()[nodes], out.config.params)
 
 
 class TestProportionCi:
@@ -57,7 +56,7 @@ class TestProportionCi:
 class TestEstimateTau:
     def test_single_node_exact_one(self):
         out = run_single_node(BackoffPolicy.traditional(127))
-        est = estimate_tau(out)
+        est = estimates(out).tau
         assert est.value == 1.0
 
     def test_never_transmitting_zero_with_ci(self):
@@ -67,7 +66,7 @@ class TestEstimateTau:
             out = run_simulation(
                 SimConfig(scenario=sc, policy=BackoffPolicy.proposed(10), params=params, n_periods=200, seed=2)
             )
-        est = estimate_tau(out)
+        est = estimates(out).tau
         assert est.value == 0.0
         assert est.hi > 0.0
 
@@ -75,12 +74,12 @@ class TestEstimateTau:
         out = run_single_node(BackoffPolicy.traditional(127))
         present = Category(int(out.categories[0]))
         absent = Category.CAT1 if present is not Category.CAT1 else Category.CAT2
-        assert estimate_tau(out, absent) is None
+        assert estimates(out, absent) is None
 
     def test_requires_enough_periods(self):
         out = run_single_node(BackoffPolicy.traditional(127), periods=50)
         with pytest.raises(ValueError):
-            estimate_tau(out)
+            estimates(out)
 
 
 class TestEstimateIrt:
@@ -128,7 +127,7 @@ class TestWaitPeriods:
 class TestEstimateDelay:
     def test_idle_single_node_matches_closed_form(self):
         out = run_single_node(BackoffPolicy.traditional(127), periods=2000)
-        got = estimate_delay(out, PARAMS)
+        got = estimates(out).delay_hat
         expect = 63 * PARAMS.t_slot + success_time(PARAMS)
         # CI of the mean backoff: uniform std 127/sqrt(12) over 2000 samples
         half = 1.96 * (126 / math.sqrt(12)) / math.sqrt(2000) * PARAMS.t_slot
@@ -141,7 +140,7 @@ class TestEstimateDelay:
             out = run_simulation(
                 SimConfig(scenario=sc, policy=BackoffPolicy.proposed(10), params=params, n_periods=100, seed=2)
             )
-        got = estimate_delay(out, params)
+        got = estimates(out).delay_hat
         # every period waits until the censored end: mean run length (P+1)/2
         assert got == pytest.approx(params.t_ibi * 101 / 2, rel=1e-12)
 
@@ -149,8 +148,26 @@ class TestEstimateDelay:
         out = run_single_node(BackoffPolicy.proposed(127), periods=2000, seed=9)
         transmitted = out.elapsed[out.elapsed >= 0]
         mean_delay_tx = float(transmitted.mean()) * PARAMS.t_slot + success_time(PARAMS)
-        got = estimate_delay(out, PARAMS)
+        got = estimates(out).delay_hat
         assert got == pytest.approx(mean_delay_tx, rel=1e-12)  # no expirations here
+
+
+class TestEstimateBackoffSlots:
+    def test_mean_matches_shared_estimator_with_expiries(self):
+        # per-packet E[N_bo] from the outcome equals the stats-based estimate,
+        # over all nodes and per category, where packets expire and are skipped
+        sc = drop_nodes(REGION, TH, 80 / REGION.area, seed=3)
+        out = run_simulation(
+            SimConfig(  # 200-slot periods
+                scenario=sc, policy=BackoffPolicy.proposed(127), params=MacParameters(t_ibi=10e-3),
+                n_periods=200, seed=8, random_phase_offsets=True,
+            )
+        )
+        assert (out.outcomes == int(Outcome.EXPIRED)).any()
+        for category in (None, Category.CAT1, Category.CAT2, Category.CAT3):
+            mean, half_width = estimate_backoff_slots(out, category)
+            assert mean == pytest.approx(estimates(out, category).e_nbo_hat, rel=1e-12), category
+            assert 0 < half_width < math.inf
 
 
 class TestChiSquareGeometric:
@@ -179,9 +196,9 @@ class TestCompare:
     def make_pair(self, tau_emp):
         sc = drop_nodes(REGION, TH, 40 / REGION.area, seed=3)
         out = run_simulation(
-            SimConfig(scenario=sc, policy=BackoffPolicy.traditional(127), n_periods=150, seed=4, full_connectivity=True)
+            SimConfig(scenario=sc, policy=BackoffPolicy.traditional(127), n_periods=150, seed=4, sense_range=math.inf)
         )
-        emp = build_estimates(self.KEY, out.transmitted_bits(), out.elapsed_sums(), PARAMS)
+        emp = estimates(out)
         cfga = ContentionConfig(n_sta=40, policy=BackoffPolicy.traditional(127), params=PARAMS)
         ana = evaluate(cfga)
         if tau_emp is not None:
@@ -203,11 +220,6 @@ class TestCompare:
         assert rep.failures() == ["tau"]
         assert "tau" in rep.to_text()
 
-    def test_mismatched_configuration_rejected(self):
-        ana, emp = self.make_pair(None)
-        with pytest.raises(ValueError):
-            compare(GridKey("traditional", "all", 15, 40), ana, emp, {"tau": 0.05})
-
 
 class TestStatisticalInvariants:
     def test_irt_geometric_fit_in_expiring_regime(self):
@@ -218,13 +230,13 @@ class TestStatisticalInvariants:
         out = run_simulation(
             SimConfig(
                 scenario=sc, policy=BackoffPolicy.traditional(32), params=params,
-                n_periods=4000, seed=6, full_connectivity=True,
+                n_periods=4000, seed=6, sense_range=math.inf,
             )
         )
-        tau_hat = estimate_tau(out).value
+        est = estimates(out)
+        tau_hat = est.tau.value
         assert 0.05 < tau_hat < 0.999
-        est = estimate_irt(out.transmitted_bits())
-        counts = {g: int(round(p * est.gap_count)) for g, p in est.pmf.items()}
+        counts = {g: int(round(p * est.irt.gap_count)) for g, p in est.irt.pmf.items()}
         stat, dof, pvalue = chi_square_geometric(counts, tau_hat)
         assert pvalue > 0.01
 
@@ -238,10 +250,10 @@ class TestStatisticalInvariants:
             out = run_simulation(
                 SimConfig(
                     scenario=sc, policy=BackoffPolicy.traditional(127), params=PARAMS,
-                    n_periods=1000, seed=seed, full_connectivity=True,
+                    n_periods=1000, seed=seed, sense_range=math.inf,
                 )
             )
-            est = estimate_tau(out)
+            est = estimates(out).tau
             if est.lo <= tau_analytic <= est.hi:
                 covered += 1
         assert covered >= 18

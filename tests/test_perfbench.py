@@ -1,9 +1,13 @@
-"""The traced benchmark patches package functions by name, so a rename in the
-package must fail here rather than break `perfbench/run.py --trace 1`."""
+"""Names the package exports, and names the traced benchmark patches, must
+resolve: a rename or deletion in the package fails here rather than at the
+importer or in `perfbench/run.py --trace 1`."""
 
+import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
+import priobeacon
 from priobeacon.geometry import CategoryThresholds, RegionSpec, drop_nodes
 from priobeacon.policy import BackoffPolicy
 from priobeacon.sim import SimConfig, run_simulation
@@ -16,6 +20,13 @@ def _load_tracer():
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     return tracer
+
+
+def test_module_exports_resolve():
+    modules = [importlib.import_module(f"priobeacon.{m.name}") for m in pkgutil.iter_modules(priobeacon.__path__)]
+    assert modules
+    stale = [f"{mod.__name__}.{name}" for mod in modules for name in mod.__all__ if not hasattr(mod, name)]
+    assert not stale, f"__all__ lists names that do not exist: {stale}"
 
 
 def test_tracer_wrapped_names_resolve():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from priobeacon.geometry import Category
-from priobeacon.policy import BackoffPolicy, BackoffRange, backoff_range, draw_backoff, draw_matrix
+from priobeacon.policy import BackoffPolicy, BackoffRange, backoff_range, draw_matrix
 
 CATS = [Category.CAT1, Category.CAT2, Category.CAT3]
 
@@ -54,7 +54,7 @@ class TestRanges:
         total = 0
         for r in ranges:
             assert 0 <= r.lo <= r.hi <= cw - 1
-            total += r.width
+            total += r.hi - r.lo + 1
         assert total == cw
         assert ranges[0].hi < ranges[1].lo
         assert ranges[1].hi < ranges[2].lo
@@ -83,9 +83,8 @@ class TestDraws:
 
     def test_degenerate_cat1_cw3(self):
         pol = BackoffPolicy.proposed(3)
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            assert draw_backoff(pol, Category.CAT1, rng) == 0
+        draws = draw_matrix(pol, np.full(3, int(Category.CAT1)), 50, np.random.default_rng(2))
+        assert (draws == 0).all()
 
     def test_draws_within_declared_range(self):
         rng = np.random.default_rng(3)

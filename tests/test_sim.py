@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -13,7 +14,6 @@ from priobeacon.sim import (
     Outcome,
     SimConfig,
     SimOutcome,
-    _full_adjacency,
     _run_full_connectivity,
     _run_walker,
     classify_collision,
@@ -25,6 +25,10 @@ from priobeacon import sim
 
 REGION = RegionSpec()
 TH = CategoryThresholds()
+
+
+def complete_graph(n: int) -> np.ndarray:
+    return ~np.eye(n, dtype=bool)
 
 
 def reference_walk(draws: np.ndarray, offsets: np.ndarray, adjacency: np.ndarray, slots: int, occupancy: int):
@@ -125,7 +129,7 @@ class TestBasics:
     def test_conservation(self):
         sc = make_scenario()
         out = run_simulation(
-            SimConfig(scenario=sc, policy=BackoffPolicy.proposed(15), n_periods=400, seed=2, full_connectivity=True)
+            SimConfig(scenario=sc, policy=BackoffPolicy.proposed(15), n_periods=400, seed=2, sense_range=math.inf)
         )
         counts = out.counts()
         total = sum(counts[oc] for oc in Outcome)
@@ -148,7 +152,7 @@ class TestBasics:
 
     def test_seed_determinism_byte_for_byte(self):
         sc = make_scenario(seed=3)
-        cfg = SimConfig(scenario=sc, policy=BackoffPolicy.proposed(127), n_periods=200, seed=11, full_connectivity=True)
+        cfg = SimConfig(scenario=sc, policy=BackoffPolicy.proposed(127), n_periods=200, seed=11, sense_range=math.inf)
         a = run_simulation(cfg)
         b = run_simulation(cfg)
         assert np.array_equal(a.outcomes, b.outcomes)
@@ -160,7 +164,7 @@ class TestBasics:
     def test_full_connectivity_never_hidden(self):
         sc = make_scenario(seed=4)
         out = run_simulation(
-            SimConfig(scenario=sc, policy=BackoffPolicy.traditional(15), n_periods=500, seed=9, full_connectivity=True)
+            SimConfig(scenario=sc, policy=BackoffPolicy.traditional(15), n_periods=500, seed=9, sense_range=math.inf)
         )
         assert out.counts()[Outcome.COLLIDED_HIDDEN].sum() == 0
 
@@ -168,7 +172,7 @@ class TestBasics:
 class TestElapsedAndFreezing:
     def test_elapsed_at_least_draw(self):
         sc = make_scenario(seed=2)
-        cfg = SimConfig(scenario=sc, policy=BackoffPolicy.traditional(127), n_periods=100, seed=7, full_connectivity=True)
+        cfg = SimConfig(scenario=sc, policy=BackoffPolicy.traditional(127), n_periods=100, seed=7, sense_range=math.inf)
         out = run_simulation(cfg)
         rng = np.random.default_rng(7)
         draws = draw_matrix(cfg.policy, sc.categories(), 100, rng)
@@ -222,7 +226,7 @@ class TestEngineEquivalence:
         slots, occ = params.slots_per_beacon, params.tx_occupancy_slots
         oA, eA, _ = _run_full_connectivity(draws, slots, occ)
         n = len(cats)
-        ((oB, eB, _),) = _run_walker([(draws[:, None], np.zeros(n, dtype=np.int64), _full_adjacency(n))], slots, occ)
+        ((oB, eB, _),) = _run_walker([(draws[:, None], np.zeros(n, dtype=np.int64), complete_graph(n))], slots, occ)
         assert np.array_equal(oA, oB)
         assert np.array_equal(eA, eB)
 
@@ -233,7 +237,7 @@ class TestEngineEquivalence:
         # walker is run in: rows of single periods with zero offsets, and one row
         # of all periods with random per-node offsets
         master = np.random.default_rng(occ)
-        adjacencies = [np.zeros((1, 1), dtype=bool), _full_adjacency(2), np.zeros((2, 2), dtype=bool)]
+        adjacencies = [np.zeros((1, 1), dtype=bool), complete_graph(2), np.zeros((2, 2), dtype=bool)]
         chain = TestCollisionClassification.CHAIN
         adjacencies.append(chain)
         for _ in range(10):
@@ -270,7 +274,7 @@ class TestEngineEquivalence:
         # per-slot reference walked alone, with budgets below and above the largest
         # run's n*occ
         master = np.random.default_rng(10 + occ)
-        adjacencies = [np.zeros((1, 1), dtype=bool), _full_adjacency(2), TestCollisionClassification.CHAIN]
+        adjacencies = [np.zeros((1, 1), dtype=bool), complete_graph(2), TestCollisionClassification.CHAIN]
         for _ in range(8):
             n = int(master.integers(3, 13))
             upper = np.triu(master.random((n, n)) < master.uniform(0.1, 0.9), 1)
@@ -310,8 +314,8 @@ class TestEngineEquivalence:
             for k, sub in enumerate(subs)
         ]
         aligned = SimConfig(scenario=sc, policy=BackoffPolicy.traditional(15), params=params, n_periods=30, seed=7)
-        full = replace(aligned, seed=8, full_connectivity=True)
-        second_walk = replace(offset_runs[-1], n_periods=25, seed=9, full_connectivity=True)
+        full = replace(aligned, seed=8, sense_range=math.inf)
+        second_walk = replace(offset_runs[-1], n_periods=25, seed=9, sense_range=math.inf)
         configs = [*offset_runs[:2], aligned, offset_runs[2], full, offset_runs[3], second_walk]
         batch = list(run_simulations(configs))
         assert len(batch) == len(configs)
@@ -337,7 +341,7 @@ class TestEngineEquivalence:
         monkeypatch.setattr(sim, "_run_full_connectivity", counted)
         sc = make_scenario(seed=2)
         configs = [
-            SimConfig(scenario=sc, policy=BackoffPolicy.traditional(15), n_periods=20, seed=s, full_connectivity=True)
+            SimConfig(scenario=sc, policy=BackoffPolicy.traditional(15), n_periods=20, seed=s, sense_range=math.inf)
             for s in range(3)
         ]
         outcomes = run_simulations(configs)
@@ -381,7 +385,7 @@ class TestEngineEquivalence:
             for b2 in range(3):
                 draws = np.array([[b1, b2]])
                 oA, eA, _ = _run_full_connectivity(draws, 4, 6)
-                ((oB, eB, _),) = _run_walker([(draws[:, None], np.zeros(2, dtype=np.int64), _full_adjacency(2))], 4, 6)
+                ((oB, eB, _),) = _run_walker([(draws[:, None], np.zeros(2, dtype=np.int64), complete_graph(2))], 4, 6)
                 assert np.array_equal(oA, oB) and np.array_equal(eA, eB)
                 if b1 == b2:
                     assert list(oA[0]) == [int(Outcome.COLLIDED_SYNC)] * 2
@@ -494,7 +498,7 @@ class TestPhaseOffsets:
         sc = make_scenario(seed=8, density=10 / REGION.area)
         cfg = SimConfig(
             scenario=sc, policy=BackoffPolicy.traditional(15), n_periods=150, seed=13,
-            full_connectivity=True, random_phase_offsets=True,
+            sense_range=math.inf, random_phase_offsets=True,
             params=MacParameters(t_ibi=2e-3),
         )
         a = run_simulation(cfg)
@@ -509,7 +513,7 @@ class TestPriorityRealization:
     def test_delivered_rate_ordering_under_proposed(self):
         sc = make_scenario(seed=1)  # cat1/cat2/cat3 = 7/9/17
         out = run_simulation(
-            SimConfig(scenario=sc, policy=BackoffPolicy.proposed(127), n_periods=2000, seed=21, full_connectivity=True)
+            SimConfig(scenario=sc, policy=BackoffPolicy.proposed(127), n_periods=2000, seed=21, sense_range=math.inf)
         )
         counts = out.counts()[Outcome.DELIVERED]
         rates = {}
@@ -526,7 +530,7 @@ class TestEmpiricalPcol:
         sc = drop_nodes(REGION, TH, 2 / REGION.area, seed=0)
         cfg = SimConfig(
             scenario=sc, policy=BackoffPolicy.traditional(3), n_periods=20_000, seed=17,
-            full_connectivity=True, params=MacParameters(t_ibi=200e-6),
+            sense_range=math.inf, params=MacParameters(t_ibi=200e-6),
         )
         out = run_simulation(cfg)
         pcol = empirical_pcol(out)
@@ -544,7 +548,7 @@ class TestEmpiricalPcol:
         out = run_simulation(
             SimConfig(
                 scenario=sc, policy=BackoffPolicy.proposed(10), params=params,
-                n_periods=100, seed=1, full_connectivity=True,
+                n_periods=100, seed=1, sense_range=math.inf,
             )
         )
         assert empirical_pcol(out) is None

@@ -30,12 +30,13 @@ and the inter-reception time (in beacon periods) is Geometric(tau).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy import stats
+from scipy.special import _ufuncs
 
 from .geometry import Category
 from .policy import BackoffPolicy, BackoffRange, PolicyKind, backoff_range
@@ -185,6 +186,20 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
+def _nbinom_pmf(k, n, p):
+    """Negative-binomial pmf of k failures before the n-th success: the clipped
+    ufunc call that scipy's `nbinom.pmf` makes, without its argument checks."""
+    return np.clip(_ufuncs._nbinom_pmf(k, n, p), 0, 1)
+
+
+def _nbinom_cdf(k, n, p):
+    """Negative-binomial cdf at integer k, as scipy's `nbinom.cdf` computes it."""
+    return np.clip(_ufuncs._nbinom_cdf(k, n, p), 0, 1)
+
+
+# Both caches key on p_busy, which at default timing depends only on n_sta,
+# so the grid's categories and contention windows share most entries.
+@functools.lru_cache(maxsize=4096)
 def _tau_for_range(rng_: BackoffRange, p_busy: float, slots: int) -> float:
     """P[elapsed slots to collect B idle slots <= slots], B uniform on the range."""
     b = np.arange(rng_.lo, rng_.hi + 1, dtype=np.int64)
@@ -197,8 +212,17 @@ def _tau_for_range(rng_: BackoffRange, p_busy: float, slots: int) -> float:
     probs[zero] = 1.0
     pos = feasible & ~zero
     if pos.any():
-        probs[pos] = stats.nbinom.cdf(slots - b[pos], b[pos], 1.0 - p_busy)
+        probs[pos] = _nbinom_cdf(slots - b[pos], b[pos], 1.0 - p_busy)
     return float(probs.mean())
+
+
+@functools.lru_cache(maxsize=16384)
+def _completion_sums(b: int, p_busy: float, slots: int) -> tuple[float, float]:
+    """(sum of (b + k) * pmf, sum of pmf) over k = 0..slots-b failures: the
+    elapsed-slot mass and probability of draw b completing within the period."""
+    k = np.arange(0, slots - b + 1, dtype=np.int64)
+    pmf = _nbinom_pmf(k, b, 1.0 - p_busy)
+    return float(((b + k) * pmf).sum()), float(pmf.sum())
 
 
 def _p_busy(tau_other: float, n_sta: int, slots: int) -> float:
@@ -252,10 +276,9 @@ def expected_backoff_slots(config: ContentionConfig, solution: TauSolution) -> f
         if b_i == 0:
             den += 1.0
             continue
-        k = np.arange(0, slots - b_i + 1, dtype=np.int64)
-        pmf = stats.nbinom.pmf(k, int(b_i), 1.0 - p_busy)
-        num += float(((b_i + k) * pmf).sum())
-        den += float(pmf.sum())
+        mass, prob = _completion_sums(int(b_i), p_busy, slots)
+        num += mass
+        den += prob
     if den <= 0.0:
         raise ValueError("completion probability is zero; E[N_bo] undefined")
     return num / den

@@ -27,7 +27,7 @@ paper's figures are not in the repository.  At CW 127 over N_sta in
   `analytic._p_busy` charges one busy slot per contender transmission and
   ignores the 6-slot occupancy and the draw-order serialization, so the
   model gives tau = 1 on both arms where the simulator shows expirations.
-  They pass once the model is fixed (ROADMAP item 3).
+  They pass once the model is fixed (ROADMAP item 2).
 
 Criteria 04, 05 and 08 fail with their bounds kept as stated.  The paper
 figures the bounds were read from are not in the repository, so whether

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from priobeacon.analytic import (
     ContentionConfig,
@@ -18,6 +19,9 @@ from priobeacon.analytic import (
     normalized_throughput,
     solve_tau,
     success_time,
+    _completion_sums,
+    _nbinom_cdf,
+    _nbinom_pmf,
     _tau_for_range,
 )
 from priobeacon.geometry import Category
@@ -143,6 +147,69 @@ def oracle_elapsed_absorption(b: int, p_busy: float, slots: int) -> tuple[float,
         state = state * p_busy
         state[1:] += moved[:-1]
     return p_done, t_mass
+
+
+def reference_expected_backoff_slots(config: ContentionConfig, solution) -> float:
+    """The nbinom loop `expected_backoff_slots` ran before it cached per-draw
+    sums, kept as a bitwise oracle: every row through `scipy.stats.nbinom.pmf`."""
+    slots = config.params.slots_per_beacon
+    p_busy = solution.p_busy
+    rng_ = config.tagged_range()
+    b = np.arange(rng_.lo, rng_.hi + 1, dtype=np.int64)
+    if p_busy <= 0.0:
+        return float(b[b <= slots].mean())
+    num = 0.0
+    den = 0.0
+    for b_i in b:
+        if b_i > slots:
+            continue
+        if b_i == 0:
+            den += 1.0
+            continue
+        k = np.arange(0, slots - b_i + 1, dtype=np.int64)
+        pmf = stats.nbinom.pmf(k, int(b_i), 1.0 - p_busy)
+        num += float(((b_i + k) * pmf).sum())
+        den += float(pmf.sum())
+    return num / den
+
+
+def grid_p_busy_values() -> list[float]:
+    """p_busy from solve_tau on default-grid points (tau = 1 at 100 ms, an
+    interior fixed point at 20 ms cw 511), plus off-grid busy probabilities."""
+    fast = MacParameters(t_ibi=20e-3)
+    solved = [solve_tau(traditional_config(n, 127)).p_busy for n in (10, 80)]
+    solved += [solve_tau(traditional_config(n, 511, fast)).p_busy for n in (10, 80)]
+    solved.append(solve_tau(proposed_config(80, 127, Category.CAT2, fast)).p_busy)
+    return solved + [1e-6, 0.35, 0.9, 0.999]
+
+
+class TestNbinomUfuncs:
+    """The model calls scipy's nbinom ufuncs without the `scipy.stats` wrapper
+    and caches per-draw sums; both must leave every value bit-identical."""
+
+    @pytest.mark.parametrize("slots", [400, 2000])
+    def test_pmf_and_cdf_match_scipy_stats_bitwise(self, slots):
+        k = np.arange(0, slots + 1, dtype=np.int64)
+        for p_busy in grid_p_busy_values():
+            p = 1.0 - p_busy
+            for b in (1, 2, 15, 127, 340, 511):
+                assert np.array_equal(_nbinom_pmf(k, b, p), stats.nbinom.pmf(k, b, p))
+                assert np.array_equal(_nbinom_cdf(k, b, p), stats.nbinom.cdf(k, b, p))
+            b = np.arange(1, min(511, slots) + 1, dtype=np.int64)
+            assert np.array_equal(_nbinom_cdf(slots - b, b, p), stats.nbinom.cdf(slots - b, b, p))
+
+    @pytest.mark.parametrize("t_ibi", [100e-3, 20e-3])
+    def test_expected_backoff_slots_matches_reference_loop(self, t_ibi):
+        params = MacParameters(t_ibi=t_ibi)
+        configs = [traditional_config(n, cw, params) for n in (10, 80) for cw in (15, 127, 511)]
+        configs += [proposed_config(80, cw, cat, params) for cw in (15, 511) for cat in (Category.CAT1, Category.CAT3)]
+        for cfg in configs:
+            sol = solve_tau(cfg)
+            want = reference_expected_backoff_slots(cfg, sol)
+            assert expected_backoff_slots(cfg, sol) == want
+            hits = _completion_sums.cache_info().hits
+            assert expected_backoff_slots(cfg, sol) == want
+            assert _completion_sums.cache_info().hits > hits
 
 
 class TestSolveTau:

@@ -216,12 +216,63 @@ def _tau_for_range(rng_: BackoffRange, p_busy: float, slots: int) -> float:
     return float(probs.mean())
 
 
+# e**-800 ~ 4e-348 lies ~1e24 below half the smallest subnormal (~2.5e-324).
+_LOG_PMF_CUT = -800.0
+
+
+def _pmf_underflow_start(b: int, p: float, n: int) -> int:
+    """First k past the mode of nbinom(b, p) from which the log-pmf stays
+    below _LOG_PMF_CUT up to k = n, or n + 1 when the log-pmf at n is not
+    below it.
+
+    For b >= 1 the pmf is log-concave: pmf(k + 1) / pmf(k) = (b + k) q / (k + 1)
+    with q = 1 - p falls in k and is <= 1 from the mode floor((b - 1) q / p)
+    on.  Past the mode the log-pmf therefore only falls, and bisection over
+    math.lgamma finds where it crosses the cut.  The search starts one past
+    the computed mode so that its rounding cannot land left of the true one.
+    """
+    q = 1.0 - p  # the failure probability the ufunc works with
+    log_q = math.log(q)
+    head = b * math.log(p) - math.lgamma(b)
+
+    def log_pmf(k: int) -> float:
+        return head + math.lgamma(b + k) - math.lgamma(k + 1) + k * log_q
+
+    if log_pmf(n) >= _LOG_PMF_CUT:
+        return n + 1
+    lo, hi = min(math.floor((b - 1) * q / p) + 1, n), n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if log_pmf(mid) < _LOG_PMF_CUT:
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
 @functools.lru_cache(maxsize=16384)
 def _completion_sums(b: int, p_busy: float, slots: int) -> tuple[float, float]:
     """(sum of (b + k) * pmf, sum of pmf) over k = 0..slots-b failures: the
-    elapsed-slot mass and probability of draw b completing within the period."""
-    k = np.arange(0, slots - b + 1, dtype=np.int64)
-    pmf = _nbinom_pmf(k, b, 1.0 - p_busy)
+    elapsed-slot mass and probability of draw b completing within the period.
+
+    The pmf ufunc runs only up to `_pmf_underflow_start`; the rest of the
+    row is filled with 0.0.  There the exact pmf is below e**-800, so the
+    ufunc would return 0.0 unless its relative error were near 1e24.  The
+    filled row thus equals the whole-row result element for element, and
+    numpy reduces the same array in the same pairwise order: both sums are
+    bit-identical.  Where the bound is undefined (the success probability
+    1 - p_busy or its complement rounds to 0) or the row's last entry is
+    not below the cut, the row is evaluated whole.
+    """
+    n = slots - b
+    k = np.arange(0, n + 1, dtype=np.int64)
+    p = 1.0 - p_busy
+    end = _pmf_underflow_start(b, p, n) if 0.0 < p < 1.0 else n + 1
+    if end > n:
+        pmf = _nbinom_pmf(k, b, p)
+    else:
+        pmf = np.zeros(n + 1)
+        pmf[:end] = _nbinom_pmf(k[:end], b, p)
     return float(((b + k) * pmf).sum()), float(pmf.sum())
 
 

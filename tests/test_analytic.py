@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from priobeacon.analytic import (
@@ -22,6 +24,7 @@ from priobeacon.analytic import (
     _completion_sums,
     _nbinom_cdf,
     _nbinom_pmf,
+    _pmf_underflow_start,
     _tau_for_range,
 )
 from priobeacon.geometry import Category
@@ -183,9 +186,40 @@ def grid_p_busy_values() -> list[float]:
     return solved + [1e-6, 0.35, 0.9, 0.999]
 
 
+ROW_SLOTS = (1, 2, 20, 400, 2000, 20000)
+EDGE_P_BUSY = [5e-324, 1e-12, 1 - 1e-12, 1.0]
+GRID_CATEGORIES = (None, Category.CAT1, Category.CAT2, Category.CAT3)
+
+
+def cut_row_b_values(p_busy: float, slots: int) -> list[int]:
+    """b in {1, 2, slots} plus the b whose pmf mode (b - 1) q / p falls on the
+    row's last entry slots - b, i.e. b = slots p + q, and its neighbours."""
+    p = 1.0 - p_busy
+    at_end = round(slots * p + p_busy)
+    return sorted({min(max(v, 1), slots) for v in (1, 2, at_end - 1, at_end, at_end + 1, slots)})
+
+
+def assert_cut_row_exact(b: int, p_busy: float, slots: int) -> bool:
+    """The pmf ufunc returns +0.0 on every k the cut skips, and the cut row's
+    sums equal the whole row's bit for bit.  Returns whether the row was cut."""
+    k = np.arange(0, slots - b + 1, dtype=np.int64)
+    pmf = _nbinom_pmf(k, b, 1.0 - p_busy)
+    whole = (float(((b + k) * pmf).sum()), float(pmf.sum()))
+    got = _completion_sums.__wrapped__(b, p_busy, slots)
+    assert [v.hex() for v in got] == [v.hex() for v in whole], (b, p_busy, slots)
+    p = 1.0 - p_busy
+    if not 0.0 < p < 1.0:
+        return False
+    end = _pmf_underflow_start(b, p, slots - b)
+    tail = pmf[end:]
+    assert not tail.any() and not np.signbit(tail).any(), (b, p_busy, slots, end)
+    return end < k.shape[0]
+
+
 class TestNbinomUfuncs:
-    """The model calls scipy's nbinom ufuncs without the `scipy.stats` wrapper
-    and caches per-draw sums; both must leave every value bit-identical."""
+    """The model calls scipy's nbinom ufuncs without the `scipy.stats` wrapper,
+    caches per-draw sums and skips each row's underflowed tail; all three
+    must leave every value bit-identical."""
 
     @pytest.mark.parametrize("slots", [400, 2000])
     def test_pmf_and_cdf_match_scipy_stats_bitwise(self, slots):
@@ -198,18 +232,47 @@ class TestNbinomUfuncs:
             b = np.arange(1, min(511, slots) + 1, dtype=np.int64)
             assert np.array_equal(_nbinom_cdf(slots - b, b, p), stats.nbinom.cdf(slots - b, b, p))
 
-    @pytest.mark.parametrize("t_ibi", [100e-3, 20e-3])
-    def test_expected_backoff_slots_matches_reference_loop(self, t_ibi):
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_skipped_pmf_tail_is_exactly_zero(self, data):
+        slots = data.draw(st.sampled_from(ROW_SLOTS))
+        p_busy = data.draw(st.sampled_from(grid_p_busy_values() + EDGE_P_BUSY))
+        b = data.draw(st.sampled_from(cut_row_b_values(p_busy, slots)) | st.integers(1, slots))
+        assert_cut_row_exact(b, p_busy, slots)
+
+    def test_skipped_pmf_tail_edge_cases(self):
+        cut_rows = 0
+        for slots in ROW_SLOTS:
+            for p_busy in grid_p_busy_values() + EDGE_P_BUSY:
+                for b in cut_row_b_values(p_busy, slots):
+                    cut_rows += assert_cut_row_exact(b, p_busy, slots)
+        assert cut_rows > 0
+        # both tails of this row lie below the cut; a bisection started left
+        # of the mode would land in the left one and skip the mode
+        assert assert_cut_row_exact(40376, 0.5, 100000)
+
+    @pytest.mark.parametrize(
+        "t_ibi, categories",
+        # every default-grid row at both timings (None = traditional); at
+        # 1 ms (20 slots) p_busy is high and no row reaches the cut
+        [(100e-3, GRID_CATEGORIES), (20e-3, GRID_CATEGORIES), (1e-3, (None,))],
+        ids=["0.1", "0.02", "0.001"],
+    )
+    def test_expected_backoff_slots_matches_reference_loop(self, t_ibi, categories):
         params = MacParameters(t_ibi=t_ibi)
-        configs = [traditional_config(n, cw, params) for n in (10, 80) for cw in (15, 127, 511)]
-        configs += [proposed_config(80, cw, cat, params) for cw in (15, 511) for cat in (Category.CAT1, Category.CAT3)]
-        for cfg in configs:
-            sol = solve_tau(cfg)
-            want = reference_expected_backoff_slots(cfg, sol)
-            assert expected_backoff_slots(cfg, sol) == want
-            hits = _completion_sums.cache_info().hits
-            assert expected_backoff_slots(cfg, sol) == want
-            assert _completion_sums.cache_info().hits > hits
+        for category in categories:
+            for n in (10, 20, 40, 80):
+                for cw in (15, 127, 511):
+                    if category is None:
+                        cfg = traditional_config(n, cw, params)
+                    else:
+                        cfg = proposed_config(n, cw, category, params)
+                    sol = solve_tau(cfg)
+                    want = reference_expected_backoff_slots(cfg, sol)
+                    assert expected_backoff_slots(cfg, sol) == want
+                    hits = _completion_sums.cache_info().hits
+                    assert expected_backoff_slots(cfg, sol) == want
+                    assert _completion_sums.cache_info().hits > hits
 
 
 class TestSolveTau:

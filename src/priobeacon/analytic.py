@@ -262,17 +262,14 @@ def _completion_sums(b: int, p_busy: float, slots: int) -> tuple[float, float]:
     numpy reduces the same array in the same pairwise order: both sums are
     bit-identical.  Where the bound is undefined (the success probability
     1 - p_busy or its complement rounds to 0) or the row's last entry is
-    not below the cut, the row is evaluated whole.
+    not below the cut, the cut is n + 1 and the ufunc covers the whole row.
     """
     n = slots - b
     k = np.arange(0, n + 1, dtype=np.int64)
     p = 1.0 - p_busy
     end = _pmf_underflow_start(b, p, n) if 0.0 < p < 1.0 else n + 1
-    if end > n:
-        pmf = _nbinom_pmf(k, b, p)
-    else:
-        pmf = np.zeros(n + 1)
-        pmf[:end] = _nbinom_pmf(k[:end], b, p)
+    pmf = np.zeros(n + 1)
+    pmf[:end] = _nbinom_pmf(k[:end], b, p)
     return float(((b + k) * pmf).sum()), float(pmf.sum())
 
 

@@ -206,22 +206,40 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _read_analytic_rows(path: Path) -> dict[tuple, an.AnalyticalResult]:
-    rows = {}
+def _read_analytic_rows(path: Path) -> tuple[dict[tuple, an.AnalyticalResult | str], list[str]]:
+    """analytic.csv's rows by grid key, and the reasons for the lines that name no key.
+
+    A row whose key reads but whose values do not (a wrong field count, a
+    non-numeric value, a key already seen) maps its key to the reason, so
+    `report` fails that point alone and judges every other.
+    """
+    rows: dict[tuple, an.AnalyticalResult | str] = {}
+    unkeyed = []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != an.ANALYTIC_CSV_HEADER:
             raise ValueError(f"unexpected analytic CSV header in {path}")
-        for line in fh:
-            parts = line.strip().split(",")
-            if len(parts) != 11:
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
                 continue
-            key = (parts[0], parts[1], int(parts[2]), int(parts[3]))
-            vals = [float(v) for v in parts[4:]]
-            rows[key] = an.AnalyticalResult(
-                tau=vals[0], e_nbo=vals[1], e_texp=vals[2], e_tbo=vals[3], t_suc=vals[4], e_t=vals[5], r=vals[6]
-            )
-    return rows
+            where = f"{path.name} line {lineno}"
+            parts = line.split(",")
+            try:
+                key = (parts[0], parts[1], int(parts[2]), int(parts[3]))
+            except (IndexError, ValueError):
+                unkeyed.append(f"{where}: no grid key in {line!r}")
+                continue
+            if key in rows:
+                rows[key] = f"{where} repeats the key"
+            elif len(parts) != 11:
+                rows[key] = f"{where} has {len(parts)} fields, not 11"
+            else:
+                try:
+                    rows[key] = an.AnalyticalResult(*map(float, parts[4:]))
+                except ValueError:
+                    rows[key] = f"{where} has a non-numeric value"
+    return rows, unkeyed
 
 
 def _read_point(bits_path: Path, stats_path: Path) -> tuple[np.ndarray, list[str], np.ndarray]:
@@ -268,13 +286,12 @@ def cmd_report(cfg: ExperimentConfig, analytic_path: Path | None = None, sim_dir
     analytic_path = analytic_path or out / "analytic.csv"
     sim_dir = sim_dir or out
     mac = cfg.mac_params()
-    analytic_rows = _read_analytic_rows(analytic_path)
+    analytic_rows, missing = _read_analytic_rows(analytic_path)
     tolerances = cfg.tolerances()
 
     report_lines = ["metric,policy,category,cw,n_sta,analytic,empirical,ci"]
     summary: list[str] = []
     irt_lines = ["policy,category,n_sta,gap,pmf,cdf"]
-    missing: list[str] = []
     all_pass = True
 
     manifest_path = sim_dir / "manifest.csv"
@@ -300,6 +317,9 @@ def cmd_report(cfg: ExperimentConfig, analytic_path: Path | None = None, sim_dir
             analytic = analytic_rows.get(key.as_tuple())
             sel = [i for i, c in enumerate(cats) if tok in ("all", c)]
             empirical = mt.build_estimates(bits[sel], elapsed_sums[sel], mac)
+            if isinstance(analytic, str):
+                missing.append(f"bad analytic row for {key.as_tuple()}: {analytic}")
+                continue
             if analytic is None or not np.isfinite(analytic.tau):
                 missing.append(f"no analytic row for {key.as_tuple()}")
                 continue

@@ -153,23 +153,28 @@ class ExperimentConfig:
         return derive_seed(self.master_seed, 2 + 2 * point_index)
 
     def validate(self) -> "ExperimentConfig":
-        if not self.policies:
-            raise ValueError("policy.policies must not be empty")
+        # a repeated value would give several grid rows one (policy, category, cw, n_sta) key
+        for name, values in (
+            ("policy.policies", self.policies),
+            ("policy.cw", self.cw_values),
+            ("policy.categories", self.categories),
+            ("contention.n_sta", self.n_sta),
+        ):
+            if not values:
+                raise ValueError(f"{name} must not be empty")
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat a value: {' '.join(map(str, values))}")
         for pol in self.policies:
             if pol not in ("traditional", "proposed"):
                 raise ValueError(f"policy.policies: unknown policy {pol!r}")
-        if not self.cw_values:
-            raise ValueError("policy.cw must not be empty")
         if any(cw < 1 for cw in self.cw_values):
             raise ValueError("policy.cw values must be positive")
         if "proposed" in self.policies and any(cw < 3 for cw in self.cw_values):
             raise ValueError("policy.cw values must be at least 3 with the proposed policy (three priority chunks)")
-        if not self.categories:
-            raise ValueError("policy.categories must not be empty")
         for tok in self.categories:
             category_from_token(tok)
-        if not self.n_sta:
-            raise ValueError("contention.n_sta must not be empty")
+        if self.uncategorized == "report" and "uncat" in self.categories:
+            raise ValueError("policy.categories must not list uncat with sim.uncategorized = report, which adds it")
         if any(n < 1 for n in self.n_sta):
             raise ValueError("contention.n_sta values must be positive")
         if self.sweep_mode not in ("subsample", "rescale"):
@@ -184,6 +189,8 @@ class ExperimentConfig:
         for name, value in self.tolerances().items():
             if not (0 <= value < math.inf):
                 raise ValueError(f"report.{name}_tol must be non-negative and finite")
+        if (self.danger_x is None) != (self.danger_y is None):
+            raise ValueError("scenario.danger_x and scenario.danger_y must be given together")
         self.thresholds()
         self.drop_mode_enum()
         self.region()

@@ -35,11 +35,12 @@ its one-config case):
   batch are walked together, one row each, holding all of the run's
   periods, with the node axis padded to the largest station count.
 
-The walker jumps from one state change to the next.  It relies on this
-condition: once the step's starters are on air, nothing changes until a
-transmission ends, a counter that senses no transmitter reaches zero, or a
-period boundary passes, so counters that sense nothing decrement by the
-whole jump and every other counter stays frozen.  It hands each run's
+The walker jumps from one state change to the next.  Each node keeps one
+busy time, the latest end of the transmissions it senses.  Once the step's
+starters are on air, nothing changes until a frozen node's busy time, a
+decrementing counter's zero or a period boundary, so counters that sense
+an idle medium decrement by the whole jump and every other counter stays
+frozen.  It hands each run's
 transmissions to `classify_collision` once.  Tests check the walker against
 the closed form on complete graphs, against a per-slot reference walker on
 random adjacency in both layouts and with runs of different sizes stacked
@@ -354,12 +355,12 @@ def _run_walker(runs, slots: int, occupancy: int):
     has its run's sensing block and its own span (its run's last offset plus
     periods * slots), keeps its own clock and jumps to its earliest state
     change (see the module docstring).  A node's packet is pending while its
-    counter is >= 0 (the counter is -1 when none is), and the node is on air
-    while end > t; it ends a transmission when end == t, which the jump
-    never passes.  Each node counts the on-air transmitters it senses: a
-    starter adds its block row, an ender takes it away.  A zero counter
-    blocked by an ongoing transmission senses that transmission, so it
-    stays frozen with the rest.  Collisions are
+    counter is >= 0 (the counter is -1 when none is).  busy[r, i] is the
+    time until which node i senses a transmission, idle when busy <= t: a
+    starter at t ends at min(t + occupancy, its boundary) and raises busy
+    to that end across its block row.  A frozen pending node's next event
+    is its busy time, a decrementing one's t + counter, any other node's its
+    boundary, each capped at the boundary.  Collisions are
     classified afterwards, run by run, from `elapsed`, with row r of a run
     placed at r * span on one run clock and each transmission cut at its
     period end.  Returns one (outcomes, elapsed, diagnostics) per run, its
@@ -372,7 +373,7 @@ def _run_walker(runs, slots: int, occupancy: int):
     run_span = [int(offsets.max()) + periods * slots for _, offsets, _ in runs]
     span = np.repeat(run_span, sizes)
     block = np.repeat(np.arange(len(runs)), sizes)  # each row's sensing block
-    hears = np.zeros((len(runs), n, n), dtype=np.int32)  # hears[b, j, i]: i senses a transmitting j
+    hears = np.zeros((len(runs), n, n), dtype=bool)  # hears[b, j, i]: i senses a transmitting j
     # the smallest integer type that holds every draw keeps the padded stack small
     draws = np.zeros((first[-1], periods, n), dtype=np.min_scalar_type(max(int(d.max()) for d, _, _ in runs)))
     boundary = np.full((first[-1], n), np.iinfo(np.int64).max)  # padded nodes: never
@@ -389,8 +390,7 @@ def _run_walker(runs, slots: int, occupancy: int):
     t = np.zeros(rows.size, dtype=np.int64)
     packet = np.full((rows.size, n), -1, dtype=np.int64)  # the node's current period, -1 before its first
     counter = np.full((rows.size, n), -1, dtype=np.int64)  # -1 while no packet is pending
-    end = np.full((rows.size, n), -1, dtype=np.int64)  # end of the node's last transmission
-    heard = np.zeros((rows.size, n), dtype=np.int32)  # on-air transmitters the node senses
+    busy = np.zeros((rows.size, n), dtype=np.int64)  # the node senses a transmission until this time
     while rows.size:
         at_boundary = boundary == t[:, None]
         if at_boundary.any():  # a fresh packet; an untransmitted one stays expired
@@ -399,27 +399,23 @@ def _run_walker(runs, slots: int, occupancy: int):
             draw = draws[rows[:, None], np.minimum(packet, periods - 1), cols]
             counter = np.where(fresh, draw, np.where(at_boundary, -1, counter))
             boundary += at_boundary * slots
-        ended = end == t[:, None]
-        if ended.any():
-            r, i = np.nonzero(ended)
-            np.subtract.at(heard, r, hears[block[rows[r]], i])
-        starters = (counter == 0) & (heard == 0)
+        starters = (counter == 0) & (busy <= t[:, None])
         if starters.any():
             r, i = np.nonzero(starters)
             elapsed[rows[r], packet[r, i], i] = t[r] - boundary[r, i] + slots
-            end[r, i] = np.minimum(t[r] + occupancy, boundary[r, i])
-            np.add.at(heard, r, hears[block[rows[r]], i])
+            end = np.minimum(t[r] + occupancy, boundary[r, i])
+            np.maximum.at(busy, r, hears[block[rows[r]], i] * end[:, None])
             counter[r, i] = -1
-        decr = (counter >= 0) & (heard == 0)
-        change = np.where(end > t[:, None], end, np.where(decr, np.minimum(t[:, None] + counter, boundary), boundary))
+        decr = (counter >= 0) & (busy <= t[:, None])
+        change = np.minimum(np.where(decr, t[:, None] + counter, np.where(counter >= 0, busy, boundary)), boundary)
         dt = np.minimum(change.min(axis=1), span) - t
         counter -= decr * dt[:, None]
         t += dt
         done = t >= span
         if done.any():
             keep = ~done
-            rows, t, span, packet, counter, end, heard, boundary = (
-                rows[keep], t[keep], span[keep], packet[keep], counter[keep], end[keep], heard[keep], boundary[keep]
+            rows, t, span, packet, counter, busy, boundary = (
+                rows[keep], t[keep], span[keep], packet[keep], counter[keep], busy[keep], boundary[keep]
             )
 
     results = []

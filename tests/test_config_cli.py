@@ -417,6 +417,36 @@ class TestParseTimeLimits:
         assert "policy.cw" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("line", ["danger_x = 100", "danger_y = 100"])
+    def test_sweep_with_half_a_danger_point_writes_nothing(self, tmp_path, capsys, line):
+        cfgp = write_config(tmp_path, SMALL + f"[scenario]\n{line}\n[output]\ndir = {tmp_path}/out\n")
+        assert main(["drop", "--config", cfgp]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "scenario.danger_x" in err and "scenario.danger_y" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "old, new, name",
+        [
+            ("policies = traditional", "policies = traditional proposed traditional", "policy.policies"),
+            ("cw = 127", "cw = 127 15 127", "policy.cw"),
+            ("cw = 127", "cw = 127\ncategories = cat1 cat2 cat1", "policy.categories"),
+            ("n_sta = 5 10", "n_sta = 20 20", "contention.n_sta"),
+        ],
+    )
+    def test_sweep_with_repeated_grid_value_writes_nothing(self, tmp_path, capsys, old, new, name):
+        cfgp = write_config(tmp_path, SMALL.replace(old, new) + f"[output]\ndir = {tmp_path}/out\n")
+        assert main(["sweep", "--config", cfgp]) == 2
+        assert f"config error: {name} must not repeat a value" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_uncat_category_with_reported_uncategorized_writes_nothing(self, tmp_path, capsys):
+        text = SMALL.replace("policies = traditional", "policies = proposed\ncategories = cat1 uncat")
+        cfgp = write_config(tmp_path, text + f"[output]\ndir = {tmp_path}/out\n")
+        assert main(["sweep", "--config", cfgp, "--include-uncategorized"]) == 2
+        assert "config error: policy.categories must not list uncat" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "text, reason",
         [
@@ -519,6 +549,46 @@ class TestReportPairValidation:
         report = (out / "report.csv").read_text()
         assert "tau,traditional,all,127,10," in report
         assert ",traditional,all,127,20," not in report
+
+    @pytest.mark.parametrize(
+        "corrupt, reason",
+        [
+            (lambda row: row.rsplit(",", 1)[0], "line 3 has 10 fields, not 11"),
+            (lambda row: ",".join(row.split(",")[:4] + ["high"] + row.split(",")[5:]), "line 3 has a non-numeric value"),
+            (lambda row: f"{row}\n{row}", "line 4 repeats the key"),
+        ],
+        ids=["short-row", "non-numeric", "repeated-key"],
+    )
+    def test_bad_analytic_row_goes_to_missing(self, tmp_path, corrupt, reason):
+        cfgp = write_config(tmp_path, TWO_POINTS + f"[output]\ndir = {tmp_path}/out\n")
+        assert main(["analyze", "--config", cfgp]) == 0
+        assert main(["simulate", "--config", cfgp]) == 0
+        path = tmp_path / "out" / "analytic.csv"
+        header, first, second = path.read_text().splitlines()
+        path.write_text("\n".join([header, first, corrupt(second)]) + "\n")
+        assert main(["report", "--config", cfgp]) == 1
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        bad = [ln for ln in summary.splitlines() if ln.startswith("missing: ")]
+        assert bad == [f"missing: bad analytic row for ('traditional', 'all', 127, 20): analytic.csv {reason}"]
+        assert "point policy=traditional category=all cw=127 n_sta=10" in summary
+        report = (tmp_path / "out" / "report.csv").read_text()
+        assert "tau,traditional,all,127,10," in report
+        assert ",traditional,all,127,20," not in report
+
+    def test_analytic_line_without_key_goes_to_missing(self, tmp_path):
+        cfgp = write_config(tmp_path, TWO_POINTS + f"[output]\ndir = {tmp_path}/out\n")
+        assert main(["analyze", "--config", cfgp]) == 0
+        assert main(["simulate", "--config", cfgp]) == 0
+        path = tmp_path / "out" / "analytic.csv"
+        header, first, second = path.read_text().splitlines()
+        path.write_text("\n".join([header, first, "traditional;all"]) + "\n")
+        assert main(["report", "--config", cfgp]) == 1
+        bad = [ln for ln in (tmp_path / "out" / "summary.txt").read_text().splitlines() if ln.startswith("missing: ")]
+        assert bad == [
+            "missing: analytic.csv line 3: no grid key in 'traditional;all'",
+            "missing: no analytic row for ('traditional', 'all', 127, 20)",
+        ]
+        assert "tau,traditional,all,127,10," in (tmp_path / "out" / "report.csv").read_text()
 
 
 class TestEstimatorRoundTrip:

@@ -299,6 +299,21 @@ class TestEngineEquivalence:
                 totals["expired"] += int((oB == int(Outcome.EXPIRED)).sum())
         assert all(v > 0 for v in totals.values()), totals
 
+    def test_frozen_until_the_latest_sensed_end(self):
+        # chain A-C-B (A and B hidden from each other), 10-slot periods, occupancy 6,
+        # B offset by 5: A sends over [11, 17); B starts later, at 13, but its own
+        # period boundary cuts it at 15.  C, frozen with one slot left from 11, must
+        # wait for A's end and start at 18, not resume when B ends
+        draws = np.array([[9, 0, 7], [1, 2, 9]])
+        offsets = np.array([0, 0, 5])
+        chain = TestCollisionClassification.CHAIN
+        ((o, e, d),) = _run_walker([(draws[None], offsets, chain)], 10, 6)
+        oW, eW, dW = reference_walk(draws, offsets, chain, 10, 6)
+        assert np.array_equal(o, oW) and np.array_equal(e, eW) and d == dW
+        assert e.tolist() == [[-1, 0, 8], [1, 8, -1]]
+        hn = int(Outcome.COLLIDED_HIDDEN)
+        assert o[1, 0] == hn and o[0, 2] == hn and o[1, 1] == int(Outcome.DELIVERED)
+
     def test_run_simulations_matches_run_simulation(self):
         # a mixed batch: phase-offset runs at several n (two period counts, so two
         # stacked walks), an aligned 700 m run and a full-connectivity run

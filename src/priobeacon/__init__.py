@@ -13,7 +13,6 @@ from .geometry import (
     category_mix,
     distance_to_danger,
     drop_nodes,
-    load_scenario,
     save_scenario,
 )
 from .policy import BackoffPolicy, BackoffRange, PolicyKind, backoff_range
@@ -38,7 +37,6 @@ from .sim import Outcome, SimConfig, SimOutcome, classify_collision, empirical_p
 from .metrics import (
     ComparisonReport,
     EmpiricalEstimates,
-    GridKey,
     build_estimates,
     compare,
     estimate_irt,

@@ -128,7 +128,8 @@ class ContentionConfig:
 
     category_mix gives the contenders' category proportions (the scenario's
     empirical mix); it is required for the proposed policy and ignored for
-    the traditional one.  Uncategorized weight contends with CAT3's range.
+    the traditional one.  Each category's weight contends with the range
+    `backoff_range` gives it.
     """
 
     n_sta: int
@@ -158,14 +159,11 @@ class ContentionConfig:
         total = sum(mix.values())
         if total <= 0:
             raise ValueError("category mix must have positive total weight")
-        w1 = mix.get(Category.CAT1, 0.0) / total
-        w2 = mix.get(Category.CAT2, 0.0) / total
-        w3 = (mix.get(Category.CAT3, 0.0) + mix.get(Category.UNCATEGORIZED, 0.0)) / total
-        classes = []
-        for cat, w in ((Category.CAT1, w1), (Category.CAT2, w2), (Category.CAT3, w3)):
-            if w > 0:
-                classes.append((backoff_range(self.policy, cat), w))
-        return classes
+        weights: dict[BackoffRange, float] = {}
+        for cat in Category:
+            rng_ = backoff_range(self.policy, cat)
+            weights[rng_] = weights.get(rng_, 0.0) + mix.get(cat, 0.0)
+        return [(rng_, w / total) for rng_, w in weights.items() if w > 0]
 
 
 @dataclass(frozen=True)
@@ -205,9 +203,6 @@ def _tau_for_range(rng_: BackoffRange, p_busy: float, slots: int) -> float:
     b = np.arange(rng_.lo, rng_.hi + 1, dtype=np.int64)
     probs = np.zeros(b.shape[0], dtype=float)
     feasible = b <= slots
-    if p_busy <= 0.0:
-        probs[feasible] = 1.0
-        return float(probs.mean())
     zero = b == 0
     probs[zero] = 1.0
     pos = feasible & ~zero
@@ -311,11 +306,6 @@ def expected_backoff_slots(config: ContentionConfig, solution: TauSolution) -> f
     p_busy = solution.p_busy
     rng_ = config.tagged_range()
     b = np.arange(rng_.lo, rng_.hi + 1, dtype=np.int64)
-    if p_busy <= 0.0:
-        feasible = b <= slots
-        if not feasible.any():
-            raise ValueError("no backoff value can complete within the beacon period")
-        return float(b[feasible].mean())
     num = 0.0
     den = 0.0
     for b_i in b:
@@ -374,16 +364,6 @@ class IrtDistribution:
     tau: float
     pmf: dict[int, float]
     truncation_mass: float
-
-    @property
-    def n_max(self) -> int:
-        return max(self.pmf)
-
-    def truncated_mean_with_tail(self) -> float:
-        """Mean reassembled from the truncated pmf plus the geometric tail
-        E[N | N > n_max] = n_max + 1/tau."""
-        head = sum(n * p for n, p in self.pmf.items())
-        return head + self.truncation_mass * (self.n_max + 1.0 / self.tau)
 
 
 def irt_distribution(tau: float, n_max: int) -> IrtDistribution:

@@ -215,6 +215,7 @@ def _read_analytic_rows(path: Path) -> tuple[dict[tuple, an.AnalyticalResult | s
     """
     rows: dict[tuple, an.AnalyticalResult | str] = {}
     unkeyed = []
+    n_fields = len(an.ANALYTIC_CSV_HEADER.split(","))
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != an.ANALYTIC_CSV_HEADER:
@@ -232,8 +233,8 @@ def _read_analytic_rows(path: Path) -> tuple[dict[tuple, an.AnalyticalResult | s
                 continue
             if key in rows:
                 rows[key] = f"{where} repeats the key"
-            elif len(parts) != 11:
-                rows[key] = f"{where} has {len(parts)} fields, not 11"
+            elif len(parts) != n_fields:
+                rows[key] = f"{where} has {len(parts)} fields, not {n_fields}"
             else:
                 try:
                     rows[key] = an.AnalyticalResult(*map(float, parts[4:]))
@@ -302,6 +303,9 @@ def cmd_report(cfg: ExperimentConfig, analytic_path: Path | None = None, sim_dir
     seen_keys = set()
     for parts in manifest:
         idx, policy_name, cw, n_sta = int(parts[0]), parts[1], int(parts[2]), int(parts[3])
+        keys = {tok: (policy_name, tok, cw, n_sta) for tok, _cat in _reporting_categories(cfg, policy_name)}
+        # a failed point gets its one `point N` line below, not one more per analytic row
+        seen_keys.update(keys.values())
         status = parts[6]
         if status != "ok":
             missing.append(f"point {idx} ({policy_name} cw={cw} n_sta={n_sta}): {status}")
@@ -311,17 +315,15 @@ def cmd_report(cfg: ExperimentConfig, analytic_path: Path | None = None, sim_dir
         except (ValueError, OSError) as exc:
             missing.append(f"point {idx} ({policy_name} cw={cw} n_sta={n_sta}): {exc}")
             continue
-        for tok, _cat in _reporting_categories(cfg, policy_name):
-            key = mt.GridKey(policy_name, tok, cw, n_sta)
-            seen_keys.add(key.as_tuple())
-            analytic = analytic_rows.get(key.as_tuple())
+        for tok, key in keys.items():
+            analytic = analytic_rows.get(key)
             sel = [i for i, c in enumerate(cats) if tok in ("all", c)]
             empirical = mt.build_estimates(bits[sel], elapsed_sums[sel], mac)
             if isinstance(analytic, str):
-                missing.append(f"bad analytic row for {key.as_tuple()}: {analytic}")
+                missing.append(f"bad analytic row for {key}: {analytic}")
                 continue
             if analytic is None or not np.isfinite(analytic.tau):
-                missing.append(f"no analytic row for {key.as_tuple()}")
+                missing.append(f"no analytic row for {key}")
                 continue
             if empirical is None:
                 missing.append(f"no {tok} nodes at point {idx} ({policy_name} cw={cw} n_sta={n_sta})")

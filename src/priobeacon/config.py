@@ -18,12 +18,14 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from io import StringIO
 
 from .geometry import Category, CategoryThresholds, DropMode, Point2D, RegionSpec, category_from_token
 from .analytic import MacParameters
 from .metrics import MIN_PERIODS
+from .policy import BackoffPolicy, PolicyKind
+from .sim import SimConfig
 
 __all__ = ["ExperimentConfig", "parse_config", "parse_config_text", "canonical_text", "derive_seed", "splitmix64"]
 
@@ -49,16 +51,17 @@ def derive_seed(master: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    # Defaults the library classes own are read from them, not restated.
     # scenario
-    width: float = 2000.0
-    height: float = 2000.0
+    width: float = RegionSpec.width
+    height: float = RegionSpec.height
     danger_x: float | None = None
     danger_y: float | None = None
     density: float = 2e-5
-    th1: float = 300.0
-    th2: float = 500.0
-    th3: float = 700.0
-    drop_mode: str = "fixedcount"
+    th1: float = CategoryThresholds.th1
+    th2: float = CategoryThresholds.th2
+    th3: float = CategoryThresholds.th3
+    drop_mode: str = DropMode.FIXED_COUNT.value
     # policy grid
     policies: tuple[str, ...] = ("traditional", "proposed")
     cw_values: tuple[int, ...] = (15, 127, 511)
@@ -67,17 +70,17 @@ class ExperimentConfig:
     n_sta: tuple[int, ...] = (10, 20, 40, 80)
     sweep_mode: str = "subsample"  # subsample | rescale
     # mac
-    t_ibi: float = 100e-3
-    t_slot: float = 50e-6
-    difs: float = 128e-6
-    sifs: float = 28e-6
-    header_airtime: float = 40e-6
-    payload_bytes: int = 40
-    data_rate: float = 6e6
-    t_prop: float = 1e-6
+    t_ibi: float = MacParameters.t_ibi
+    t_slot: float = MacParameters.t_slot
+    difs: float = MacParameters.difs
+    sifs: float = MacParameters.sifs
+    header_airtime: float = MacParameters.header_airtime
+    payload_bytes: int = MacParameters.payload_bytes
+    data_rate: float = MacParameters.data_rate
+    t_prop: float = MacParameters.t_prop
     # sim
-    periods: int = 1000
-    sense_range: float = 700.0
+    periods: int = SimConfig.n_periods
+    sense_range: float = SimConfig.sense_range
     full_connectivity: bool = False
     random_phase_offsets: bool = False
     uncategorized: str = "contend"
@@ -106,21 +109,12 @@ class ExperimentConfig:
 
     def drop_mode_enum(self) -> DropMode:
         try:
-            return DropMode.from_token(self.drop_mode)
+            return DropMode(self.drop_mode)
         except ValueError as exc:
             raise ValueError(f"scenario.drop_mode: {exc}") from None
 
     def mac_params(self) -> MacParameters:
-        return MacParameters(
-            t_ibi=self.t_ibi,
-            t_slot=self.t_slot,
-            difs=self.difs,
-            sifs=self.sifs,
-            header_airtime=self.header_airtime,
-            payload_bytes=self.payload_bytes,
-            data_rate=self.data_rate,
-            t_prop=self.t_prop,
-        )
+        return MacParameters(**{f.name: getattr(self, f.name) for f in fields(MacParameters)})
 
     def category_enums(self) -> tuple[Category, ...]:
         return tuple(category_from_token(tok) for tok in self.categories)
@@ -165,12 +159,15 @@ class ExperimentConfig:
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} must not repeat a value: {' '.join(map(str, values))}")
         for pol in self.policies:
-            if pol not in ("traditional", "proposed"):
-                raise ValueError(f"policy.policies: unknown policy {pol!r}")
-        if any(cw < 1 for cw in self.cw_values):
-            raise ValueError("policy.cw values must be positive")
-        if "proposed" in self.policies and any(cw < 3 for cw in self.cw_values):
-            raise ValueError("policy.cw values must be at least 3 with the proposed policy (three priority chunks)")
+            try:
+                kind = PolicyKind(pol)
+            except ValueError as exc:
+                raise ValueError(f"policy.policies: {exc}") from None
+            for cw in self.cw_values:
+                try:
+                    BackoffPolicy(kind, cw)
+                except ValueError as exc:
+                    raise ValueError(f"policy.cw: {exc}") from None
         for tok in self.categories:
             category_from_token(tok)
         if self.uncategorized == "report" and "uncat" in self.categories:

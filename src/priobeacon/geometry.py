@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import IntEnum
+from enum import Enum, IntEnum
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "category_counts",
     "category_mix",
     "save_scenario",
-    "load_scenario",
 ]
 
 
@@ -62,23 +61,11 @@ def category_from_token(token: str) -> Category:
         raise ValueError(f"unknown category token {token!r}") from None
 
 
-class DropMode(IntEnum):
+class DropMode(Enum):
     """How the node count is chosen: deterministic round(density*area) or a Poisson draw."""
 
-    FIXED_COUNT = 0
-    POISSON_COUNT = 1
-
-    @property
-    def token(self) -> str:
-        return "fixedcount" if self is DropMode.FIXED_COUNT else "poissoncount"
-
-    @staticmethod
-    def from_token(token: str) -> "DropMode":
-        if token == "fixedcount":
-            return DropMode.FIXED_COUNT
-        if token == "poissoncount":
-            return DropMode.POISSON_COUNT
-        raise ValueError(f"unknown drop mode {token!r}")
+    FIXED_COUNT = "fixedcount"
+    POISSON_COUNT = "poissoncount"
 
 
 @dataclass(frozen=True)
@@ -272,7 +259,7 @@ def scenario_to_text(scenario: SpatialScenario) -> str:
         "thresholds %.6f %.6f %.6f" % (scenario.thresholds.th1, scenario.thresholds.th2, scenario.thresholds.th3),
         "density %s" % repr(scenario.density),
         "seed %d" % scenario.seed,
-        "mode %s" % scenario.drop_mode.token,
+        "mode %s" % scenario.drop_mode.value,
     ]
     for node in scenario.nodes:
         lines.append(
@@ -286,42 +273,3 @@ def save_scenario(scenario: SpatialScenario, path) -> None:
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(scenario_to_text(scenario))
 
-
-def load_scenario(path) -> SpatialScenario:
-    """Parse a scenario file; distances/categories are recomputed from the stored
-    coordinates and validated against the stored values."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header: dict[str, list[str]] = {}
-    node_lines: list[list[str]] = []
-    for ln in lines:
-        parts = ln.split()
-        if parts[0] in ("region", "thresholds", "density", "seed", "mode"):
-            header[parts[0]] = parts[1:]
-        else:
-            node_lines.append(parts)
-    missing = {"region", "thresholds", "density", "seed", "mode"} - set(header)
-    if missing:
-        raise ValueError(f"scenario file missing header lines: {sorted(missing)}")
-    w, h, dx, dy = (float(v) for v in header["region"])
-    region = RegionSpec(width=w, height=h, danger=Point2D(dx, dy))
-    thresholds = CategoryThresholds(*(float(v) for v in header["thresholds"]))
-    density = float(header["density"][0])
-    seed = int(header["seed"][0])
-    mode = DropMode.from_token(header["mode"][0])
-    nodes = []
-    for parts in node_lines:
-        if len(parts) != 5:
-            raise ValueError(f"malformed node line: {' '.join(parts)!r}")
-        nid, x, y, d_stored, cat_tok = int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3]), parts[4]
-        pos = Point2D(x, y)
-        d = distance_to_danger(pos, region.danger)
-        if abs(d - d_stored) > 1e-5 * max(1.0, d):
-            raise ValueError(f"node {nid}: stored distance {d_stored} inconsistent with coordinates (computed {d})")
-        cat = categorize(d, thresholds)
-        if cat.token != cat_tok:
-            raise ValueError(f"node {nid}: stored category {cat_tok!r} inconsistent with distance (computed {cat.token!r})")
-        nodes.append(VehicleNode(id=nid, position=pos, distance_to_danger=d, category=cat))
-    return SpatialScenario(
-        region=region, thresholds=thresholds, nodes=tuple(nodes), density=density, seed=seed, drop_mode=mode
-    )

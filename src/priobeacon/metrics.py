@@ -21,7 +21,6 @@ from .geometry import Category
 from .sim import Outcome, SimOutcome
 
 __all__ = [
-    "GridKey",
     "TauEstimate",
     "IrtEstimate",
     "EmpiricalEstimates",
@@ -40,19 +39,6 @@ Z95 = 1.959963984540054
 
 # Fewest beacon periods the tau and IRT estimators accept.
 MIN_PERIODS = 100
-
-
-@dataclass(frozen=True)
-class GridKey:
-    """Identity of one grid point; joins analytic and empirical rows."""
-
-    policy: str
-    category: str
-    cw: int
-    n_sta: int
-
-    def as_tuple(self):
-        return (self.policy, self.category, self.cw, self.n_sta)
 
 
 @dataclass(frozen=True)
@@ -213,7 +199,7 @@ def build_estimates(bits: np.ndarray, elapsed_sums: np.ndarray, params: MacParam
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    key: GridKey
+    key: tuple[str, str, int, int]  # (policy, category token, cw, n_sta), as analytic.csv rows are keyed
     rows: dict[str, tuple[float, float, float, float | None, bool | None]]
     # metric -> (analytic, empirical, abs_deviation, tolerance, passed)
 
@@ -222,11 +208,9 @@ class ComparisonReport:
         checked = [p for (_, _, _, tol, p) in self.rows.values() if tol is not None]
         return all(checked) if checked else True
 
-    def failures(self) -> list[str]:
-        return [m for m, (_, _, _, tol, p) in self.rows.items() if tol is not None and not p]
-
     def to_text(self) -> str:
-        lines = [f"point policy={self.key.policy} category={self.key.category} cw={self.key.cw} n_sta={self.key.n_sta}"]
+        policy, category, cw, n_sta = self.key
+        lines = [f"point policy={policy} category={category} cw={cw} n_sta={n_sta}"]
         for metric, (a, e, dev, tol, p) in self.rows.items():
             status = "-" if tol is None else ("ok" if p else "FAIL")
             tol_s = "" if tol is None else f" tol={tol:g}"
@@ -236,7 +220,7 @@ class ComparisonReport:
 
 
 def compare(
-    key: GridKey,
+    key: tuple[str, str, int, int],
     analytic: AnalyticalResult,
     empirical: EmpiricalEstimates,
     tolerances: Mapping[str, float],

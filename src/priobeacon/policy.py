@@ -9,8 +9,10 @@ Two schemes over a fixed contention window of cw slots:
   A cut point itself belongs to the lower (more dangerous) chunk, so the
   three chunks are disjoint integer ranges that partition {0, ..., cw-1}.
 
-Uncategorized stations contend with the highest chunk (same range as CAT3);
-reporting-level exclusion is handled downstream.
+Uncategorized stations contend with the highest chunk, CAT3's.  This rule
+lives only in `backoff_range`, which both the simulator's draws and the
+analytic model's contender classes read; whether uncategorized stations
+contend at all, or are reported, is decided downstream (`sim.uncategorized`).
 """
 
 from __future__ import annotations
@@ -65,8 +67,8 @@ class BackoffPolicy:
 def backoff_range(policy: BackoffPolicy, category: Category) -> BackoffRange:
     """Backoff-counter range for a station of the given category.
 
-    Traditional ignores the category.  Proposed maps CAT1/CAT2/CAT3 to the
-    three disjoint chunks; uncategorized stations use CAT3's chunk.
+    Traditional ignores the category.  Proposed gives each category its
+    chunk, as the module docstring states.
     """
     top = policy.cw - 1
     if policy.kind is PolicyKind.TRADITIONAL:

@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from priobeacon.analytic import (
     _tau_for_range,
 )
 from priobeacon.geometry import Category
-from priobeacon.policy import BackoffPolicy, BackoffRange
+from priobeacon.policy import BackoffPolicy, BackoffRange, backoff_range
 
 TABLE_PARAMS = MacParameters()
 T_SUC_DEFAULT = 0.00012233333333333334  # 40us + 320 bits / 6 Mb/s + 28us + 1us
@@ -332,6 +331,25 @@ class TestSolveTau:
         assert sol.p_busy > 0.0
 
 
+class TestContenderClasses:
+    """The model groups the contender mix by the range `backoff_range` gives each category."""
+
+    def test_proposed_mix_weights_per_chunk(self):
+        pol = BackoffPolicy.proposed(127)
+        classes = proposed_config(80, 127, Category.CAT1).contender_classes()
+        assert [r for r, _ in classes] == [backoff_range(pol, c) for c in (Category.CAT1, Category.CAT2, Category.CAT3)]
+        assert [w for _, w in classes] == pytest.approx([0.1, 0.125, 0.775], abs=1e-15)
+
+    def test_all_uncategorized_mix_is_one_cat3_class(self):
+        cfg = proposed_config(80, 127, Category.CAT1, mix={Category.UNCATEGORIZED: 1.0})
+        assert cfg.contender_classes() == [(backoff_range(cfg.policy, Category.CAT3), 1.0)]
+
+    @pytest.mark.parametrize("mix", [None, MIX_80, {Category.UNCATEGORIZED: 1.0}], ids=["none", "mix80", "uncat"])
+    def test_traditional_is_one_class_whatever_the_mix(self, mix):
+        cfg = ContentionConfig(n_sta=80, policy=BackoffPolicy.traditional(127), category_mix=mix)
+        assert cfg.contender_classes() == [(BackoffRange(0, 126), 1.0)]
+
+
 class TestExpectedBackoffSlots:
     def test_idle_medium_traditional(self):
         cfg = traditional_config(1, 127)
@@ -391,12 +409,6 @@ class TestIrtDistribution:
         for tau in (0.05, 0.3, 0.9):
             d = irt_distribution(tau, 200)
             assert abs(sum(d.pmf.values()) + d.truncation_mass - 1.0) <= 1e-12
-
-    def test_mean_identity_with_tail(self):
-        for tau in (0.1, 0.4, 0.8):
-            n_max = int(math.ceil(50 / tau))
-            d = irt_distribution(tau, n_max)
-            assert d.truncated_mean_with_tail() == pytest.approx(1.0 / tau, abs=1e-9)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

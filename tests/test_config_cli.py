@@ -85,6 +85,13 @@ master = 7
         assert parse_config_text("[policy]\npolicies = traditional\ncw = 2 15\n").cw_values == (2, 15)
         assert parse_config_text("[policy]\ncw = 3 15\n").cw_values == (3, 15)
 
+    def test_readme_grammar_is_the_default_config(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Config format", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+        lines = [ln.split(";", 1)[0].rstrip() for ln in block.splitlines()]
+        expected = canonical_text(ExperimentConfig()).splitlines()
+        assert [ln for ln in lines if ln] == [ln for ln in expected if ln]
+
     def test_canonical_round_trip(self):
         cfg = parse_config_text("[policy]\ncw = 31\n[mac]\nt_slot = 66.7e-6\n[report]\ne_nbo_tol = 0.25\n")
         assert parse_config_text(canonical_text(cfg)) == cfg
@@ -440,6 +447,21 @@ class TestParseTimeLimits:
         assert f"config error: {name} must not repeat a value" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "old, new, name, value",
+        [
+            ("policies = traditional", "policies = traditional fastest", "policy.policies", "fastest"),
+            ("[sim]", "[scenario]\ndrop_mode = gridded\n[sim]", "scenario.drop_mode", "gridded"),
+        ],
+        ids=["policy", "drop-mode"],
+    )
+    def test_sweep_with_unknown_name_writes_nothing(self, tmp_path, capsys, old, new, name, value):
+        cfgp = write_config(tmp_path, SMALL.replace(old, new) + f"[output]\ndir = {tmp_path}/out\n")
+        assert main(["sweep", "--config", cfgp]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {name}: ") and repr(value) in err
+        assert not (tmp_path / "out").exists()
+
     def test_uncat_category_with_reported_uncategorized_writes_nothing(self, tmp_path, capsys):
         text = SMALL.replace("policies = traditional", "policies = proposed\ncategories = cat1 uncat")
         cfgp = write_config(tmp_path, text + f"[output]\ndir = {tmp_path}/out\n")
@@ -545,6 +567,7 @@ class TestReportPairValidation:
         summary = (out / "summary.txt").read_text()
         bad = [ln for ln in summary.splitlines() if ln.startswith("missing: point 1 (traditional cw=127 n_sta=20): ")]
         assert len(bad) == 1 and reason in bad[0], summary
+        assert "no simulated point" not in summary
         assert "point policy=traditional category=all cw=127 n_sta=10" in summary
         report = (out / "report.csv").read_text()
         assert "tau,traditional,all,127,10," in report
@@ -762,4 +785,5 @@ dir = {tmp_path}/out
         assert (out / "sim_points.csv").read_text().splitlines()[1:] == []
         summary = (out / "summary.txt").read_text()
         assert summary.count("missing: point ") == 4
+        assert "no simulated point" not in summary  # each failed point is reported once
         assert summary.endswith("overall: FAIL\n")

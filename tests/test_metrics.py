@@ -6,7 +6,6 @@ import pytest
 from priobeacon.analytic import ContentionConfig, MacParameters, evaluate, solve_tau, success_time
 from priobeacon.geometry import Category, CategoryThresholds, RegionSpec, drop_nodes
 from priobeacon.metrics import (
-    GridKey,
     chi_square_geometric,
     compare,
     build_estimates,
@@ -191,7 +190,7 @@ class TestChiSquareGeometric:
 
 
 class TestCompare:
-    KEY = GridKey("traditional", "all", 127, 40)
+    KEY = ("traditional", "all", 127, 40)
 
     def make_pair(self, tau_emp):
         sc = drop_nodes(REGION, TH, 40 / REGION.area, seed=3)
@@ -217,8 +216,8 @@ class TestCompare:
         ana, emp = self.make_pair(ana_tau_shift := 0.93)
         rep = compare(self.KEY, ana, emp, {"tau": 0.05})
         assert not rep.passed
-        assert rep.failures() == ["tau"]
-        assert "tau" in rep.to_text()
+        assert rep.rows["tau"][4] is False
+        assert "tau" in rep.to_text() and "[FAIL]" in rep.to_text()
 
 
 class TestStatisticalInvariants:

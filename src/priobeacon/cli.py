@@ -34,20 +34,19 @@ from .geometry import (
     drop_nodes,
     save_scenario,
 )
-from .policy import BackoffPolicy, PolicyKind
+from .policy import BackoffPolicy, backoff_range
 from .sim import STATS_CSV_HEADER, SimConfig, run_simulations
 from .sim import run_simulation  # noqa: F401  unused here, but perfbench/tracer.py wraps cli.run_simulation
 
 __all__ = ["main", "build_parser"]
 
 
-def _reporting_categories(cfg: ExperimentConfig, policy_name: str) -> list[tuple[str, Category | None]]:
-    if policy_name == "traditional":
+def _reporting_categories(cfg: ExperimentConfig, policy: BackoffPolicy) -> list[tuple[str, Category | None]]:
+    """(token, category) per reported row: one `all` row when the policy gives every category one range."""
+    if len({backoff_range(policy, cat) for cat in Category}) == 1:
         return [("all", None)]
-    cats: list[tuple[str, Category | None]] = [(tok, cat) for tok, cat in zip(cfg.categories, cfg.category_enums())]
-    if cfg.uncategorized == "report":
-        cats.append(("uncat", Category.UNCATEGORIZED))
-    return cats
+    uncat = [("uncat", Category.UNCATEGORIZED)] if cfg.uncategorized == "report" else []
+    return [*zip(cfg.categories, cfg.category_enums()), *uncat]
 
 
 def _drop_scenario(cfg: ExperimentConfig) -> SpatialScenario:
@@ -69,6 +68,11 @@ def _point_scenario(cfg: ExperimentConfig, scenario: SpatialScenario, point_inde
     if cfg.uncategorized == "silent":
         sub = replace(sub, nodes=tuple(nd for nd in sub.nodes if nd.category is not Category.UNCATEGORIZED))
     return sub
+
+
+def _point_label(idx: int, policy: BackoffPolicy, n_sta: int, tok: str = "") -> str:
+    """How analyze_errors.txt and summary.txt name a grid point (and one of its category rows)."""
+    return f"point {idx} ({policy.kind.value}{' ' + tok if tok else ''} cw={policy.cw} n_sta={n_sta})"
 
 
 _NAN_RESULT = an.AnalyticalResult(*[np.nan] * 7)  # the values of a point the model could not evaluate
@@ -108,15 +112,14 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
         )
     rows = [an.ANALYTIC_CSV_HEADER]
     errors: list[str] = []
-    for idx, policy_name, cw, n_sta in cfg.grid_points():
+    for idx, policy, n_sta in cfg.grid_points():
         try:
             sub = _point_scenario(cfg, scenario, idx, n_sta)
             mix = category_mix(sub)
         except ValueError as exc:
             sub = None
-            errors.append(f"point {idx} ({policy_name} cw={cw} n_sta={n_sta}): {exc}")
-        policy = BackoffPolicy(PolicyKind(policy_name), cw)
-        for tok, cat in _reporting_categories(cfg, policy_name):
+            errors.append(f"{_point_label(idx, policy, n_sta)}: {exc}")
+        for tok, cat in _reporting_categories(cfg, policy):
             result = _NAN_RESULT
             if sub is not None:
                 config = an.ContentionConfig(
@@ -125,12 +128,13 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
                 try:
                     result = an.evaluate(config)
                 except (an.ConvergenceError, ValueError) as exc:
-                    errors.append(f"point {idx} ({policy_name} {tok} cw={cw} n_sta={n_sta}): {exc}")
+                    errors.append(f"{_point_label(idx, policy, n_sta, tok)}: {exc}")
             # keyed by the grid point, which report joins on, whatever the station count modeled
-            rows.append(an.analytic_csv_row((policy_name, tok, cw, n_sta), result))
+            rows.append(an.analytic_csv_row((policy.kind.value, tok, policy.cw, n_sta), result))
     path = out / "analytic.csv"
     _write_text(path, "\n".join(rows) + "\n")
     print(f"analytic grid: {len(rows) - 1} rows -> {path}")
+    (out / "analyze_errors.txt").unlink(missing_ok=True)  # a rerun with no failed row leaves no stale list
     if errors:
         _write_text(out / "analyze_errors.txt", "\n".join(errors) + "\n")
         print(f"{len(errors)} point(s) failed; see analyze_errors.txt", file=sys.stderr)
@@ -142,6 +146,7 @@ _SEED_RULE = (
     "k=0 scenario drop; grid point i (enumeration order: policies, cw, n_sta as listed) "
     "uses k=1+2i for the simulation and k=2+2i for the subsample/rescale."
 )
+MANIFEST_HEADER = "index,policy,cw,n_sta,sim_seed,subsample_seed,status,outcome_file,bits_file,stats_file,full_connectivity"
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
@@ -149,11 +154,11 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     scenario = _drop_scenario(cfg)
     mac = cfg.mac_params()
     points = []  # (grid point, its SimConfig or the reason it has none)
-    for idx, policy_name, cw, n_sta in cfg.grid_points():
+    for idx, policy, n_sta in cfg.grid_points():
         try:
             config = SimConfig(
                 scenario=_point_scenario(cfg, scenario, idx, n_sta),
-                policy=BackoffPolicy(PolicyKind(policy_name), cw),
+                policy=policy,
                 params=mac,
                 sense_range=math.inf if cfg.full_connectivity else cfg.sense_range,
                 n_periods=cfg.periods,
@@ -162,12 +167,12 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             )
         except ValueError as exc:
             config = f"error: {exc}"
-        points.append(((idx, policy_name, cw, n_sta), config))
+        points.append(((idx, policy, n_sta), config))
     outcomes = run_simulations([config for _, config in points if isinstance(config, SimConfig)])
-    manifest = ["index,policy,cw,n_sta,sim_seed,subsample_seed,status,outcome_file,bits_file,stats_file,full_connectivity"]
+    manifest = [MANIFEST_HEADER]
     sim_points = ["index,stations,engine,sync_events,hn_events,dual_label_events"]
-    for (idx, policy_name, cw, n_sta), config in points:
-        tag = f"{idx:03d}_{policy_name}_cw{cw}_n{n_sta}"
+    for (idx, policy, n_sta), config in points:
+        tag = f"{idx:03d}_{policy.kind.value}_cw{policy.cw}_n{n_sta}"
         names = (f"outcome_{tag}.csv", f"bits_{tag}.txt", f"stats_{tag}.csv")
         if isinstance(config, SimConfig):
             outcome = next(outcomes)
@@ -184,7 +189,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             status = config
             names = ("", "", "")
         manifest.append(
-            f"{idx},{policy_name},{cw},{n_sta},{cfg.sim_seed(idx)},{cfg.subsample_seed(idx)},{status},"
+            f"{idx},{policy.kind.value},{policy.cw},{n_sta},{cfg.sim_seed(idx)},{cfg.subsample_seed(idx)},{status},"
             f"{names[0]},{names[1]},{names[2]},{str(cfg.full_connectivity).lower()}"
         )
     _write_text(out / "sim_points.csv", "\n".join(sim_points) + "\n")
@@ -282,12 +287,22 @@ def _read_point(bits_path: Path, stats_path: Path) -> tuple[np.ndarray, list[str
     return bits, cats, np.array(elapsed_sums, dtype=np.int64)
 
 
-def cmd_report(cfg: ExperimentConfig, analytic_path: Path | None = None, sim_dir: Path | None = None) -> int:
+def _manifest_files(row: list[str] | None, policy: BackoffPolicy, n_sta: int) -> tuple[str, str]:
+    """The bits and stats file names in a grid point's manifest row; a ValueError says why there are none."""
+    if row is None:
+        raise ValueError("no manifest row")
+    n_fields = len(MANIFEST_HEADER.split(","))
+    if len(row) != n_fields or row[1:4] != [policy.kind.value, str(policy.cw), str(n_sta)]:
+        raise ValueError(f"manifest row {','.join(row)!r} is not this point's {n_fields}-field row")
+    if row[6] != "ok":
+        raise ValueError(row[6])
+    return row[8], row[9]
+
+
+def cmd_report(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
-    analytic_path = analytic_path or out / "analytic.csv"
-    sim_dir = sim_dir or out
     mac = cfg.mac_params()
-    analytic_rows, missing = _read_analytic_rows(analytic_path)
+    analytic_rows, missing = _read_analytic_rows(out / "analytic.csv")
     tolerances = cfg.tolerances()
 
     report_lines = ["metric,policy,category,cw,n_sta,analytic,empirical,ci"]
@@ -295,38 +310,34 @@ def cmd_report(cfg: ExperimentConfig, analytic_path: Path | None = None, sim_dir
     irt_lines = ["policy,category,n_sta,gap,pmf,cdf"]
     all_pass = True
 
-    manifest_path = sim_dir / "manifest.csv"
-    with open(manifest_path, "r", encoding="ascii") as fh:
+    with open(out / "manifest.csv", "r", encoding="ascii") as fh:
         fh.readline()
-        manifest = [ln.strip().split(",") for ln in fh if ln.strip()]
+        manifest = {row[0]: row for row in (ln.strip().split(",") for ln in fh if ln.strip())}
 
     seen_keys = set()
-    for parts in manifest:
-        idx, policy_name, cw, n_sta = int(parts[0]), parts[1], int(parts[2]), int(parts[3])
-        keys = {tok: (policy_name, tok, cw, n_sta) for tok, _cat in _reporting_categories(cfg, policy_name)}
+    for idx, policy, n_sta in cfg.grid_points():
+        policy_name, cw = policy.kind.value, policy.cw
+        keys = {tok: (policy_name, tok, cw, n_sta) for tok, _cat in _reporting_categories(cfg, policy)}
         # a failed point gets its one `point N` line below, not one more per analytic row
         seen_keys.update(keys.values())
-        status = parts[6]
-        if status != "ok":
-            missing.append(f"point {idx} ({policy_name} cw={cw} n_sta={n_sta}): {status}")
-            continue
         try:
-            bits, cats, elapsed_sums = _read_point(sim_dir / parts[8], sim_dir / parts[9])
+            bits_name, stats_name = _manifest_files(manifest.get(str(idx)), policy, n_sta)
+            bits, cats, elapsed_sums = _read_point(out / bits_name, out / stats_name)
         except (ValueError, OSError) as exc:
-            missing.append(f"point {idx} ({policy_name} cw={cw} n_sta={n_sta}): {exc}")
+            missing.append(f"{_point_label(idx, policy, n_sta)}: {exc}")
             continue
         for tok, key in keys.items():
             analytic = analytic_rows.get(key)
             sel = [i for i, c in enumerate(cats) if tok in ("all", c)]
             empirical = mt.build_estimates(bits[sel], elapsed_sums[sel], mac)
             if isinstance(analytic, str):
-                missing.append(f"bad analytic row for {key}: {analytic}")
+                missing.append(f"{_point_label(idx, policy, n_sta, tok)}: {analytic}")
                 continue
             if analytic is None or not np.isfinite(analytic.tau):
                 missing.append(f"no analytic row for {key}")
                 continue
             if empirical is None:
-                missing.append(f"no {tok} nodes at point {idx} ({policy_name} cw={cw} n_sta={n_sta})")
+                missing.append(f"no {tok} nodes at {_point_label(idx, policy, n_sta)}")
                 continue
             rep = mt.compare(key, analytic, empirical, tolerances)
             all_pass = all_pass and rep.passed
@@ -344,12 +355,11 @@ def cmd_report(cfg: ExperimentConfig, analytic_path: Path | None = None, sim_dir
                         f"{policy_name},{tok},{n_sta},{gap - shift},"
                         f"{repr(empirical.irt.pmf[gap])},{repr(cdf[gap])}"
                     )
-    for key in analytic_rows:
-        if key not in seen_keys:
-            missing.append(f"no simulated point for analytic row {key}")
+    missing += [f"no simulated point for analytic row {key}" for key in analytic_rows if key not in seen_keys]
 
     all_pass = all_pass and not missing
     _write_text(out / "report.csv", "\n".join(report_lines) + "\n")
+    (out / "irt_cw15.csv").unlink(missing_ok=True)  # a grid without cw 15 leaves no stale table
     if len(irt_lines) > 1:
         _write_text(out / "irt_cw15.csv", "\n".join(irt_lines) + "\n")
     verdict = "PASS" if all_pass else "FAIL"
@@ -384,9 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("drop", parents=[common], help="generate and export the node drop")
     sub.add_parser("analyze", parents=[common], help="evaluate the analytic model grid")
     sub.add_parser("simulate", parents=[common], help="run the Monte Carlo grid")
-    rep = sub.add_parser("report", parents=[common], help="join analytic and simulated results")
-    rep.add_argument("--analytic", help="analytic CSV path (default <out>/analytic.csv)")
-    rep.add_argument("--sim-dir", help="directory with simulation outputs (default <out>)")
+    sub.add_parser("report", parents=[common], help="join analytic and simulated results")
     sub.add_parser("sweep", parents=[common], help="drop + analyze + simulate + report")
     return parser
 
@@ -415,23 +423,15 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    # looked up at call time, so a wrapper installed on a cmd_* name is the one that runs
+    commands = {
+        "drop": cmd_drop, "analyze": cmd_analyze, "simulate": cmd_simulate, "report": cmd_report, "sweep": cmd_sweep
+    }
     try:
-        if args.command == "drop":
-            return cmd_drop(cfg)
-        if args.command == "analyze":
-            return cmd_analyze(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "report":
-            analytic = Path(args.analytic) if args.analytic else None
-            sim_dir = Path(args.sim_dir) if args.sim_dir else None
-            return cmd_report(cfg, analytic, sim_dir)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
+        return commands[args.command](cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

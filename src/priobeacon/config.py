@@ -117,7 +117,10 @@ class ExperimentConfig:
         return MacParameters(**{f.name: getattr(self, f.name) for f in fields(MacParameters)})
 
     def category_enums(self) -> tuple[Category, ...]:
-        return tuple(category_from_token(tok) for tok in self.categories)
+        try:
+            return tuple(category_from_token(tok) for tok in self.categories)
+        except ValueError as exc:
+            raise ValueError(f"policy.categories: {exc}") from None
 
     def tolerances(self) -> dict[str, float]:
         tols = {"tau": self.tau_tol}
@@ -126,16 +129,22 @@ class ExperimentConfig:
                 tols[name] = value
         return tols
 
-    def grid_points(self) -> list[tuple[int, str, int, int]]:
-        """(index, policy, cw, n_sta) in the documented enumeration order."""
-        points = []
-        idx = 0
+    def grid_points(self) -> list[tuple[int, BackoffPolicy, int]]:
+        """(index, policy, n_sta) in the documented enumeration order.  The one place the policy
+        names and cw values become policies: a name or cw no policy takes raises, naming its key."""
+        pairs = []
         for pol in self.policies:
+            try:
+                kind = PolicyKind(pol)
+            except ValueError as exc:
+                raise ValueError(f"policy.policies: {exc}") from None
             for cw in self.cw_values:
-                for n in self.n_sta:
-                    points.append((idx, pol, cw, n))
-                    idx += 1
-        return points
+                try:
+                    policy = BackoffPolicy(kind, cw)
+                except ValueError as exc:
+                    raise ValueError(f"policy.cw: {exc}") from None
+                pairs += [(policy, n) for n in self.n_sta]
+        return [(idx, policy, n) for idx, (policy, n) in enumerate(pairs)]
 
     def scenario_seed(self) -> int:
         return derive_seed(self.master_seed, 0)
@@ -158,18 +167,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must not be empty")
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} must not repeat a value: {' '.join(map(str, values))}")
-        for pol in self.policies:
-            try:
-                kind = PolicyKind(pol)
-            except ValueError as exc:
-                raise ValueError(f"policy.policies: {exc}") from None
-            for cw in self.cw_values:
-                try:
-                    BackoffPolicy(kind, cw)
-                except ValueError as exc:
-                    raise ValueError(f"policy.cw: {exc}") from None
-        for tok in self.categories:
-            category_from_token(tok)
+        self.grid_points()
+        self.category_enums()
         if self.uncategorized == "report" and "uncat" in self.categories:
             raise ValueError("policy.categories must not list uncat with sim.uncategorized = report, which adds it")
         if any(n < 1 for n in self.n_sta):

@@ -12,7 +12,7 @@ from priobeacon.cli import main
 from priobeacon.config import ExperimentConfig, canonical_text, derive_seed, parse_config, parse_config_text, splitmix64
 from priobeacon.geometry import Category, category_from_token
 from priobeacon.metrics import build_estimates
-from priobeacon.policy import BackoffPolicy, PolicyKind
+from priobeacon.policy import BackoffPolicy, PolicyKind, backoff_range
 
 
 class TestSeeds:
@@ -99,10 +99,22 @@ master = 7
     def test_grid_enumeration_order(self):
         cfg = ExperimentConfig(policies=("traditional", "proposed"), cw_values=(15, 127), n_sta=(10, 20))
         points = cfg.grid_points()
-        assert points[0] == (0, "traditional", 15, 10)
-        assert points[1] == (1, "traditional", 15, 20)
-        assert points[2] == (2, "traditional", 127, 10)
-        assert points[-1] == (7, "proposed", 127, 20)
+        assert points[0] == (0, BackoffPolicy.traditional(15), 10)
+        assert points[1] == (1, BackoffPolicy.traditional(15), 20)
+        assert points[2] == (2, BackoffPolicy.traditional(127), 10)
+        assert points[-1] == (7, BackoffPolicy.proposed(127), 20)
+
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    @pytest.mark.parametrize("cw", [3, 15, 127, 511])
+    def test_one_all_row_exactly_when_every_category_shares_a_range(self, kind, cw):
+        cfg = ExperimentConfig(policies=(kind.value,), cw_values=(cw,))
+        policy = BackoffPolicy(kind, cw)
+        shared = len({backoff_range(policy, cat) for cat in Category}) == 1
+        rows = cli._reporting_categories(cfg, policy)
+        assert (rows == [("all", None)]) == shared
+        assert shared == (kind is PolicyKind.TRADITIONAL)
+        if not shared:
+            assert rows == [(tok, category_from_token(tok)) for tok in cfg.categories]
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -205,6 +217,24 @@ dir = {tmp_path}/out
         row = (tmp_path / "out" / "analytic.csv").read_text().strip().splitlines()[1]
         assert float(row.split(",")[4]) == 1.0
 
+    def test_rerun_without_failed_rows_deletes_the_error_list(self, tmp_path):
+        text = f"""
+[policy]
+policies = proposed
+cw = 127
+[contention]
+n_sta = 1
+[mac]
+t_ibi = 0.001
+[output]
+dir = {tmp_path}/out
+"""
+        errors = tmp_path / "out" / "analyze_errors.txt"
+        assert main(["analyze", "--config", write_config(tmp_path, text)]) == 0
+        assert len(errors.read_text().splitlines()) == 2  # cat2 and cat3 start past the 20-slot period
+        assert main(["analyze", "--config", write_config(tmp_path, text.replace("0.001", "0.1"))]) == 0
+        assert not errors.exists()
+
     def test_proposed_tau_dominates_traditional_at_cw127(self, tmp_path):
         text = f"""
 [policy]
@@ -285,6 +315,13 @@ class TestCliReport:
         table0 = (tmp_path / "out" / "irt_cw15.csv").read_text().strip().splitlines()
         gaps0 = [int(ln.split(",")[3]) for ln in table0[1:]]
         assert min(gaps0) == 0
+
+    def test_rerun_without_cw15_deletes_the_irt_table(self, tmp_path):
+        table = tmp_path / "out" / "irt_cw15.csv"
+        for cw, exists in (("15", True), ("127", False)):
+            text = SMALL.replace("cw = 127", f"cw = {cw}") + f"[output]\ndir = {tmp_path}/out\n"
+            assert main(["sweep", "--config", write_config(tmp_path, text)]) == 0
+            assert table.exists() is exists
 
     def test_missing_point_reported_and_fails(self, tmp_path):
         cfgp = write_config(tmp_path, SMALL + f"[output]\ndir = {tmp_path}/out\n")
@@ -452,8 +489,9 @@ class TestParseTimeLimits:
         [
             ("policies = traditional", "policies = traditional fastest", "policy.policies", "fastest"),
             ("[sim]", "[scenario]\ndrop_mode = gridded\n[sim]", "scenario.drop_mode", "gridded"),
+            ("cw = 127", "cw = 127\ncategories = cat1 catx", "policy.categories", "catx"),
         ],
-        ids=["policy", "drop-mode"],
+        ids=["policy", "drop-mode", "category"],
     )
     def test_sweep_with_unknown_name_writes_nothing(self, tmp_path, capsys, old, new, name, value):
         cfgp = write_config(tmp_path, SMALL.replace(old, new) + f"[output]\ndir = {tmp_path}/out\n")
@@ -592,9 +630,36 @@ class TestReportPairValidation:
         assert main(["report", "--config", cfgp]) == 1
         summary = (tmp_path / "out" / "summary.txt").read_text()
         bad = [ln for ln in summary.splitlines() if ln.startswith("missing: ")]
-        assert bad == [f"missing: bad analytic row for ('traditional', 'all', 127, 20): analytic.csv {reason}"]
+        assert bad == [f"missing: point 1 (traditional all cw=127 n_sta=20): analytic.csv {reason}"]
         assert "point policy=traditional category=all cw=127 n_sta=10" in summary
         report = (tmp_path / "out" / "report.csv").read_text()
+        assert "tau,traditional,all,127,10," in report
+        assert ",traditional,all,127,20," not in report
+
+    @pytest.mark.parametrize(
+        "corrupt, reason",
+        [
+            (lambda row: ",".join(row.split(",")[:3]), "manifest row '1,traditional,127' is not this point's 11-field row"),
+            (lambda row: row.replace(",traditional,", ",fastest,"), "manifest row '1,fastest,127,20,"),
+            (lambda row: row.replace(",127,", ",15,"), "manifest row '1,traditional,15,20,"),
+            (lambda row: None, "no manifest row"),
+        ],
+        ids=["truncated-row", "unknown-policy", "other-cw", "deleted-row"],
+    )
+    def test_bad_manifest_row_goes_to_missing(self, tmp_path, corrupt, reason):
+        cfgp = write_config(tmp_path, TWO_POINTS + f"[output]\ndir = {tmp_path}/out\n")
+        assert main(["analyze", "--config", cfgp]) == 0
+        assert main(["simulate", "--config", cfgp]) == 0
+        out = tmp_path / "out"
+        header, first, second = (out / "manifest.csv").read_text().splitlines()
+        (out / "manifest.csv").write_text("\n".join([header, first, *filter(None, [corrupt(second)])]) + "\n")
+        assert main(["report", "--config", cfgp]) == 1
+        summary = (out / "summary.txt").read_text()
+        bad = [ln for ln in summary.splitlines() if ln.startswith("missing: ")]
+        assert len(bad) == 1 and bad[0].startswith("missing: point 1 (traditional cw=127 n_sta=20): "), summary
+        assert reason in bad[0]
+        assert "point policy=traditional category=all cw=127 n_sta=10" in summary
+        report = (out / "report.csv").read_text()
         assert "tau,traditional,all,127,10," in report
         assert ",traditional,all,127,20," not in report
 
@@ -686,19 +751,19 @@ def _rows_against_simulated_stations(cfgp: str) -> list[tuple[int, int, str, str
     cfg = parse_config(cfgp)
     out = Path(cfg.out_dir)
     rows = {ln.rsplit(",", 7)[0]: ln for ln in (out / "analytic.csv").read_text().splitlines()[1:]}
+    manifest = [ln.split(",") for ln in (out / "manifest.csv").read_text().splitlines()[1:]]
     checked = []
-    for line in (out / "manifest.csv").read_text().splitlines()[1:]:
-        parts = line.split(",")
-        policy_name, cw, n_sta = parts[1], int(parts[2]), int(parts[3])
-        cats = [category_from_token(ln.split(",")[1]) for ln in (out / parts[9]).read_text().splitlines()[1:]]
+    for idx, policy, n_sta in cfg.grid_points():
+        stats = manifest[idx][9]
+        cats = [category_from_token(ln.split(",")[1]) for ln in (out / stats).read_text().splitlines()[1:]]
         mix = {c: cats.count(c) / len(cats) for c in Category}
-        policy = BackoffPolicy(PolicyKind(policy_name), cw)
-        for tok, cat in cli._reporting_categories(cfg, policy_name):
+        for tok, cat in cli._reporting_categories(cfg, policy):
             model = an.ContentionConfig(
                 n_sta=len(cats), policy=policy, category=cat, params=cfg.mac_params(), category_mix=mix
             )
-            expected = an.analytic_csv_row((policy_name, tok, cw, n_sta), an.evaluate(model))
-            checked.append((n_sta, len(cats), rows[f"{policy_name},{tok},{cw},{n_sta}"], expected))
+            key = (policy.kind.value, tok, policy.cw, n_sta)
+            expected = an.analytic_csv_row(key, an.evaluate(model))
+            checked.append((n_sta, len(cats), rows[",".join(map(str, key))], expected))
     return checked
 
 

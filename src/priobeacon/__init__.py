@@ -20,7 +20,6 @@ from .analytic import (
     AnalyticalResult,
     ContentionConfig,
     ConvergenceError,
-    IrtDistribution,
     MacParameters,
     TauSolution,
     average_latency,
@@ -28,12 +27,11 @@ from .analytic import (
     evaluate,
     expected_backoff_slots,
     expiration_time,
-    irt_distribution,
     normalized_throughput,
     solve_tau,
     success_time,
 )
-from .sim import Outcome, SimConfig, SimOutcome, classify_collision, empirical_pcol, run_simulation, run_simulations
+from .sim import Outcome, SimConfig, SimOutcome, classify_collision, run_simulation, run_simulations
 from .metrics import (
     ComparisonReport,
     EmpiricalEstimates,

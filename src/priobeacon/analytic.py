@@ -39,14 +39,13 @@ import numpy as np
 from scipy.special import _ufuncs
 
 from .geometry import Category
-from .policy import BackoffPolicy, BackoffRange, PolicyKind, backoff_range
+from .policy import BackoffPolicy, BackoffRange, backoff_range
 
 __all__ = [
     "MacParameters",
     "ContentionConfig",
     "TauSolution",
     "AnalyticalResult",
-    "IrtDistribution",
     "ConvergenceError",
     "solve_tau",
     "expected_backoff_slots",
@@ -55,7 +54,6 @@ __all__ = [
     "success_time",
     "average_latency",
     "normalized_throughput",
-    "irt_distribution",
     "evaluate",
     "ANALYTIC_CSV_HEADER",
     "analytic_csv_row",
@@ -127,9 +125,10 @@ class ContentionConfig:
     """One evaluated point: tagged category against n_sta contenders sharing a policy.
 
     category_mix gives the contenders' category proportions (the scenario's
-    empirical mix); it is required for the proposed policy and ignored for
-    the traditional one.  Each category's weight contends with the range
-    `backoff_range` gives it.
+    empirical mix).  The category and the mix are required when the policy
+    gives the categories different ranges and ignored when they share one
+    (`BackoffPolicy.shared_range`).  Each category's weight contends with
+    the range `backoff_range` gives it.
     """
 
     n_sta: int
@@ -141,11 +140,11 @@ class ContentionConfig:
     def __post_init__(self):
         if self.n_sta < 1:
             raise ValueError("n_sta must be at least 1")
-        if self.policy.kind is PolicyKind.PROPOSED:
+        if self.policy.shared_range() is None:
             if self.category is None:
-                raise ValueError("proposed policy needs a tagged category")
+                raise ValueError(f"{self.policy.kind.value} policy needs a tagged category")
             if self.category_mix is None:
-                raise ValueError("proposed policy needs the scenario category mix")
+                raise ValueError(f"{self.policy.kind.value} policy needs the scenario category mix")
 
     def tagged_range(self) -> BackoffRange:
         cat = self.category if self.category is not None else Category.CAT1
@@ -153,8 +152,9 @@ class ContentionConfig:
 
     def contender_classes(self) -> list[tuple[BackoffRange, float]]:
         """Distinct backoff ranges of the contender population with their weights."""
-        if self.policy.kind is PolicyKind.TRADITIONAL:
-            return [(backoff_range(self.policy, Category.CAT1), 1.0)]
+        shared = self.policy.shared_range()
+        if shared is not None:
+            return [(shared, 1.0)]
         mix = dict(self.category_mix)  # type: ignore[arg-type]
         total = sum(mix.values())
         if total <= 0:
@@ -354,27 +354,6 @@ def normalized_throughput(tau: float, t_suc: float, e_t: float) -> float:
     if not (0.0 <= r <= 1.0):
         raise ValueError(f"normalized throughput {r} outside [0, 1]")
     return r
-
-
-@dataclass(frozen=True)
-class IrtDistribution:
-    """Geometric inter-reception-time law over beacon-period counts >= 1,
-    truncated at n_max with the residual tail mass recorded."""
-
-    tau: float
-    pmf: dict[int, float]
-    truncation_mass: float
-
-
-def irt_distribution(tau: float, n_max: int) -> IrtDistribution:
-    """PMF (1 - tau)^(n-1) * tau over n = 1..n_max, with the tail mass recorded."""
-    if not (0.0 < tau <= 1.0):
-        raise ValueError("tau must lie in (0, 1]")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    q = 1.0 - tau
-    pmf = {n: (q ** (n - 1)) * tau for n in range(1, n_max + 1)}
-    return IrtDistribution(tau=tau, pmf=pmf, truncation_mass=q ** n_max)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .geometry import (
     drop_nodes,
     save_scenario,
 )
-from .policy import BackoffPolicy, backoff_range
+from .policy import BackoffPolicy
 from .sim import STATS_CSV_HEADER, SimConfig, run_simulations
 from .sim import run_simulation  # noqa: F401  unused here, but perfbench/tracer.py wraps cli.run_simulation
 
@@ -43,7 +43,7 @@ __all__ = ["main", "build_parser"]
 
 def _reporting_categories(cfg: ExperimentConfig, policy: BackoffPolicy) -> list[tuple[str, Category | None]]:
     """(token, category) per reported row: one `all` row when the policy gives every category one range."""
-    if len({backoff_range(policy, cat) for cat in Category}) == 1:
+    if policy.shared_range() is not None:
         return [("all", None)]
     uncat = [("uncat", Category.UNCATEGORIZED)] if cfg.uncategorized == "report" else []
     return [*zip(cfg.categories, cfg.category_enums()), *uncat]
@@ -171,6 +171,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     outcomes = run_simulations([config for _, config in points if isinstance(config, SimConfig)])
     manifest = [MANIFEST_HEADER]
     sim_points = ["index,stations,engine,sync_events,hn_events,dual_label_events"]
+    written = set()
     for (idx, policy, n_sta), config in points:
         tag = f"{idx:03d}_{policy.kind.value}_cw{policy.cw}_n{n_sta}"
         names = (f"outcome_{tag}.csv", f"bits_{tag}.txt", f"stats_{tag}.csv")
@@ -179,6 +180,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             _write_text(out / names[0], outcome.to_outcome_csv())
             _write_text(out / names[1], outcome.to_bits_text())
             _write_text(out / names[2], outcome.to_stats_csv())
+            written.update(names)
             diag = outcome.diagnostics
             sim_points.append(
                 f"{idx},{outcome.n_nodes},{diag['engine']},{diag['sync_events']},{diag['hn_events']},"
@@ -192,6 +194,10 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             f"{idx},{policy.kind.value},{policy.cw},{n_sta},{cfg.sim_seed(idx)},{cfg.subsample_seed(idx)},{status},"
             f"{names[0]},{names[1]},{names[2]},{str(cfg.full_connectivity).lower()}"
         )
+    for pattern in ("outcome_*.csv", "bits_*.txt", "stats_*.csv"):  # an earlier grid's points leave no files
+        for stale in out.glob(pattern):
+            if stale.name not in written:
+                stale.unlink()
     _write_text(out / "sim_points.csv", "\n".join(sim_points) + "\n")
     _write_text(out / "manifest.csv", "\n".join(manifest) + "\n")
     meta = [

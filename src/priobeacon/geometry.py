@@ -101,10 +101,6 @@ class RegionSpec:
     def area(self) -> float:
         return self.width * self.height
 
-    @property
-    def diagonal(self) -> float:
-        return math.hypot(self.width, self.height)
-
 
 @dataclass(frozen=True)
 class CategoryThresholds:

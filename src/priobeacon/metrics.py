@@ -14,11 +14,8 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import chdtrc
 
-from .analytic import AnalyticalResult, MacParameters, irt_distribution, success_time
-from .geometry import Category
-from .sim import Outcome, SimOutcome
+from .analytic import AnalyticalResult, MacParameters, success_time
 
 __all__ = [
     "TauEstimate",
@@ -26,12 +23,10 @@ __all__ = [
     "EmpiricalEstimates",
     "ComparisonReport",
     "estimate_irt",
-    "estimate_backoff_slots",
     "total_wait_periods",
     "build_estimates",
     "compare",
     "proportion_ci",
-    "chi_square_geometric",
     "MIN_PERIODS",
 ]
 
@@ -78,9 +73,6 @@ class IrtEstimate:
             acc += self.pmf[gap]
             out[gap] = acc
         return out
-
-    def mean(self) -> float:
-        return sum(gap * p for gap, p in self.pmf.items())
 
 
 def estimate_irt(bit_sequences: np.ndarray) -> IrtEstimate:
@@ -131,21 +123,6 @@ def total_wait_periods(bits_row: np.ndarray) -> int:
     pos = np.searchsorted(ones, zeros, side="left")
     waits = np.where(pos < ones.size, ones[np.minimum(pos, ones.size - 1)] - zeros, n - zeros)
     return int(waits.sum())
-
-
-def estimate_backoff_slots(outcome: SimOutcome, category: Category | None = None):
-    """Mean and CI half-width of elapsed backoff slots over the transmitted
-    packets of a category's nodes (of every node when category is None)."""
-    nodes = np.arange(outcome.n_nodes) if category is None else outcome.category_nodes(category)
-    if nodes.size == 0:
-        return None
-    sub = outcome.outcomes[:, nodes] != int(Outcome.EXPIRED)
-    elapsed = outcome.elapsed[:, nodes][sub]
-    if elapsed.size == 0:
-        return None
-    mean = float(elapsed.mean())
-    hw = Z95 * float(elapsed.std(ddof=1)) / math.sqrt(elapsed.size) if elapsed.size > 1 else math.inf
-    return mean, hw
 
 
 @dataclass(frozen=True)
@@ -250,46 +227,3 @@ def compare(
     add("r", analytic.r, empirical.r_hat, relative=True)
     return ComparisonReport(key=key, rows=rows)
 
-
-def chi_square_geometric(gap_counts: Mapping[int, int], tau: float, min_expected: float = 5.0):
-    """Chi-square goodness of fit of observed gap counts against Geometric(tau).
-
-    Bins over gaps 1..K plus an open tail; adjacent bins are pooled from the
-    tail end until every expected count reaches min_expected.  Returns
-    (statistic, dof, p_value); a fully concentrated matching distribution
-    yields statistic 0 and p-value 1.
-    """
-    total = sum(gap_counts.values())
-    if total == 0:
-        raise ValueError("no gaps observed")
-    k_max = max(gap_counts)
-    observed = np.array([gap_counts.get(g, 0) for g in range(1, k_max + 1)] + [0], dtype=float)
-    law = irt_distribution(tau, k_max)
-    expected = np.array([*law.pmf.values(), law.truncation_mass], dtype=float) * total
-    # pool from the right until all expected bins are big enough
-    obs_bins: list[float] = []
-    exp_bins: list[float] = []
-    acc_o = acc_e = 0.0
-    for o, e in zip(observed[::-1], expected[::-1]):
-        acc_o += o
-        acc_e += e
-        if acc_e >= min_expected:
-            obs_bins.append(acc_o)
-            exp_bins.append(acc_e)
-            acc_o = acc_e = 0.0
-    if acc_e > 0 or acc_o > 0:
-        if obs_bins:
-            obs_bins[-1] += acc_o
-            exp_bins[-1] += acc_e
-        else:
-            obs_bins.append(acc_o)
-            exp_bins.append(acc_e)
-    obs_arr = np.array(obs_bins[::-1])
-    exp_arr = np.array(exp_bins[::-1])
-    keep = exp_arr > 0
-    stat = float((((obs_arr - exp_arr) ** 2)[keep] / exp_arr[keep]).sum())
-    dof = max(int(keep.sum()) - 2, 1)
-    if keep.sum() <= 1:
-        return stat, 0, 1.0 if stat == 0.0 else 0.0
-    pvalue = float(chdtrc(dof, stat))
-    return stat, dof, pvalue

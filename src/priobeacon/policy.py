@@ -63,6 +63,12 @@ class BackoffPolicy:
     def proposed(cw: int) -> "BackoffPolicy":
         return BackoffPolicy(PolicyKind.PROPOSED, cw)
 
+    def shared_range(self) -> "BackoffRange | None":
+        """The one range every category draws from, or None when `backoff_range`
+        gives the categories different ranges (then the category matters)."""
+        ranges = {backoff_range(self, cat) for cat in Category}
+        return ranges.pop() if len(ranges) == 1 else None
+
 
 def backoff_range(policy: BackoffPolicy, category: Category) -> BackoffRange:
     """Backoff-counter range for a station of the given category.

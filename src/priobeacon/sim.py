@@ -68,7 +68,6 @@ __all__ = [
     "run_simulation",
     "run_simulations",
     "classify_collision",
-    "empirical_pcol",
     "OUTCOME_CSV_HEADER",
     "STATS_CSV_HEADER",
 ]
@@ -432,16 +431,3 @@ def _run_walker(runs, slots: int, occupancy: int):
         results.append((outcomes.reshape(-1, m), run_elapsed.reshape(-1, m), diag))
     return results
 
-
-def empirical_pcol(outcome: SimOutcome):
-    """Collision probability per attempted transmission: (SYNC + HN) / transmitted.
-
-    Returns None when no transmission was attempted (undefined, not zero).
-    """
-    transmitted = int((outcome.outcomes != int(Outcome.EXPIRED)).sum())
-    if transmitted == 0:
-        return None
-    collided = int(
-        ((outcome.outcomes == int(Outcome.COLLIDED_SYNC)) | (outcome.outcomes == int(Outcome.COLLIDED_HIDDEN))).sum()
-    )
-    return collided / transmitted

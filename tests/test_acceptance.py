@@ -62,9 +62,10 @@ from priobeacon.analytic import (
 )
 from priobeacon.cli import main
 from priobeacon.geometry import Category, CategoryThresholds, RegionSpec, category_mix, drop_nodes
-from priobeacon.metrics import build_estimates, chi_square_geometric, estimate_backoff_slots
+from priobeacon.metrics import build_estimates
 from priobeacon.policy import BackoffPolicy
-from priobeacon.sim import Outcome, SimConfig, empirical_pcol, run_simulation
+from priobeacon.sim import Outcome, SimConfig, run_simulation
+from stats_helpers import backoff_slot_mean, chi_square_geometric
 
 DROP_SEED = 4
 SUBSAMPLE_SEED = 4
@@ -296,12 +297,12 @@ def test_criterion_03_backoff_slot_orderings(grid, criterion_report):
     )
     empirical_scheme = True
     for n in N_VALUES:
-        prop = estimate_backoff_slots(grid.sims[("proposed", 127, n)], Category.CAT1)
-        trad = estimate_backoff_slots(grid.sims[("traditional", 127, n)], None)
+        prop = backoff_slot_mean(grid.sims[("proposed", 127, n)], Category.CAT1)
+        trad = backoff_slot_mean(grid.sims[("traditional", 127, n)], None)
         empirical_scheme &= prop[0] + prop[1] < trad[0] - trad[1]
     empirical_cw = True
     for n in N_VALUES:
-        means = [estimate_backoff_slots(grid.sims[("traditional", cw, n)], None) for cw in CW_VALUES]
+        means = [backoff_slot_mean(grid.sims[("traditional", cw, n)], None) for cw in CW_VALUES]
         empirical_cw &= means[0][0] - means[0][1] <= means[1][0] + means[1][1]
         empirical_cw &= means[1][0] - means[1][1] <= means[2][0] + means[2][1]
     ok = analytic_scheme and analytic_cw and empirical_scheme and empirical_cw
@@ -388,7 +389,8 @@ def test_criterion_07_irt_geometric_law(grid, criterion_report):
     counts = {g: int(round(p * irt_p.gap_count)) for g, p in irt_p.pmf.items()}
     stat, dof, pvalue = chi_square_geometric(counts, tau_hat)
     gof_ok = pvalue > 0.01
-    mean_ok = abs(irt_p.mean() - 1.0 / tau_hat) <= 0.05 / tau_hat
+    mean_gap = sum(gap * p for gap, p in irt_p.pmf.items())
+    mean_ok = abs(mean_gap - 1.0 / tau_hat) <= 0.05 / tau_hat
 
     irt_t = estimates(grid.sims[("traditional", 15, 80)], None).irt
     cdf_p, cdf_t = irt_p.cdf(), irt_t.cdf()
@@ -404,7 +406,7 @@ def test_criterion_07_irt_geometric_law(grid, criterion_report):
     ok = gof_ok and mean_ok and dominance_ok
     record(
         criterion_report, 7, ok,
-        f"IRT geometric law: GoF p={pvalue:.3g}, mean gap {irt_p.mean():.4g} vs 1/tau_hat {1/tau_hat:.4g}, "
+        f"IRT geometric law: GoF p={pvalue:.3g}, mean gap {mean_gap:.4g} vs 1/tau_hat {1/tau_hat:.4g}, "
         f"CDF dominance {'holds' if dominance_ok else 'violated'}",
     )
     assert ok
@@ -420,12 +422,12 @@ def test_criterion_08_expiration_constrained_regime(grid, criterion_report):
         for cw in (127, 511):
             for n in N_VALUES:
                 out = grid.sims[(policy_name, cw, n)]
-                pcol = empirical_pcol(out)
+                counts = {oc: int(c.sum()) for oc, c in out.counts().items()}
                 total = out.outcomes.size
-                exp_rate = (out.outcomes == int(Outcome.EXPIRED)).sum() / total
-                col_rate = (
-                    (out.outcomes == int(Outcome.COLLIDED_SYNC)) | (out.outcomes == int(Outcome.COLLIDED_HIDDEN))
-                ).sum() / total
+                collided = counts[Outcome.COLLIDED_SYNC] + counts[Outcome.COLLIDED_HIDDEN]
+                pcol = collided / (total - counts[Outcome.EXPIRED])  # per transmitted packet
+                exp_rate = counts[Outcome.EXPIRED] / total
+                col_rate = collided / total
                 points += 1
                 worst_pcol = max(worst_pcol, pcol)
                 worst_exp = max(worst_exp, exp_rate)

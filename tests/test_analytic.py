@@ -16,7 +16,6 @@ from priobeacon.analytic import (
     evaluate,
     expected_backoff_slots,
     expiration_time,
-    irt_distribution,
     normalized_throughput,
     solve_tau,
     success_time,
@@ -27,7 +26,7 @@ from priobeacon.analytic import (
     _tau_for_range,
 )
 from priobeacon.geometry import Category
-from priobeacon.policy import BackoffPolicy, BackoffRange, backoff_range
+from priobeacon.policy import BackoffPolicy, BackoffRange, PolicyKind, backoff_range
 
 TABLE_PARAMS = MacParameters()
 T_SUC_DEFAULT = 0.00012233333333333334  # 40us + 320 bits / 6 Mb/s + 28us + 1us
@@ -344,6 +343,22 @@ class TestContenderClasses:
         cfg = proposed_config(80, 127, Category.CAT1, mix={Category.UNCATEGORIZED: 1.0})
         assert cfg.contender_classes() == [(backoff_range(cfg.policy, Category.CAT3), 1.0)]
 
+    @pytest.mark.parametrize("kind", list(PolicyKind))
+    @pytest.mark.parametrize("cw", [3, 15, 127, 511])
+    def test_category_and_mix_matter_exactly_when_the_ranges_differ(self, kind, cw):
+        pol = BackoffPolicy(kind, cw)
+        shared = pol.shared_range()
+        if shared is None:
+            with pytest.raises(ValueError, match="tagged category"):
+                ContentionConfig(n_sta=8, policy=pol, category_mix=MIX_80)
+            with pytest.raises(ValueError, match="category mix"):
+                ContentionConfig(n_sta=8, policy=pol, category=Category.CAT1)
+            cfg = ContentionConfig(n_sta=8, policy=pol, category=Category.CAT1, category_mix=MIX_80)
+            assert len(cfg.contender_classes()) == 3
+        else:
+            assert ContentionConfig(n_sta=8, policy=pol).contender_classes() == [(shared, 1.0)]
+            assert ContentionConfig(n_sta=8, policy=pol, category_mix=MIX_80).contender_classes() == [(shared, 1.0)]
+
     @pytest.mark.parametrize("mix", [None, MIX_80, {Category.UNCATEGORIZED: 1.0}], ids=["none", "mix80", "uncat"])
     def test_traditional_is_one_class_whatever_the_mix(self, mix):
         cfg = ContentionConfig(n_sta=80, policy=BackoffPolicy.traditional(127), category_mix=mix)
@@ -390,31 +405,6 @@ class TestExpectedBackoffSlots:
         sol = TauSolution(tau=0.5, tau_mix=0.5, p_busy=p_busy, iterations=1, residual=0.0)
         got = expected_backoff_slots(cfg, sol)
         assert got == pytest.approx(want, rel=1e-10)
-
-
-class TestIrtDistribution:
-    def test_geometric_law(self):
-        d = irt_distribution(0.5, 10)
-        assert d.pmf[1] == pytest.approx(0.5)
-        assert d.pmf[2] == pytest.approx(0.25)
-        assert d.pmf[3] == pytest.approx(0.125)
-
-    def test_certain_transmission(self):
-        d = irt_distribution(1.0, 5)
-        assert d.pmf[1] == 1.0
-        assert all(d.pmf[n] == 0.0 for n in range(2, 6))
-        assert d.truncation_mass == 0.0
-
-    def test_normalization(self):
-        for tau in (0.05, 0.3, 0.9):
-            d = irt_distribution(tau, 200)
-            assert abs(sum(d.pmf.values()) + d.truncation_mass - 1.0) <= 1e-12
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            irt_distribution(0.0, 10)
-        with pytest.raises(ValueError):
-            irt_distribution(0.5, 0)
 
 
 class TestEvaluate:

@@ -109,7 +109,9 @@ master = 7
     def test_one_all_row_exactly_when_every_category_shares_a_range(self, kind, cw):
         cfg = ExperimentConfig(policies=(kind.value,), cw_values=(cw,))
         policy = BackoffPolicy(kind, cw)
-        shared = len({backoff_range(policy, cat) for cat in Category}) == 1
+        ranges = {backoff_range(policy, cat) for cat in Category}
+        shared = len(ranges) == 1
+        assert policy.shared_range() == (ranges.pop() if shared else None)
         rows = cli._reporting_categories(cfg, policy)
         assert (rows == [("all", None)]) == shared
         assert shared == (kind is PolicyKind.TRADITIONAL)
@@ -266,6 +268,20 @@ class TestCliSimulate:
         assert main(["simulate", "--config", cfgp]) == 0
         for p in out.iterdir():
             assert files[p.name] == p.read_bytes(), p.name
+
+    def test_rerun_deletes_the_point_files_of_an_earlier_grid(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        for n_sta in ("5 10", "5"):
+            text = SMALL.replace("n_sta = 5 10", f"n_sta = {n_sta}") + f"[output]\ndir = {out}\n"
+            assert main(["simulate", "--config", write_config(tmp_path, text)]) == 0
+        manifest = (out / "manifest.csv").read_text().strip().splitlines()
+        named = {name for row in manifest[1:] for name in row.split(",")[7:10]}
+        point_files = {p.name for pattern in ("outcome_*", "bits_*", "stats_*") for p in out.glob(pattern)}
+        tag = "000_traditional_cw127_n5"
+        assert named == point_files == {f"outcome_{tag}.csv", f"bits_{tag}.txt", f"stats_{tag}.csv"}
+        assert (out / "notes.txt").read_text() == "kept\n"
 
     def test_full_connectivity_override_recorded_and_no_hn(self, tmp_path):
         cfgp = write_config(tmp_path, SMALL + f"[output]\ndir = {tmp_path}/out\n")

@@ -151,13 +151,14 @@ class TestAdjacency:
 
     def test_complete_graph_edge_count(self):
         sc = drop_nodes(DEFAULT_REGION, DEFAULT_TH, 2e-5, seed=2)
-        adj = build_adjacency(sc, sc.region.diagonal)
+        diagonal = math.hypot(sc.region.width, sc.region.height)
+        adj = build_adjacency(sc, diagonal)
         # oracle: exhaustive pair enumeration
         expected = sum(
             1
             for i in range(sc.n_nodes)
             for j in range(i + 1, sc.n_nodes)
-            if distance_to_danger(sc.nodes[i].position, sc.nodes[j].position) <= sc.region.diagonal
+            if distance_to_danger(sc.nodes[i].position, sc.nodes[j].position) <= diagonal
         )
         assert expected == 80 * 79 // 2 == 3160
         assert adj.sum() // 2 == expected

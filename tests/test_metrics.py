@@ -6,16 +6,15 @@ import pytest
 from priobeacon.analytic import ContentionConfig, MacParameters, evaluate, solve_tau, success_time
 from priobeacon.geometry import Category, CategoryThresholds, RegionSpec, drop_nodes
 from priobeacon.metrics import (
-    chi_square_geometric,
     compare,
     build_estimates,
-    estimate_backoff_slots,
     estimate_irt,
     proportion_ci,
     total_wait_periods,
 )
 from priobeacon.policy import BackoffPolicy
 from priobeacon.sim import Outcome, SimConfig, run_simulation
+from stats_helpers import backoff_slot_mean, chi_square_geometric
 
 REGION = RegionSpec()
 TH = CategoryThresholds()
@@ -151,7 +150,7 @@ class TestEstimateDelay:
         assert got == pytest.approx(mean_delay_tx, rel=1e-12)  # no expirations here
 
 
-class TestEstimateBackoffSlots:
+class TestBackoffSlotMean:
     def test_mean_matches_shared_estimator_with_expiries(self):
         # per-packet E[N_bo] from the outcome equals the stats-based estimate,
         # over all nodes and per category, where packets expire and are skipped
@@ -164,7 +163,7 @@ class TestEstimateBackoffSlots:
         )
         assert (out.outcomes == int(Outcome.EXPIRED)).any()
         for category in (None, Category.CAT1, Category.CAT2, Category.CAT3):
-            mean, half_width = estimate_backoff_slots(out, category)
+            mean, half_width = backoff_slot_mean(out, category)
             assert mean == pytest.approx(estimates(out, category).e_nbo_hat, rel=1e-12), category
             assert 0 < half_width < math.inf
 

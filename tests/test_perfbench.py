@@ -1,12 +1,15 @@
 """Names the package exports, and names the traced benchmark patches, must
 resolve: a rename or deletion in the package fails here rather than at the
-importer or in `perfbench/run.py --trace 1`.  The benchmark's reading of
-`summary.txt` must keep matching what `report` writes."""
+importer or in `perfbench/run.py --trace 1`.  Every exported name must be
+used by the package or named in the README, so code only tests reach stays
+out of the library.  The benchmark's reading of `summary.txt` must keep
+matching what `report` writes."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -31,6 +34,21 @@ def test_module_exports_resolve():
     assert modules
     stale = [f"{mod.__name__}.{name}" for mod in modules for name in mod.__all__ if not hasattr(mod, name)]
     assert not stale, f"__all__ lists names that do not exist: {stale}"
+
+
+def test_module_exports_are_used_by_the_package_or_the_readme():
+    package = Path(priobeacon.__file__).parent
+    used = set()  # names the package's code reads, as a bare name or an attribute
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    used |= set(re.findall(r"\w+", (package.parents[1] / "README.md").read_text()))
+    modules = [importlib.import_module(f"priobeacon.{m.name}") for m in pkgutil.iter_modules(priobeacon.__path__)]
+    unused = [f"{mod.__name__}.{name}" for mod in modules for name in mod.__all__ if name not in used]
+    assert not unused, f"exported but used only outside the package and its README: {unused}"
 
 
 def test_tracer_wrapped_names_resolve():

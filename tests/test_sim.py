@@ -17,7 +17,6 @@ from priobeacon.sim import (
     _run_full_connectivity,
     _run_walker,
     classify_collision,
-    empirical_pcol,
     run_simulation,
     run_simulations,
 )
@@ -124,7 +123,8 @@ class TestBasics:
         assert counts[Outcome.COLLIDED_SYNC][0] == 0
         assert counts[Outcome.COLLIDED_HIDDEN][0] == 0
         assert counts[Outcome.EXPIRED][0] == 0
-        assert empirical_pcol(out) == 0.0
+        collided = counts[Outcome.COLLIDED_SYNC][0] + counts[Outcome.COLLIDED_HIDDEN][0]
+        assert collided / (1000 - counts[Outcome.EXPIRED][0]) == 0.0  # P_col per transmitted packet
 
     def test_conservation(self):
         sc = make_scenario()
@@ -538,7 +538,7 @@ class TestPriorityRealization:
         assert rates[Category.CAT1] >= rates[Category.CAT2] >= rates[Category.CAT3]
 
 
-class TestEmpiricalPcol:
+class TestCollisionFraction:
     def test_stress_micro_case(self):
         # 2 nodes, cw=3, 4-slot periods: ties collide in 3 of 9 joint draws,
         # so half of all attempted transmissions collide
@@ -548,7 +548,9 @@ class TestEmpiricalPcol:
             sense_range=math.inf, params=MacParameters(t_ibi=200e-6),
         )
         out = run_simulation(cfg)
-        pcol = empirical_pcol(out)
+        counts = {oc: int(c.sum()) for oc, c in out.counts().items()}
+        transmitted = out.outcomes.size - counts[Outcome.EXPIRED]
+        pcol = (counts[Outcome.COLLIDED_SYNC] + counts[Outcome.COLLIDED_HIDDEN]) / transmitted
         assert pcol == pytest.approx(0.5, abs=0.02)
         # per node-period collision fraction is 1/3
         sync_rate = out.counts()[Outcome.COLLIDED_SYNC].sum() / out.outcomes.size
@@ -566,5 +568,6 @@ class TestEmpiricalPcol:
                 n_periods=100, seed=1, sense_range=math.inf,
             )
         )
-        assert empirical_pcol(out) is None
+        transmitted = out.outcomes.size - int(out.counts()[Outcome.EXPIRED].sum())
+        assert transmitted == 0  # P_col per transmitted packet is undefined, not zero
         assert (out.outcomes == int(Outcome.EXPIRED)).all()

@@ -7,9 +7,9 @@ Subcommands:
     report    join analytic and simulated results, judge tolerances
     sweep     drop + analyze + simulate + report
 
-All state comes from the config file and flags (no environment variables);
-every random stream derives from the master seed via splitmix64, so reruns
-are byte-identical.
+All experiment state comes from the config file; `--out` only moves the
+output directory (no environment variables).  Every random stream derives
+from the master seed via splitmix64, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ def _reporting_categories(cfg: ExperimentConfig, policy: BackoffPolicy) -> list[
     """(token, category) per reported row: one `all` row when the policy gives every category one range."""
     if policy.shared_range() is not None:
         return [("all", None)]
-    uncat = [("uncat", Category.UNCATEGORIZED)] if cfg.uncategorized == "report" else []
-    return [*zip(cfg.categories, cfg.category_enums()), *uncat]
+    return list(zip(cfg.categories, cfg.category_enums()))
 
 
 def _drop_scenario(cfg: ExperimentConfig) -> SpatialScenario:
@@ -258,8 +257,9 @@ def _read_point(bits_path: Path, stats_path: Path) -> tuple[np.ndarray, list[str
     """One simulated point's (n, periods) transmitted bits, category tokens and elapsed sums.
 
     Raises ValueError when the bits/stats pair is malformed or inconsistent:
-    ragged or too short bits rows, a bad stats line, different node counts,
-    or a tx_count that differs from the node's count of '1's.
+    ragged or too short bits rows, a bits row with a character other than
+    '0' and '1', a bad stats line, different node counts, or a tx_count
+    that differs from the node's count of '1's.
     """
     with open(bits_path, "rb") as fh:
         rows = fh.read().split()
@@ -269,6 +269,9 @@ def _read_point(bits_path: Path, stats_path: Path) -> tuple[np.ndarray, list[str
     bits = raw == ord("1")
     if bits.shape[1] < mt.MIN_PERIODS:
         raise ValueError(f"{bits_path.name}: {bits.shape[1]} periods, the estimators need {mt.MIN_PERIODS}")
+    if raw.min() < ord("0") or raw.max() > ord("1"):
+        row = np.flatnonzero((~bits & (raw != ord("0"))).any(axis=1))[0]
+        raise ValueError(f"{bits_path.name} row {row + 1}: a character other than '0' and '1'")
     with open(stats_path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != STATS_CSV_HEADER:
@@ -387,14 +390,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to the experiment config file")
-    common.add_argument("--seed", type=int, help="override the master seed")
     common.add_argument("--out", help="override the output directory")
-    common.add_argument("--periods", type=int, help="override the beacon-period count")
-    common.add_argument("--full-connectivity", action="store_true", help="force a complete sensing graph")
-    common.add_argument("--zero-based-irt", action="store_true", help="report IRT gaps shifted by one")
-    common.add_argument(
-        "--include-uncategorized", action="store_true", help="report the uncategorized nodes as a category"
-    )
     parser = argparse.ArgumentParser(prog="priobeacon", description="danger-distance backoff prioritization experiments")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("drop", parents=[common], help="generate and export the node drop")
@@ -405,30 +401,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_flags(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    if args.seed is not None:
-        cfg = replace(cfg, master_seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-    if args.periods is not None:
-        cfg = replace(cfg, periods=args.periods)
-    if args.full_connectivity:
-        cfg = replace(cfg, full_connectivity=True)
-    if args.zero_based_irt:
-        cfg = replace(cfg, zero_based_irt=True)
-    if args.include_uncategorized:
-        cfg = replace(cfg, uncategorized="report")
-    return cfg.validate()
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config) if args.config else ExperimentConfig()
-        cfg = _apply_flags(cfg, args)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    if args.out is not None:
+        cfg = replace(cfg, out_dir=args.out)
     # looked up at call time, so a wrapper installed on a cmd_* name is the one that runs
     commands = {
         "drop": cmd_drop, "analyze": cmd_analyze, "simulate": cmd_simulate, "report": cmd_report, "sweep": cmd_sweep

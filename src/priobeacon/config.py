@@ -20,6 +20,7 @@ import configparser
 import math
 from dataclasses import dataclass, fields
 from io import StringIO
+from typing import get_type_hints
 
 from .geometry import Category, CategoryThresholds, DropMode, Point2D, RegionSpec, category_from_token
 from .analytic import MacParameters
@@ -51,7 +52,8 @@ def derive_seed(master: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    # Defaults the library classes own are read from them, not restated.
+    # Defaults the library classes own are read from them, not restated.  A field's annotation is
+    # its config key's kind, which `_KINDS` parses and formats.
     # scenario
     width: float = RegionSpec.width
     height: float = RegionSpec.height
@@ -83,7 +85,7 @@ class ExperimentConfig:
     sense_range: float = SimConfig.sense_range
     full_connectivity: bool = False
     random_phase_offsets: bool = False
-    uncategorized: str = "contend"
+    uncategorized: str = "contend"  # contend | silent
     zero_based_irt: bool = False
     # seeds
     master_seed: int = 1
@@ -169,14 +171,19 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must not repeat a value: {' '.join(map(str, values))}")
         self.grid_points()
         self.category_enums()
-        if self.uncategorized == "report" and "uncat" in self.categories:
-            raise ValueError("policy.categories must not list uncat with sim.uncategorized = report, which adds it")
+        if self.uncategorized == "silent" and "uncat" in self.categories:
+            raise ValueError(
+                "policy.categories must not list uncat with sim.uncategorized = silent, which removes those nodes"
+            )
         if any(n < 1 for n in self.n_sta):
             raise ValueError("contention.n_sta values must be positive")
         if self.sweep_mode not in ("subsample", "rescale"):
             raise ValueError("contention.sweep_mode must be subsample or rescale")
-        if self.uncategorized not in ("contend", "report", "silent"):
-            raise ValueError("sim.uncategorized must be contend, report or silent")
+        if self.uncategorized not in ("contend", "silent"):
+            raise ValueError(
+                "sim.uncategorized must be contend or silent; "
+                "to report the uncategorized nodes, list uncat in policy.categories"
+            )
         if self.periods < MIN_PERIODS:
             raise ValueError(f"sim.periods must be at least {MIN_PERIODS}, the tau and IRT estimators' floor")
         for name, value in (("sim.sense_range", self.sense_range), ("scenario.density", self.density)):
@@ -194,24 +201,15 @@ class ExperimentConfig:
         return self
 
 
-_SCHEMA: dict[str, dict[str, str]] = {
-    "scenario": {
-        "width": "float", "height": "float", "danger_x": "optfloat", "danger_y": "optfloat",
-        "density": "float", "th1": "float", "th2": "float", "th3": "float", "drop_mode": "str",
-    },
-    "policy": {"policies": "strlist", "cw": "intlist", "categories": "strlist"},
-    "contention": {"n_sta": "intlist", "sweep_mode": "str"},
-    "mac": {
-        "t_ibi": "float", "t_slot": "float", "difs": "float", "sifs": "float",
-        "header_airtime": "float", "payload_bytes": "int", "data_rate": "float", "t_prop": "float",
-    },
-    "sim": {
-        "periods": "int", "sense_range": "float", "full_connectivity": "bool",
-        "random_phase_offsets": "bool", "uncategorized": "str", "zero_based_irt": "bool",
-    },
-    "seeds": {"master": "int"},
-    "report": {"tau_tol": "float", "e_nbo_tol": "optfloat", "delay_tol": "optfloat", "r_tol": "optfloat"},
-    "output": {"dir": "str"},
+_SCHEMA: dict[str, tuple[str, ...]] = {
+    "scenario": ("width", "height", "danger_x", "danger_y", "density", "th1", "th2", "th3", "drop_mode"),
+    "policy": ("policies", "cw", "categories"),
+    "contention": ("n_sta", "sweep_mode"),
+    "mac": ("t_ibi", "t_slot", "difs", "sifs", "header_airtime", "payload_bytes", "data_rate", "t_prop"),
+    "sim": ("periods", "sense_range", "full_connectivity", "random_phase_offsets", "uncategorized", "zero_based_irt"),
+    "seeds": ("master",),
+    "report": ("tau_tol", "e_nbo_tol", "delay_tol", "r_tol"),
+    "output": ("dir",),
 }
 
 _KEY_TO_FIELD = {
@@ -225,30 +223,28 @@ def _field_name(section: str, key: str) -> str:
     return _KEY_TO_FIELD.get((section, key), key)
 
 
-def _parse_value(kind: str, raw: str, where: str):
-    raw = raw.strip()
-    try:
-        if kind == "float":
-            return float(raw)
-        if kind == "optfloat":
-            return None if raw in ("", "none") else float(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "yes", "1", "on"):
-                return True
-            if raw.lower() in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "str":
-            return raw
-        if kind == "strlist":
-            return tuple(raw.split())
-        if kind == "intlist":
-            return tuple(int(tok) for tok in raw.split())
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
-    raise AssertionError(f"unknown kind {kind}")
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("true", "yes", "1", "on"):
+        return True
+    if raw.lower() in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
+
+
+# (parse, format) per field annotation: a key's kind is its field's type
+_KINDS = {
+    float: (float, lambda v: repr(float(v))),
+    float | None: (
+        lambda raw: None if raw in ("", "none") else float(raw),
+        lambda v: "none" if v is None else repr(float(v)),
+    ),
+    int: (int, str),
+    bool: (_parse_bool, lambda v: "true" if v else "false"),
+    str: (str, str),
+    tuple[str, ...]: (lambda raw: tuple(raw.split()), " ".join),
+    tuple[int, ...]: (lambda raw: tuple(int(tok) for tok in raw.split()), lambda v: " ".join(map(str, v))),
+}
+_FIELD_KIND = {name: _KINDS[hint] for name, hint in get_type_hints(ExperimentConfig).items()}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -264,7 +260,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ValueError(f"unknown config key {section}.{key}")
-            overrides[_field_name(section, key)] = _parse_value(_SCHEMA[section][key], raw, f"{section}.{key}")
+            name = _field_name(section, key)
+            try:
+                overrides[name] = _FIELD_KIND[name][0](raw.strip())
+            except ValueError as exc:
+                raise ValueError(f"{section}.{key}: {exc}") from None
     return ExperimentConfig(**overrides).validate()
 
 
@@ -273,29 +273,13 @@ def parse_config(path) -> ExperimentConfig:
         return parse_config_text(fh.read())
 
 
-def _format_value(kind: str, value) -> str:
-    if kind == "float":
-        return repr(float(value))
-    if kind == "optfloat":
-        return "none" if value is None else repr(float(value))
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind in ("int", "str"):
-        return str(value)
-    if kind == "strlist":
-        return " ".join(value)
-    if kind == "intlist":
-        return " ".join(str(v) for v in value)
-    raise AssertionError(kind)
-
-
 def canonical_text(config: ExperimentConfig) -> str:
     """Normalized config serialization; parse_config_text round-trips it exactly."""
     out = StringIO()
     for section, keys in _SCHEMA.items():
         out.write(f"[{section}]\n")
-        for key, kind in keys.items():
-            value = getattr(config, _field_name(section, key))
-            out.write(f"{key} = {_format_value(kind, value)}\n")
+        for key in keys:
+            name = _field_name(section, key)
+            out.write(f"{key} = {_FIELD_KIND[name][1](getattr(config, name))}\n")
         out.write("\n")
     return out.getvalue()

@@ -40,11 +40,11 @@ busy time, the latest end of the transmissions it senses.  Once the step's
 starters are on air, nothing changes until a frozen node's busy time, a
 decrementing counter's zero or a period boundary, so counters that sense
 an idle medium decrement by the whole jump and every other counter stays
-frozen.  It hands each run's
-transmissions to `classify_collision` once.  Tests check the walker against
-the closed form on complete graphs, against a per-slot reference walker on
-random adjacency in both layouts and with runs of different sizes stacked
-in one walk, and `classify_collision` against a pairwise definition.
+frozen.  It hands each run's transmissions to `classify_collision` once.
+Tests check the walker against the closed form on complete graphs, against
+a per-slot reference walker on random adjacency in both layouts and with
+runs of different sizes stacked in one walk, and `classify_collision`
+against a pairwise definition.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
+import argparse
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 
 from priobeacon import analytic as an
 from priobeacon import cli
-from priobeacon.cli import main
+from priobeacon.cli import build_parser, main
 from priobeacon.config import ExperimentConfig, canonical_text, derive_seed, parse_config, parse_config_text, splitmix64
 from priobeacon.geometry import Category, category_from_token
 from priobeacon.metrics import build_estimates
@@ -29,6 +32,111 @@ class TestSeeds:
             seeds.add(cfg.sim_seed(idx))
             seeds.add(cfg.subsample_seed(idx))
         assert len(seeds) == 1 + 2 * len(cfg.grid_points())
+
+
+DEFAULT_CANONICAL = """[scenario]
+width = 2000.0
+height = 2000.0
+danger_x = none
+danger_y = none
+density = 2e-05
+th1 = 300.0
+th2 = 500.0
+th3 = 700.0
+drop_mode = fixedcount
+
+[policy]
+policies = traditional proposed
+cw = 15 127 511
+categories = cat1 cat2 cat3
+
+[contention]
+n_sta = 10 20 40 80
+sweep_mode = subsample
+
+[mac]
+t_ibi = 0.1
+t_slot = 5e-05
+difs = 0.000128
+sifs = 2.8e-05
+header_airtime = 4e-05
+payload_bytes = 40
+data_rate = 6000000.0
+t_prop = 1e-06
+
+[sim]
+periods = 1000
+sense_range = 700.0
+full_connectivity = false
+random_phase_offsets = false
+uncategorized = contend
+zero_based_irt = false
+
+[seeds]
+master = 1
+
+[report]
+tau_tol = 0.05
+e_nbo_tol = none
+delay_tol = none
+r_tol = none
+
+[output]
+dir = out
+
+"""
+
+EVERY_KEY_SET = """[scenario]
+width = 1500.0
+height = 1200.0
+danger_x = 700.5
+danger_y = 600.25
+density = 3e-05
+th1 = 200.0
+th2 = 400.0
+th3 = 650.0
+drop_mode = poissoncount
+
+[policy]
+policies = proposed traditional
+cw = 31 63
+categories = cat3 cat1
+
+[contention]
+n_sta = 12 24
+sweep_mode = rescale
+
+[mac]
+t_ibi = 0.05
+t_slot = 6.67e-05
+difs = 0.0001
+sifs = 3e-05
+header_airtime = 5e-05
+payload_bytes = 100
+data_rate = 12000000.0
+t_prop = 2e-06
+
+[sim]
+periods = 250
+sense_range = 500.0
+full_connectivity = true
+random_phase_offsets = true
+uncategorized = silent
+zero_based_irt = true
+
+[seeds]
+master = 42
+
+[report]
+tau_tol = 0.1
+e_nbo_tol = 0.2
+delay_tol = 0.3
+r_tol = 0.4
+
+[output]
+dir = results
+
+"""
 
 
 class TestConfigParsing:
@@ -92,9 +200,35 @@ master = 7
         expected = canonical_text(ExperimentConfig()).splitlines()
         assert [ln for ln in lines if ln] == [ln for ln in expected if ln]
 
+    def test_readme_flags_are_the_parser_options(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        sentence = re.search(r"^Flags:(.*?)\.\s", readme, re.M | re.S).group(1)
+        documented = re.findall(r"`(--[\w-]+)", sentence)
+        (stages,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        for name, stage in stages.choices.items():
+            options = [opt for action in stage._actions for opt in action.option_strings]
+            assert options == ["-h", "--help", *documented], name
+
+    @pytest.mark.parametrize("stage", ["drop", "analyze", "simulate", "report", "sweep"])
+    def test_help_lists_only_config_and_out(self, capsys, stage):
+        with pytest.raises(SystemExit) as exc:
+            main([stage, "--help"])
+        assert exc.value.code == 0
+        assert sorted(set(re.findall(r"--[\w-]+", capsys.readouterr().out))) == ["--config", "--help", "--out"]
+
     def test_canonical_round_trip(self):
         cfg = parse_config_text("[policy]\ncw = 31\n[mac]\nt_slot = 66.7e-6\n[report]\ne_nbo_tol = 0.25\n")
         assert parse_config_text(canonical_text(cfg)) == cfg
+        # every key off its default: each kind's format is what its parse reads back
+        cfg = parse_config_text(EVERY_KEY_SET)
+        default = ExperimentConfig()
+        assert [f.name for f in fields(cfg) if getattr(cfg, f.name) == getattr(default, f.name)] == []
+        assert canonical_text(cfg) == EVERY_KEY_SET
+        assert parse_config_text(canonical_text(cfg)) == cfg
+
+    def test_default_canonical_text_is_unchanged(self):
+        # metadata.txt echoes this text, so its bytes are part of every run's output
+        assert canonical_text(ExperimentConfig()) == DEFAULT_CANONICAL
 
     def test_grid_enumeration_order(self):
         cfg = ExperimentConfig(policies=("traditional", "proposed"), cw_values=(15, 127), n_sta=(10, 20))
@@ -317,7 +451,7 @@ class TestCliReport:
         assert report[0] == "metric,policy,category,cw,n_sta,analytic,empirical,ci"
         assert any(ln.startswith("tau,traditional,all,127,5,") for ln in report)
 
-    def test_irt_table_for_cw15_and_zero_based_flag(self, tmp_path):
+    def test_irt_table_for_cw15_and_zero_based_gaps(self, tmp_path):
         text = SMALL.replace("cw = 127", "cw = 15") + f"[output]\ndir = {tmp_path}/out\n"
         cfgp = write_config(tmp_path, text)
         main(["analyze", "--config", cfgp])
@@ -327,7 +461,8 @@ class TestCliReport:
         assert table[0] == "policy,category,n_sta,gap,pmf,cdf"
         gaps = [int(ln.split(",")[3]) for ln in table[1:]]
         assert min(gaps) == 1
-        main(["report", "--config", cfgp, "--zero-based-irt"])
+        zero_based = write_config(tmp_path, text.replace("[sim]", "[sim]\nzero_based_irt = true"), "zero.ini")
+        main(["report", "--config", zero_based])
         table0 = (tmp_path / "out" / "irt_cw15.csv").read_text().strip().splitlines()
         gaps0 = [int(ln.split(",")[3]) for ln in table0[1:]]
         assert min(gaps0) == 0
@@ -359,11 +494,11 @@ class TestCliSweep:
         for name in ("scenario.txt", "analytic.csv", "manifest.csv", "report.csv", "summary.txt"):
             assert (out / name).exists()
 
-    def test_seed_flag_overrides_master(self, tmp_path):
-        cfgp = write_config(tmp_path, SMALL + f"[output]\ndir = {tmp_path}/out\n")
-        main(["drop", "--config", cfgp, "--seed", "123"])
+    def test_master_seed_changes_the_drop(self, tmp_path):
+        text = SMALL + f"[output]\ndir = {tmp_path}/out\n"
+        main(["drop", "--config", write_config(tmp_path, text.replace("master = 5", "master = 123"))])
         a = (tmp_path / "out" / "scenario.txt").read_bytes()
-        main(["drop", "--config", cfgp, "--seed", "124"])
+        main(["drop", "--config", write_config(tmp_path, text.replace("master = 5", "master = 124"))])
         b = (tmp_path / "out" / "scenario.txt").read_bytes()
         assert a != b
 
@@ -429,12 +564,12 @@ dir = {tmp_path}/out
             assert f"missing: no analytic row for ('proposed', '{cat}', 511, 10)" in summary
         assert summary.endswith("overall: FAIL\n")
 
-    def test_include_uncategorized_adds_rows(self, tmp_path):
+    def test_uncat_category_adds_rows(self, tmp_path):
         text = f"""
 [policy]
 policies = proposed
 cw = 127
-categories = cat3
+categories = cat3 uncat
 [contention]
 n_sta = 40
 [sim]
@@ -446,12 +581,12 @@ master = 5
 dir = {tmp_path}/out
 """
         cfgp = write_config(tmp_path, text)
-        main(["analyze", "--config", cfgp, "--include-uncategorized"])
+        main(["analyze", "--config", cfgp])
         rows = (tmp_path / "out" / "analytic.csv").read_text().strip().splitlines()[1:]
         cats = [r.split(",")[1] for r in rows]
         assert cats == ["cat3", "uncat"]
-        main(["simulate", "--config", cfgp, "--include-uncategorized"])
-        assert main(["report", "--config", cfgp, "--include-uncategorized"]) == 0
+        main(["simulate", "--config", cfgp])
+        assert main(["report", "--config", cfgp]) == 0
         report = (tmp_path / "out" / "report.csv").read_text()
         assert ",proposed,uncat,127,40," in report
 
@@ -465,8 +600,9 @@ class TestParseTimeLimits:
         assert not (tmp_path / "out").exists()
 
     def test_sweep_with_too_few_periods_writes_nothing(self, tmp_path, capsys):
-        cfgp = write_config(tmp_path, SMALL + f"[output]\ndir = {tmp_path}/out\n")
-        assert main(["sweep", "--config", cfgp, "--periods", "50"]) == 2
+        text = SMALL.replace("periods = 120", "periods = 50")
+        cfgp = write_config(tmp_path, text + f"[output]\ndir = {tmp_path}/out\n")
+        assert main(["sweep", "--config", cfgp]) == 2
         assert "sim.periods" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -516,11 +652,36 @@ class TestParseTimeLimits:
         assert err.startswith(f"config error: {name}: ") and repr(value) in err
         assert not (tmp_path / "out").exists()
 
-    def test_uncat_category_with_reported_uncategorized_writes_nothing(self, tmp_path, capsys):
+    def test_uncat_category_with_silent_uncategorized_writes_nothing(self, tmp_path, capsys):
+        # silent removes the uncat nodes, so an uncat row could never be judged
         text = SMALL.replace("policies = traditional", "policies = proposed\ncategories = cat1 uncat")
+        text = text.replace("[sim]", "[sim]\nuncategorized = silent")
         cfgp = write_config(tmp_path, text + f"[output]\ndir = {tmp_path}/out\n")
-        assert main(["sweep", "--config", cfgp, "--include-uncategorized"]) == 2
-        assert "config error: policy.categories must not list uncat" in capsys.readouterr().err
+        assert main(["sweep", "--config", cfgp]) == 2
+        err = capsys.readouterr().err
+        assert "config error: policy.categories must not list uncat" in err and "sim.uncategorized = silent" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_reported_uncategorized_names_the_categories_key(self, tmp_path, capsys):
+        text = SMALL.replace("[sim]", "[sim]\nuncategorized = report")
+        cfgp = write_config(tmp_path, text + f"[output]\ndir = {tmp_path}/out\n")
+        assert main(["sweep", "--config", cfgp]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sim.uncategorized must be contend or silent")
+        assert "list uncat in policy.categories" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flag", [["--seed", "3"], ["--periods", "200"], ["--full-connectivity"], ["--zero-based-irt"],
+                 ["--include-uncategorized"]], ids=lambda flag: flag[0]
+    )
+    def test_sweep_with_a_setting_flag_writes_nothing(self, tmp_path, capsys, flag):
+        # settings have one spelling, their config key
+        cfgp = write_config(tmp_path, SMALL + f"[output]\ndir = {tmp_path}/out\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfgp, *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -604,11 +765,16 @@ class TestReportPairValidation:
         [
             ("bits", lambda t: "\n".join(t.splitlines()[:15]) + "\n", "has 15 nodes but"),
             ("bits", lambda t: t.replace("\n", "0\n", 1), "differ in length"),
+            # the count of '1's still matches tx_count, so only the character check catches it
+            ("bits", lambda t: t.replace("\n", "x\n"), "a character other than '0' and '1'"),
             ("stats", _drop_stats_rows, "has 18"),
             ("stats", _bump_tx_count, "tx_count"),
             ("stats", _break_stats_row, "malformed stats row"),
         ],
-        ids=["bits-cut-to-15-rows", "bits-ragged-row", "stats-missing-two-rows", "stats-tx-count", "stats-bad-line"],
+        ids=[
+            "bits-cut-to-15-rows", "bits-ragged-row", "bits-foreign-character", "stats-missing-two-rows",
+            "stats-tx-count", "stats-bad-line",
+        ],
     )
     def test_bad_pair_goes_to_missing(self, tmp_path, prefix, corrupt, reason):
         cfgp = write_config(tmp_path, TWO_POINTS + f"[output]\ndir = {tmp_path}/out\n")

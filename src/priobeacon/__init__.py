@@ -4,14 +4,11 @@ from .geometry import (
     Category,
     CategoryThresholds,
     DropMode,
-    Point2D,
     RegionSpec,
     SpatialScenario,
-    VehicleNode,
     build_adjacency,
     categorize,
     category_mix,
-    distance_to_danger,
     drop_nodes,
     save_scenario,
 )

@@ -65,7 +65,7 @@ def _point_scenario(cfg: ExperimentConfig, scenario: SpatialScenario, point_inde
     else:
         sub = scenario.subsample(n_sta, np.random.default_rng(cfg.subsample_seed(point_index)))
     if cfg.uncategorized == "silent":
-        sub = replace(sub, nodes=tuple(nd for nd in sub.nodes if nd.category is not Category.UNCATEGORIZED))
+        sub = sub.select(sub.categories != Category.UNCATEGORIZED)
     return sub
 
 

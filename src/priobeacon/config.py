@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields
 from io import StringIO
 from typing import get_type_hints
 
-from .geometry import Category, CategoryThresholds, DropMode, Point2D, RegionSpec, category_from_token
+from .geometry import Category, CategoryThresholds, DropMode, RegionSpec, category_from_token
 from .analytic import MacParameters
 from .metrics import MIN_PERIODS
 from .policy import BackoffPolicy, PolicyKind
@@ -98,10 +98,10 @@ class ExperimentConfig:
     out_dir: str = "out"
 
     def region(self) -> RegionSpec:
-        danger = None
-        if self.danger_x is not None and self.danger_y is not None:
-            danger = Point2D(self.danger_x, self.danger_y)
-        return RegionSpec(width=self.width, height=self.height, danger=danger)
+        try:
+            return RegionSpec(self.width, self.height, self.danger_x, self.danger_y)
+        except ValueError as exc:
+            raise ValueError(f"scenario.width/height/danger_x/danger_y: {exc}") from None
 
     def thresholds(self) -> CategoryThresholds:
         try:
@@ -194,9 +194,10 @@ class ExperimentConfig:
                 raise ValueError(f"report.{name}_tol must be non-negative and finite")
         if (self.danger_x is None) != (self.danger_y is None):
             raise ValueError("scenario.danger_x and scenario.danger_y must be given together")
+        if not math.isfinite(self.density * self.region().area):
+            raise ValueError("scenario.density/width/height: the expected node count must be finite")
         self.thresholds()
         self.drop_mode_enum()
-        self.region()
         self.mac_params()
         return self
 

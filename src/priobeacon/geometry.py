@@ -17,12 +17,9 @@ import numpy as np
 __all__ = [
     "Category",
     "DropMode",
-    "Point2D",
     "RegionSpec",
     "CategoryThresholds",
-    "VehicleNode",
     "SpatialScenario",
-    "distance_to_danger",
     "categorize",
     "drop_nodes",
     "build_adjacency",
@@ -69,33 +66,26 @@ class DropMode(Enum):
 
 
 @dataclass(frozen=True)
-class Point2D:
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("point coordinates must be finite")
-
-
-@dataclass(frozen=True)
 class RegionSpec:
     """Axis-aligned rectangle [0, width] x [0, height] containing the danger point.
 
-    The danger location defaults to the region center.
+    The danger point (danger_x, danger_y) defaults to the region center.
     """
 
     width: float = 2000.0
     height: float = 2000.0
-    danger: Point2D = None  # type: ignore[assignment]
+    danger_x: float | None = None
+    danger_y: float | None = None
 
     def __post_init__(self):
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError("region must have positive width and height")
-        if self.danger is None:
-            object.__setattr__(self, "danger", Point2D(self.width / 2.0, self.height / 2.0))
-        if not (0.0 <= self.danger.x <= self.width and 0.0 <= self.danger.y <= self.height):
-            raise ValueError("danger point must lie inside the region")
+        if not (0 < self.width < math.inf and 0 < self.height < math.inf and self.area < math.inf):
+            raise ValueError(f"width, height and area must be positive and finite, not {self.width} x {self.height}")
+        if self.danger_x is None:
+            object.__setattr__(self, "danger_x", self.width / 2.0)
+        if self.danger_y is None:
+            object.__setattr__(self, "danger_y", self.height / 2.0)
+        if not (0.0 <= self.danger_x <= self.width and 0.0 <= self.danger_y <= self.height):
+            raise ValueError(f"danger point ({self.danger_x}, {self.danger_y}) must lie inside the region")
 
     @property
     def area(self) -> float:
@@ -115,62 +105,59 @@ class CategoryThresholds:
             raise ValueError("thresholds must satisfy 0 < th1 < th2 < th3")
 
 
-@dataclass(frozen=True)
-class VehicleNode:
-    id: int
-    position: Point2D
-    distance_to_danger: float
-    category: Category
+_NODE_ARRAYS = ("ids", "positions", "distances", "categories")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpatialScenario:
+    """A drop of n vehicles.  Node i is `ids[i]` at `positions[i]` (x, y), `distances[i]`
+    metres from the danger point, of category `categories[i]` (a `Category` value).
+    The node arrays are read-only, so analyze and simulate can share a drop."""
+
     region: RegionSpec
     thresholds: CategoryThresholds
-    nodes: tuple[VehicleNode, ...]
+    ids: np.ndarray          # (n,) int64
+    positions: np.ndarray    # (n, 2) float
+    distances: np.ndarray    # (n,) float
+    categories: np.ndarray   # (n,) int64
     density: float
     seed: int
     drop_mode: DropMode
 
+    def __post_init__(self):
+        arrays = {name: np.asarray(getattr(self, name)).view() for name in _NODE_ARRAYS}
+        n = len(arrays["ids"])
+        if any(arr.shape != ((n, 2) if name == "positions" else (n,)) for name, arr in arrays.items()):
+            raise ValueError("scenario node arrays disagree: " + ", ".join(f"{k} {a.shape}" for k, a in arrays.items()))
+        for name, arr in arrays.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        return len(self.ids)
 
-    def positions(self) -> np.ndarray:
-        """(n, 2) array of node coordinates in node order."""
-        return np.array([(n.position.x, n.position.y) for n in self.nodes], dtype=float).reshape(-1, 2)
-
-    def categories(self) -> np.ndarray:
-        return np.array([int(n.category) for n in self.nodes], dtype=np.int64)
+    def select(self, keep) -> "SpatialScenario":
+        """The nodes `keep` picks, an index array (in its order) or a boolean mask (in node order)."""
+        return replace(self, **{name: getattr(self, name)[keep] for name in _NODE_ARRAYS})
 
     def subsample(self, n_sta: int, rng: np.random.Generator) -> "SpatialScenario":
         """Uniform random subsample of n_sta nodes, categories preserved, node order kept."""
         if not (1 <= n_sta <= self.n_nodes):
             raise ValueError(f"cannot subsample {n_sta} of {self.n_nodes} nodes")
-        keep = np.sort(rng.choice(self.n_nodes, size=n_sta, replace=False))
-        return replace(self, nodes=tuple(self.nodes[i] for i in keep))
+        return self.select(np.sort(rng.choice(self.n_nodes, size=n_sta, replace=False)))
 
 
-def distance_to_danger(position: Point2D, danger: Point2D) -> float:
-    """Euclidean distance in meters between a node position and the danger point."""
-    return math.hypot(position.x - danger.x, position.y - danger.y)
-
-
-def categorize(d: float, thresholds: CategoryThresholds) -> Category:
-    """Map a distance to its risk category.
+def categorize(distances, thresholds: CategoryThresholds) -> np.ndarray:
+    """Map an array of distances to their risk categories (int64 `Category` values).
 
     Closed upper bounds: a distance exactly at a threshold belongs to the
     closer (more dangerous) category.
     """
-    if d < 0:
+    d = np.asarray(distances, dtype=float)
+    if (d < 0).any():
         raise ValueError("distance must be non-negative")
-    if d <= thresholds.th1:
-        return Category.CAT1
-    if d <= thresholds.th2:
-        return Category.CAT2
-    if d <= thresholds.th3:
-        return Category.CAT3
-    return Category.UNCATEGORIZED
+    return np.searchsorted((thresholds.th1, thresholds.th2, thresholds.th3), d, side="left") + int(Category.CAT1)
 
 
 def drop_nodes(
@@ -186,25 +173,24 @@ def drop_nodes(
     count from Poisson(density * area). Identical arguments replay the exact
     same scenario.
     """
-    if not (density > 0):
-        raise ValueError("density must be positive")
-    rng = np.random.default_rng(seed)
     mean_count = density * region.area
+    if not (density > 0 and mean_count < math.inf):
+        raise ValueError("density must be positive, with density * area finite")
+    rng = np.random.default_rng(seed)
     if mode is DropMode.FIXED_COUNT:
         count = round(mean_count)
     else:
         count = int(rng.poisson(mean_count))
     xs = rng.uniform(0.0, region.width, size=count)
     ys = rng.uniform(0.0, region.height, size=count)
-    nodes = []
-    for i in range(count):
-        pos = Point2D(float(xs[i]), float(ys[i]))
-        d = distance_to_danger(pos, region.danger)
-        nodes.append(VehicleNode(id=i, position=pos, distance_to_danger=d, category=categorize(d, thresholds)))
+    distances = np.hypot(xs - region.danger_x, ys - region.danger_y)
     return SpatialScenario(
         region=region,
         thresholds=thresholds,
-        nodes=tuple(nodes),
+        ids=np.arange(count),
+        positions=np.column_stack((xs, ys)),
+        distances=distances,
+        categories=categorize(distances, thresholds),
         density=density,
         seed=seed,
         drop_mode=mode,
@@ -218,7 +204,7 @@ def build_adjacency(scenario: SpatialScenario, sense_range: float) -> np.ndarray
     """
     if not (sense_range > 0):
         raise ValueError("sense_range must be positive")
-    pos = scenario.positions()
+    pos = scenario.positions
     n = pos.shape[0]
     if n == 0:
         return np.zeros((0, 0), dtype=bool)
@@ -230,10 +216,8 @@ def build_adjacency(scenario: SpatialScenario, sense_range: float) -> np.ndarray
 
 
 def category_counts(scenario: SpatialScenario) -> dict[Category, int]:
-    counts = {c: 0 for c in Category}
-    for node in scenario.nodes:
-        counts[node.category] += 1
-    return counts
+    counts = np.bincount(scenario.categories, minlength=len(Category) + 1)
+    return {c: int(counts[c]) for c in Category}
 
 
 def category_mix(scenario: SpatialScenario) -> dict[Category, float]:
@@ -251,17 +235,14 @@ def category_mix(scenario: SpatialScenario) -> dict[Category, float]:
 def scenario_to_text(scenario: SpatialScenario) -> str:
     lines = [
         "region %.6f %.6f %.6f %.6f"
-        % (scenario.region.width, scenario.region.height, scenario.region.danger.x, scenario.region.danger.y),
+        % (scenario.region.width, scenario.region.height, scenario.region.danger_x, scenario.region.danger_y),
         "thresholds %.6f %.6f %.6f" % (scenario.thresholds.th1, scenario.thresholds.th2, scenario.thresholds.th3),
         "density %s" % repr(scenario.density),
         "seed %d" % scenario.seed,
         "mode %s" % scenario.drop_mode.value,
     ]
-    for node in scenario.nodes:
-        lines.append(
-            "%d %.6f %.6f %.6f %s"
-            % (node.id, node.position.x, node.position.y, node.distance_to_danger, node.category.token)
-        )
+    for i, (x, y), d, c in zip(*(getattr(scenario, name).tolist() for name in _NODE_ARRAYS)):
+        lines.append("%d %.6f %.6f %.6f %s" % (i, x, y, d, Category(c).token))
     return "\n".join(lines) + "\n"
 
 

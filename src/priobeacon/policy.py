@@ -94,7 +94,6 @@ def draw_matrix(policy: BackoffPolicy, categories: np.ndarray, n_periods: int, r
     Column i draws uniformly from node i's range; a single generator call
     keeps the draw stream independent of how the matrix is later consumed.
     """
-    ranges = {int(c): backoff_range(policy, Category(int(c))) for c in np.unique(categories)}
-    lo = np.array([ranges[int(c)].lo for c in categories], dtype=np.int64)
-    hi = np.array([ranges[int(c)].hi for c in categories], dtype=np.int64)
-    return rng.integers(lo, hi + 1, size=(n_periods, categories.shape[0]))
+    bounds = np.array([(r.lo, r.hi) for r in (backoff_range(policy, c) for c in Category)], dtype=np.int64)
+    lo, hi = bounds[categories - int(Category.CAT1)].T
+    return rng.integers(lo, hi + 1, size=(n_periods, lo.shape[0]))

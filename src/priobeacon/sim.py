@@ -53,7 +53,6 @@ import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import cached_property
 
 import numpy as np
 
@@ -109,23 +108,14 @@ class SimConfig:
 class SimOutcome:
     """Per-node, per-period results of one simulation run of `config`.
 
-    Node i is `config.scenario.nodes[i]`; row p of `outcomes` and `elapsed`
-    is beacon period p.
+    Column i of `outcomes` and `elapsed` is node i of `config.scenario`
+    (`ids[i]`, `categories[i]`); row p is beacon period p.
     """
 
     config: SimConfig
     outcomes: np.ndarray          # (periods, n) Outcome codes
     elapsed: np.ndarray           # (periods, n) slots from period start to tx start, -1 if expired
     diagnostics: dict
-
-    @cached_property
-    def node_ids(self) -> np.ndarray:
-        return np.array([nd.id for nd in self.config.scenario.nodes], dtype=np.int64)
-
-    @cached_property
-    def categories(self) -> np.ndarray:
-        """(n,) Category values."""
-        return self.config.scenario.categories()
 
     @property
     def n_nodes(self) -> int:
@@ -149,17 +139,18 @@ class SimOutcome:
         return self.elapsed.sum(axis=0, dtype=np.int64, where=self.outcomes != int(Outcome.EXPIRED))
 
     def category_nodes(self, category: Category) -> np.ndarray:
-        return np.flatnonzero(self.categories == int(category))
+        return np.flatnonzero(self.config.scenario.categories == int(category))
 
     def to_outcome_csv(self) -> str:
         counts = self.counts()
+        scenario = self.config.scenario
         lines = [OUTCOME_CSV_HEADER]
         for i in range(self.n_nodes):
             lines.append(
                 "%d,%s,%d,%d,%d,%d"
                 % (
-                    self.node_ids[i],
-                    Category(int(self.categories[i])).token,
+                    scenario.ids[i],
+                    Category(scenario.categories[i]).token,
                     counts[Outcome.DELIVERED][i],
                     counts[Outcome.COLLIDED_SYNC][i],
                     counts[Outcome.COLLIDED_HIDDEN][i],
@@ -180,9 +171,10 @@ class SimOutcome:
         """Diagnostic per-node stats: transmission count and summed elapsed backoff slots."""
         tx = self.transmitted_bits().sum(axis=1)
         elapsed = self.elapsed_sums()
+        scenario = self.config.scenario
         lines = [STATS_CSV_HEADER]
         for i in range(self.n_nodes):
-            lines.append("%d,%s,%d,%d" % (self.node_ids[i], Category(int(self.categories[i])).token, tx[i], elapsed[i]))
+            lines.append("%d,%s,%d,%d" % (scenario.ids[i], Category(scenario.categories[i]).token, tx[i], elapsed[i]))
         return "\n".join(lines) + "\n"
 
 
@@ -285,7 +277,7 @@ def _draw(config: SimConfig):
     adjacency = build_adjacency(scenario, config.sense_range)
     rng = np.random.default_rng(config.seed)
     offsets = rng.integers(0, slots, size=n) if config.random_phase_offsets else None
-    draws = draw_matrix(config.policy, scenario.categories(), config.n_periods, rng)
+    draws = draw_matrix(config.policy, scenario.categories, config.n_periods, rng)
     return draws, offsets, adjacency
 
 

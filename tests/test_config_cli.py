@@ -622,6 +622,23 @@ class TestParseTimeLimits:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "lines, keys",
+        [
+            ("width = 1e200\nheight = 1e200", "scenario.width/height/danger_x/danger_y: "),
+            ("width = inf", "scenario.width/height/danger_x/danger_y: "),
+            ("height = nan", "scenario.width/height/danger_x/danger_y: "),
+            ("danger_x = 5000\ndanger_y = 100", "scenario.width/height/danger_x/danger_y: "),
+            ("density = 1e300\nwidth = 1e5\nheight = 1e5", "scenario.density/width/height: "),
+        ],
+        ids=["area-overflow", "infinite-width", "nan-height", "danger-outside", "count-overflow"],
+    )
+    def test_drop_with_a_bad_region_writes_nothing(self, tmp_path, capsys, lines, keys):
+        cfgp = write_config(tmp_path, f"[scenario]\n{lines}\n[output]\ndir = {tmp_path}/out\n")
+        assert main(["drop", "--config", cfgp]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {keys}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "old, new, name",
         [
             ("policies = traditional", "policies = traditional proposed traditional", "policy.policies"),
@@ -895,7 +912,7 @@ dir = {tmp_path}/out
         (stats_path,) = out.glob("stats_*.csv")
         bits, cats, elapsed_sums = cli._read_point(bits_path, stats_path)
 
-        present = [Category(int(c)) for c in np.unique(outcome.categories)]
+        present = [Category(int(c)) for c in np.unique(outcome.config.scenario.categories)]
         assert len(present) >= 3
         selections = [("all", np.arange(outcome.n_nodes))]
         selections += [(cat.token, outcome.category_nodes(cat)) for cat in present]
@@ -958,8 +975,8 @@ class TestPointStations:
         assert main(["simulate", "--config", cfgp]) == 0
         sc = cli._drop_scenario(parse_config(cfgp))  # n_sta 80 is the whole drop
         (out,) = sim_outcomes
-        assert (out.categories != int(Category.UNCATEGORIZED)).all()
-        assert out.n_nodes == sum(1 for nd in sc.nodes if nd.category is not Category.UNCATEGORIZED)
+        assert (out.config.scenario.categories != int(Category.UNCATEGORIZED)).all()
+        assert out.n_nodes == int((sc.categories != Category.UNCATEGORIZED).sum())
 
     @pytest.mark.parametrize("sim", ["full_connectivity = true", "random_phase_offsets = true"])
     def test_sim_points_record_stations_and_diagnostics(self, tmp_path, sim_outcomes, sim):

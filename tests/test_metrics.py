@@ -70,7 +70,7 @@ class TestEstimateTau:
 
     def test_absent_category_is_none(self):
         out = run_single_node(BackoffPolicy.traditional(127))
-        present = Category(int(out.categories[0]))
+        present = Category(int(out.config.scenario.categories[0]))
         absent = Category.CAT1 if present is not Category.CAT1 else Category.CAT2
         assert estimates(out, absent) is None
 

@@ -111,3 +111,14 @@ class TestDraws:
         a = draw_matrix(pol, cats, 100, np.random.default_rng(7))
         b = draw_matrix(pol, cats, 100, np.random.default_rng(7))
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["traditional", "proposed"])
+    @pytest.mark.parametrize("cw", [3, 15, 127, 511])
+    def test_each_column_draws_from_its_node_range(self, kind, cw):
+        # reference: one backoff_range call per node, in one generator call
+        pol = getattr(BackoffPolicy, kind)(cw)
+        cats = np.array([4, 1, 3, 3, 2, 1, 4, 2], dtype=np.int64)
+        lo = np.array([backoff_range(pol, Category(c)).lo for c in cats.tolist()])
+        hi = np.array([backoff_range(pol, Category(c)).hi for c in cats.tolist()])
+        want = np.random.default_rng(cw).integers(lo, hi + 1, size=(60, cats.size))
+        assert np.array_equal(draw_matrix(pol, cats, 60, np.random.default_rng(cw)), want)

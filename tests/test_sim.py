@@ -175,7 +175,7 @@ class TestElapsedAndFreezing:
         cfg = SimConfig(scenario=sc, policy=BackoffPolicy.traditional(127), n_periods=100, seed=7, sense_range=math.inf)
         out = run_simulation(cfg)
         rng = np.random.default_rng(7)
-        draws = draw_matrix(cfg.policy, sc.categories(), 100, rng)
+        draws = draw_matrix(cfg.policy, sc.categories, 100, rng)
         transmitted = out.outcomes != int(Outcome.EXPIRED)
         assert (out.elapsed[transmitted] >= draws[transmitted]).all()
         # with contention some packet must actually get frozen
@@ -185,7 +185,7 @@ class TestElapsedAndFreezing:
         sc = single_node_scenario()
         cfg = SimConfig(scenario=sc, policy=BackoffPolicy.traditional(127), n_periods=200, seed=3)
         out = run_simulation(cfg)
-        draws = draw_matrix(cfg.policy, sc.categories(), 200, np.random.default_rng(3))
+        draws = draw_matrix(cfg.policy, sc.categories, 200, np.random.default_rng(3))
         assert np.array_equal(out.elapsed.ravel(), draws.ravel())
 
     def test_elapsed_sums_skip_expired_periods(self):
@@ -219,7 +219,7 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("cw", [3, 15, 127, 511])
     def test_walker_matches_closed_form(self, cw):
         sc = make_scenario(seed=1)
-        cats = sc.categories()
+        cats = sc.categories
         policy = BackoffPolicy.proposed(cw) if cw >= 3 else BackoffPolicy.traditional(cw)
         draws = draw_matrix(policy, cats, 40, np.random.default_rng(cw))
         params = MacParameters()
@@ -336,8 +336,8 @@ class TestEngineEquivalence:
         assert len(batch) == len(configs)
         for config, got in zip(configs, batch):
             want = run_simulation(config)
-            for name in ("node_ids", "categories", "outcomes", "elapsed"):
-                a, b = getattr(got, name), getattr(want, name)
+            arrays = [(o.config.scenario.ids, o.config.scenario.categories, o.outcomes, o.elapsed) for o in (got, want)]
+            for name, a, b in zip(("ids", "categories", "outcomes", "elapsed"), *arrays):
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
             assert got.diagnostics == want.diagnostics
             assert got.config is config and got.n_periods == config.n_periods
@@ -560,7 +560,7 @@ class TestCollisionFraction:
     def test_undefined_without_transmissions(self):
         # single uncategorized node -> cat3 range [7, 9], beyond a 4-slot period
         sc = drop_nodes(REGION, TH, 1 / REGION.area, seed=1)
-        assert sc.nodes[0].category is Category.UNCATEGORIZED
+        assert sc.categories.tolist() == [Category.UNCATEGORIZED]
         params = MacParameters(t_ibi=200e-6)  # 4 slots
         out = run_simulation(
             SimConfig(

@@ -89,8 +89,8 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def cmd_drop(cfg: ExperimentConfig) -> int:
+    scenario = _drop_scenario(cfg)  # first, so a drop that fails leaves no output directory
     out = _out_dir(cfg)
-    scenario = _drop_scenario(cfg)
     path = out / "scenario.txt"
     save_scenario(scenario, path)
     counts = category_counts(scenario)
@@ -101,8 +101,8 @@ def cmd_drop(cfg: ExperimentConfig) -> int:
 
 
 def cmd_analyze(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg)
     scenario = _drop_scenario(cfg)
+    out = _out_dir(cfg)
     mac = cfg.mac_params()
     if max(cfg.cw_values) > mac.slots_per_beacon:
         print(
@@ -149,8 +149,8 @@ MANIFEST_HEADER = "index,policy,cw,n_sta,sim_seed,subsample_seed,status,outcome_
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    out = _out_dir(cfg)
     scenario = _drop_scenario(cfg)
+    out = _out_dir(cfg)
     mac = cfg.mac_params()
     points = []  # (grid point, its SimConfig or the reason it has none)
     for idx, policy, n_sta in cfg.grid_points():
@@ -337,14 +337,14 @@ def cmd_report(cfg: ExperimentConfig) -> int:
             continue
         for tok, key in keys.items():
             analytic = analytic_rows.get(key)
-            sel = [i for i, c in enumerate(cats) if tok in ("all", c)]
-            empirical = mt.build_estimates(bits[sel], elapsed_sums[sel], mac)
             if isinstance(analytic, str):
                 missing.append(f"{_point_label(idx, policy, n_sta, tok)}: {analytic}")
                 continue
             if analytic is None or not np.isfinite(analytic.tau):
                 missing.append(f"no analytic row for {key}")
                 continue
+            sel = [i for i, c in enumerate(cats) if tok in ("all", c)]
+            empirical = mt.build_estimates(bits[sel], elapsed_sums[sel], mac)
             if empirical is None:
                 missing.append(f"no {tok} nodes at {_point_label(idx, policy, n_sta)}")
                 continue
@@ -416,7 +416,7 @@ def main(argv=None) -> int:
     }
     try:
         return commands[args.command](cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a drop too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

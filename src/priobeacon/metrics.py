@@ -5,6 +5,12 @@ periods).  The inter-reception time is estimated from per-period
 transmission bit sequences as gaps between consecutive '1's, so consecutive
 transmissions give a gap of 1; the zero-based display convention (first-try
 success = 0) is a presentation shift handled by the caller.
+
+Both the IRT and the delay's wasted periods follow from each row's maximal
+runs of k '0's.  A run with a '1' on both sides is one gap of k + 1 (every
+other gap is an adjacent '1' pair, a gap of 1).  Every run, including the one
+before a row's first '1' and the censored tail, waits k + (k - 1) + ... + 1 =
+k(k + 1)/2 periods, since each '0' waits until the next '1' or the row's end.
 """
 
 from __future__ import annotations
@@ -62,17 +68,22 @@ def proportion_ci(successes: int, trials: int, z: float = Z95) -> TauEstimate:
 
 @dataclass(frozen=True)
 class IrtEstimate:
-    pmf: dict[int, float]
+    pmf: dict[int, float]  # keyed in increasing gap order
     gap_count: int
     sequences_without_gaps: int
 
     def cdf(self) -> dict[int, float]:
-        out = {}
-        acc = 0.0
-        for gap in sorted(self.pmf):
-            acc += self.pmf[gap]
-            out[gap] = acc
-        return out
+        return dict(zip(self.pmf, np.cumsum(list(self.pmf.values())).tolist()))
+
+
+def _zero_runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every maximal run of '0's in a (n, periods) bool matrix, in row-major order:
+    its row, its length k and whether a '1' lies on both sides of it."""
+    periods = bits.shape[1]
+    padded = np.pad(bits, ((0, 0), (1, 1)), constant_values=True)
+    rows, cols = np.divmod(np.flatnonzero(padded[:, 1:] != padded[:, :-1]), periods + 1)
+    starts, ends = cols[0::2], cols[1::2]  # a row's changes alternate: a run starts, then ends
+    return rows[0::2], ends - starts, (starts > 0) & (ends < periods)
 
 
 def estimate_irt(bit_sequences: np.ndarray) -> IrtEstimate:
@@ -88,41 +99,28 @@ def estimate_irt(bit_sequences: np.ndarray) -> IrtEstimate:
         raise ValueError("bit_sequences must be a 2-d array")
     if bits.shape[1] < MIN_PERIODS:
         raise ValueError(f"IRT estimation needs sequences of at least {MIN_PERIODS} periods")
-    gaps: list[np.ndarray] = []
-    without = 0
-    for row in bits:
-        ones = np.flatnonzero(row)
-        if ones.size < 2:
-            without += 1
-            continue
-        gaps.append(np.diff(ones))
-    if not gaps:
-        return IrtEstimate(pmf={}, gap_count=0, sequences_without_gaps=without)
-    all_gaps = np.concatenate(gaps)
-    values, counts = np.unique(all_gaps, return_counts=True)
-    total = int(all_gaps.size)
-    pmf = {int(v): int(c) / total for v, c in zip(values, counts)}
-    return IrtEstimate(pmf=pmf, gap_count=total, sequences_without_gaps=without)
+    rows, k, bounded = _zero_runs(bits)
+    counts = np.bincount(k[bounded] + 1, minlength=2)
+    counts[1] = np.count_nonzero(bits[:, 1:] & bits[:, :-1])
+    gaps = np.flatnonzero(counts)
+    total = int(counts.sum())
+    ones = bits.shape[1] - np.bincount(rows, weights=k, minlength=bits.shape[0])
+    without = int(np.count_nonzero(ones < 2))
+    return IrtEstimate(dict(zip(gaps.tolist(), (counts[gaps] / total).tolist())), total, without)
 
 
-def total_wait_periods(bits_row: np.ndarray) -> int:
-    """Summed wasted periods over a node's per-period transmission bits.
+def total_wait_periods(bits: np.ndarray) -> np.ndarray:
+    """Summed wasted periods per row of a (n, periods) transmission-bit matrix (int64).
 
     Each non-transmitting period waits until the node's next transmission
     (one period if the very next period transmits), censored at the end of
     the sequence.
     """
-    row = np.asarray(bits_row, dtype=bool)
-    n = row.shape[0]
-    ones = np.flatnonzero(row)
-    zeros = np.flatnonzero(~row)
-    if zeros.size == 0:
-        return 0
-    if ones.size == 0:
-        return int((n - zeros).sum())
-    pos = np.searchsorted(ones, zeros, side="left")
-    waits = np.where(pos < ones.size, ones[np.minimum(pos, ones.size - 1)] - zeros, n - zeros)
-    return int(waits.sum())
+    bits = np.asarray(bits, dtype=bool)
+    rows, k, _bounded = _zero_runs(bits)
+    waits = np.zeros(bits.shape[0], dtype=np.int64)
+    np.add.at(waits, rows, k * (k + 1) // 2)
+    return waits
 
 
 @dataclass(frozen=True)
@@ -160,8 +158,8 @@ def build_estimates(bits: np.ndarray, elapsed_sums: np.ndarray, params: MacParam
     tau = proportion_ci(tx_total, n * periods)
     t_suc = success_time(params)
     total_delay = elapsed_total * params.t_slot + tx_total * t_suc
-    for row in bits:
-        total_delay += total_wait_periods(row) * params.t_ibi
+    for wait in total_wait_periods(bits).tolist():
+        total_delay += wait * params.t_ibi
     delay = total_delay / (n * periods)
     return EmpiricalEstimates(
         n_nodes=n,

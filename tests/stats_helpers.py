@@ -1,12 +1,13 @@
 """Statistics only the tests compute (the library's one estimator path is `metrics.build_estimates`):
-the chi-square fit of IRT gaps to the geometric law and the per-packet E[N_bo] mean with its CI half-width."""
+the chi-square fit of IRT gaps to the geometric law, the per-packet E[N_bo] mean with its CI half-width,
+and per-row reference versions of the zero-run estimators `metrics.estimate_irt` and `total_wait_periods`."""
 
 import math
 
 import numpy as np
 from scipy.special import chdtrc
 
-from priobeacon.metrics import Z95
+from priobeacon.metrics import Z95, IrtEstimate
 from priobeacon.sim import Outcome
 
 
@@ -55,3 +56,37 @@ def backoff_slot_mean(outcome, category=None):
     nodes = np.arange(outcome.n_nodes) if category is None else outcome.category_nodes(category)
     elapsed = outcome.elapsed[:, nodes][outcome.outcomes[:, nodes] != int(Outcome.EXPIRED)]
     return float(elapsed.mean()), Z95 * float(elapsed.std(ddof=1)) / math.sqrt(elapsed.size)
+
+
+def reference_estimate_irt(bits):
+    """IRT estimate of a (n, periods) bool matrix row by row, from the differences of each row's '1' indices."""
+    gaps = []
+    without = 0
+    for row in bits:
+        ones = np.flatnonzero(row)
+        if ones.size < 2:
+            without += 1
+            continue
+        gaps.append(np.diff(ones))
+    if not gaps:
+        return IrtEstimate(pmf={}, gap_count=0, sequences_without_gaps=without)
+    all_gaps = np.concatenate(gaps)
+    values, counts = np.unique(all_gaps, return_counts=True)
+    total = int(all_gaps.size)
+    pmf = {int(v): int(c) / total for v, c in zip(values, counts)}
+    return IrtEstimate(pmf=pmf, gap_count=total, sequences_without_gaps=without)
+
+
+def reference_total_wait_periods(row):
+    """Summed wasted periods of one node's bits: each '0' waits until the next '1', or until the row's end."""
+    row = np.asarray(row, dtype=bool)
+    n = row.shape[0]
+    ones = np.flatnonzero(row)
+    zeros = np.flatnonzero(~row)
+    if zeros.size == 0:
+        return 0
+    if ones.size == 0:
+        return int((n - zeros).sum())
+    pos = np.searchsorted(ones, zeros, side="left")
+    waits = np.where(pos < ones.size, ones[np.minimum(pos, ones.size - 1)] - zeros, n - zeros)
+    return int(waits.sum())

@@ -319,6 +319,14 @@ class TestCliDrop:
         assert main(["drop", "--config", cfgp]) == 2
         assert "th1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", ["drop", "analyze", "simulate", "sweep"])
+    def test_unallocatable_drop_is_an_error_and_writes_nothing(self, tmp_path, capsys, stage):
+        # 1e14 nodes pass parse time (the count is finite) but their positions cannot be allocated
+        cfgp = write_config(tmp_path, "[scenario]\nwidth = 1e7\nheight = 1e7\ndensity = 1\n")
+        assert main([stage, "--config", cfgp, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestCliAnalyze:
     def test_sixteen_row_grid(self, tmp_path):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from priobeacon.analytic import ContentionConfig, MacParameters, evaluate, solve_tau, success_time
 from priobeacon.geometry import Category, CategoryThresholds, RegionSpec, drop_nodes
 from priobeacon.metrics import (
+    MIN_PERIODS,
     compare,
     build_estimates,
     estimate_irt,
@@ -14,7 +17,12 @@ from priobeacon.metrics import (
 )
 from priobeacon.policy import BackoffPolicy
 from priobeacon.sim import Outcome, SimConfig, run_simulation
-from stats_helpers import backoff_slot_mean, chi_square_geometric
+from stats_helpers import (
+    backoff_slot_mean,
+    chi_square_geometric,
+    reference_estimate_irt,
+    reference_total_wait_periods,
+)
 
 REGION = RegionSpec()
 TH = CategoryThresholds()
@@ -110,16 +118,75 @@ class TestEstimateIrt:
 
 class TestWaitPeriods:
     def test_gap_then_success(self):
-        assert total_wait_periods(np.array([True, False, False, True])) == 3
+        assert total_wait_periods(np.array([[True, False, False, True]])).tolist() == [3]
 
     def test_censored_tail(self):
-        assert total_wait_periods(np.array([True, False, False])) == 3
+        assert total_wait_periods(np.array([[True, False, False]])).tolist() == [3]
 
     def test_no_transmissions(self):
-        assert total_wait_periods(np.array([False] * 4)) == 4 + 3 + 2 + 1
+        assert total_wait_periods(np.array([[False] * 4])).tolist() == [4 + 3 + 2 + 1]
 
     def test_all_transmitted(self):
-        assert total_wait_periods(np.ones(5, dtype=bool)) == 0
+        assert total_wait_periods(np.ones((1, 5), dtype=bool)).tolist() == [0]
+
+
+ROW_KINDS = ("random", "zeros", "ones", "single one", "zero-padded")
+
+
+def shape_rows(bits, kinds, rng):
+    """Overwrite each row of a random bit matrix by its kind (a 'random' row stays as drawn)."""
+    periods = bits.shape[1]
+    for row, kind in zip(bits, kinds):
+        if kind == "zeros":
+            row[:] = False
+        elif kind == "ones":
+            row[:] = True
+        elif kind == "single one":
+            row[:] = False
+            row[rng.integers(periods)] = True
+        elif kind == "zero-padded":  # leading and trailing zeros around random bits
+            lead, tail = rng.integers(1, periods // 3, size=2)
+            row[:lead] = False
+            row[-tail:] = False
+    return bits
+
+
+@st.composite
+def bit_matrices(draw):
+    """(n, periods) bool matrices mixing random rows with all-'0', all-'1', single-'1' and zero-padded rows."""
+    periods = draw(st.integers(MIN_PERIODS, MIN_PERIODS + 50))
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), max_size=8))
+    density = draw(st.sampled_from((0.02, 0.3, 0.7, 0.98)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return shape_rows(rng.random((len(kinds), periods)) < density, kinds, rng)
+
+
+EVERY_KIND = shape_rows(np.random.default_rng(3).random((10, MIN_PERIODS)) < 0.5, ROW_KINDS * 2, np.random.default_rng(4))
+
+
+class TestZeroRunEstimators:
+    @settings(max_examples=300, deadline=None)
+    @given(bit_matrices())
+    @example(EVERY_KIND)
+    def test_match_the_per_row_reference(self, bits):
+        got, want = estimate_irt(bits), reference_estimate_irt(bits)
+        assert got.pmf == want.pmf and list(got.pmf) == list(want.pmf)
+        assert got.gap_count == want.gap_count
+        assert got.sequences_without_gaps == want.sequences_without_gaps
+        waits = total_wait_periods(bits)
+        assert waits.dtype == np.int64
+        assert waits.tolist() == [reference_total_wait_periods(row) for row in bits]
+
+    def test_cdf_is_the_sequential_running_sum_in_gap_order(self):
+        est = estimate_irt(np.random.default_rng(5).random((30, 400)) < 0.2)
+        expect, acc = {}, 0.0
+        for gap in sorted(est.pmf):
+            acc += est.pmf[gap]
+            expect[gap] = acc
+        cdf = est.cdf()
+        assert list(cdf) == sorted(est.pmf)
+        assert [v.hex() for v in cdf.values()] == [v.hex() for v in expect.values()]
+        assert len(cdf) > 10  # enough terms for the summation order to matter
 
 
 class TestEstimateDelay:

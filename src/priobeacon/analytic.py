@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -57,6 +58,7 @@ __all__ = [
     "evaluate",
     "ANALYTIC_CSV_HEADER",
     "analytic_csv_row",
+    "read_analytic_rows",
 ]
 
 
@@ -389,3 +391,40 @@ def analytic_csv_row(key: tuple[str, str, int, int], result: AnalyticalResult) -
     then the result's values at full round-trip precision."""
     values = (result.tau, result.e_nbo, result.e_texp, result.e_tbo, result.t_suc, result.e_t, result.r)
     return ",".join([*map(str, key), *(repr(float(v)) for v in values)])
+
+
+def read_analytic_rows(path: Path) -> tuple[dict[tuple, AnalyticalResult | str], list[str]]:
+    """analytic.csv's rows by grid key, and the reasons for the lines that name no key.
+
+    A row whose key reads but whose values do not (a wrong field count, a
+    non-numeric value, a key already seen) maps its key to the reason, so
+    `report` fails that point alone and judges every other.
+    """
+    rows: dict[tuple, AnalyticalResult | str] = {}
+    unkeyed = []
+    n_fields = len(ANALYTIC_CSV_HEADER.split(","))
+    with open(path, "r", encoding="ascii") as fh:
+        header = fh.readline().strip()
+        if header != ANALYTIC_CSV_HEADER:
+            raise ValueError(f"unexpected analytic CSV header in {path}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            where = f"{path.name} line {lineno}"
+            parts = line.split(",")
+            try:
+                key = (parts[0], parts[1], int(parts[2]), int(parts[3]))
+            except (IndexError, ValueError):
+                unkeyed.append(f"{where}: no grid key in {line!r}")
+                continue
+            if key in rows:
+                rows[key] = f"{where} repeats the key"
+            elif len(parts) != n_fields:
+                rows[key] = f"{where} has {len(parts)} fields, not {n_fields}"
+            else:
+                try:
+                    rows[key] = AnalyticalResult(*map(float, parts[4:]))
+                except ValueError:
+                    rows[key] = f"{where} has a non-numeric value"
+    return rows, unkeyed

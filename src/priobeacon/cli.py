@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,13 +30,12 @@ from .geometry import (
     Category,
     SpatialScenario,
     category_counts,
-    category_from_token,
     category_mix,
     drop_nodes,
     save_scenario,
 )
 from .policy import BackoffPolicy
-from .sim import STATS_CSV_HEADER, SimConfig, run_simulations
+from .sim import SimConfig, read_point, run_simulations
 from .sim import run_simulation  # noqa: F401  unused here, but perfbench/tracer.py wraps cli.run_simulation
 
 __all__ = ["main", "build_parser"]
@@ -45,13 +45,11 @@ def _reporting_categories(cfg: ExperimentConfig, policy: BackoffPolicy) -> list[
     """(token, category) per reported row: one `all` row when the policy gives every category one range."""
     if policy.shared_range() is not None:
         return [("all", None)]
-    return list(zip(cfg.categories, cfg.category_enums()))
+    return [(cat.token, cat) for cat in cfg.categories]
 
 
 def _drop_scenario(cfg: ExperimentConfig) -> SpatialScenario:
-    return drop_nodes(
-        cfg.region(), cfg.thresholds(), cfg.density, cfg.drop_mode_enum(), seed=cfg.scenario_seed()
-    )
+    return drop_nodes(cfg.region(), cfg.thresholds(), cfg.density, cfg.drop_mode, seed=cfg.scenario_seed())
 
 
 def _point_scenario(cfg: ExperimentConfig, scenario: SpatialScenario, point_index: int, n_sta: int) -> SpatialScenario:
@@ -59,9 +57,7 @@ def _point_scenario(cfg: ExperimentConfig, scenario: SpatialScenario, point_inde
     of the drop (or the rescaled drop), less its uncategorized nodes under `uncategorized = silent`."""
     if cfg.sweep_mode == "rescale":
         density = n_sta / cfg.region().area
-        sub = drop_nodes(
-            cfg.region(), cfg.thresholds(), density, cfg.drop_mode_enum(), seed=cfg.subsample_seed(point_index)
-        )
+        sub = drop_nodes(cfg.region(), cfg.thresholds(), density, cfg.drop_mode, seed=cfg.subsample_seed(point_index))
     else:
         sub = scenario.subsample(n_sta, np.random.default_rng(cfg.subsample_seed(point_index)))
     if cfg.uncategorized == "silent":
@@ -104,11 +100,6 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
     scenario = _drop_scenario(cfg)
     out = _out_dir(cfg)
     mac = cfg.mac_params()
-    if max(cfg.cw_values) > mac.slots_per_beacon:
-        print(
-            f"warning: largest cw {max(cfg.cw_values)} exceeds {mac.slots_per_beacon} slots per beacon",
-            file=sys.stderr,
-        )
     rows = [an.ANALYTIC_CSV_HEADER]
     errors: list[str] = []
     for idx, policy, n_sta in cfg.grid_points():
@@ -167,7 +158,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         except ValueError as exc:
             config = f"error: {exc}"
         points.append(((idx, policy, n_sta), config))
-    outcomes = run_simulations([config for _, config in points if isinstance(config, SimConfig)])
+    configs = [config for _, config in points if isinstance(config, SimConfig)]
+    outcomes = run_simulations(configs)
     manifest = [MANIFEST_HEADER]
     sim_points = ["index,stations,engine,sync_events,hn_events,dual_label_events"]
     written = set()
@@ -211,89 +203,8 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         canonical_text(replace(cfg, out_dir="out")),
     ]
     _write_text(out / "metadata.txt", "\n".join(meta))
-    n_ok = sum(1 for ln in manifest[1:] if ",ok," in ln)
-    print(f"simulated {n_ok}/{len(manifest) - 1} grid points -> {out / 'manifest.csv'}")
+    print(f"simulated {len(configs)}/{len(points)} grid points -> {out / 'manifest.csv'}")
     return 0
-
-
-def _read_analytic_rows(path: Path) -> tuple[dict[tuple, an.AnalyticalResult | str], list[str]]:
-    """analytic.csv's rows by grid key, and the reasons for the lines that name no key.
-
-    A row whose key reads but whose values do not (a wrong field count, a
-    non-numeric value, a key already seen) maps its key to the reason, so
-    `report` fails that point alone and judges every other.
-    """
-    rows: dict[tuple, an.AnalyticalResult | str] = {}
-    unkeyed = []
-    n_fields = len(an.ANALYTIC_CSV_HEADER.split(","))
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != an.ANALYTIC_CSV_HEADER:
-            raise ValueError(f"unexpected analytic CSV header in {path}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path.name} line {lineno}"
-            parts = line.split(",")
-            try:
-                key = (parts[0], parts[1], int(parts[2]), int(parts[3]))
-            except (IndexError, ValueError):
-                unkeyed.append(f"{where}: no grid key in {line!r}")
-                continue
-            if key in rows:
-                rows[key] = f"{where} repeats the key"
-            elif len(parts) != n_fields:
-                rows[key] = f"{where} has {len(parts)} fields, not {n_fields}"
-            else:
-                try:
-                    rows[key] = an.AnalyticalResult(*map(float, parts[4:]))
-                except ValueError:
-                    rows[key] = f"{where} has a non-numeric value"
-    return rows, unkeyed
-
-
-def _read_point(bits_path: Path, stats_path: Path) -> tuple[np.ndarray, list[str], np.ndarray]:
-    """One simulated point's (n, periods) transmitted bits, category tokens and elapsed sums.
-
-    Raises ValueError when the bits/stats pair is malformed or inconsistent:
-    ragged or too short bits rows, a bits row with a character other than
-    '0' and '1', a bad stats line, different node counts, or a tx_count
-    that differs from the node's count of '1's.
-    """
-    with open(bits_path, "rb") as fh:
-        rows = fh.read().split()
-    if len({len(r) for r in rows}) > 1:
-        raise ValueError(f"{bits_path.name}: bits rows differ in length")
-    raw = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), len(rows[0]) if rows else 0)
-    bits = raw == ord("1")
-    if bits.shape[1] < mt.MIN_PERIODS:
-        raise ValueError(f"{bits_path.name}: {bits.shape[1]} periods, the estimators need {mt.MIN_PERIODS}")
-    if raw.min() < ord("0") or raw.max() > ord("1"):
-        row = np.flatnonzero((~bits & (raw != ord("0"))).any(axis=1))[0]
-        raise ValueError(f"{bits_path.name} row {row + 1}: a character other than '0' and '1'")
-    with open(stats_path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != STATS_CSV_HEADER:
-        raise ValueError(f"{stats_path.name}: unexpected stats CSV header")
-    cats, tx, elapsed_sums = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        try:
-            _node, cat, n_tx, elapsed = line.split(",")
-            category_from_token(cat)
-            tx.append(int(n_tx))
-            elapsed_sums.append(int(elapsed))
-        except ValueError:
-            raise ValueError(f"{stats_path.name} line {lineno}: malformed stats row {line!r}") from None
-        cats.append(cat)
-    if len(cats) != bits.shape[0]:
-        raise ValueError(f"{bits_path.name} has {bits.shape[0]} nodes but {stats_path.name} has {len(cats)}")
-    ones = bits.sum(axis=1)
-    bad = np.flatnonzero(ones != tx)
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"{stats_path.name} node row {i + 1}: tx_count {tx[i]} but {ones[i]} '1's in {bits_path.name}")
-    return bits, cats, np.array(elapsed_sums, dtype=np.int64)
 
 
 def _manifest_files(row: list[str] | None, policy: BackoffPolicy, n_sta: int) -> tuple[str, str]:
@@ -311,7 +222,7 @@ def _manifest_files(row: list[str] | None, policy: BackoffPolicy, n_sta: int) ->
 def cmd_report(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
     mac = cfg.mac_params()
-    analytic_rows, missing = _read_analytic_rows(out / "analytic.csv")
+    analytic_rows, missing = an.read_analytic_rows(out / "analytic.csv")
     tolerances = cfg.tolerances()
 
     report_lines = ["metric,policy,category,cw,n_sta,analytic,empirical,ci"]
@@ -326,16 +237,16 @@ def cmd_report(cfg: ExperimentConfig) -> int:
     seen_keys = set()
     for idx, policy, n_sta in cfg.grid_points():
         policy_name, cw = policy.kind.value, policy.cw
-        keys = {tok: (policy_name, tok, cw, n_sta) for tok, _cat in _reporting_categories(cfg, policy)}
+        rows = [(tok, cat, (policy_name, tok, cw, n_sta)) for tok, cat in _reporting_categories(cfg, policy)]
         # a failed point gets its one `point N` line below, not one more per analytic row
-        seen_keys.update(keys.values())
+        seen_keys.update(key for *_, key in rows)
         try:
             bits_name, stats_name = _manifest_files(manifest.get(str(idx)), policy, n_sta)
-            bits, cats, elapsed_sums = _read_point(out / bits_name, out / stats_name)
+            bits, categories, elapsed_sums = read_point(out / bits_name, out / stats_name)
         except (ValueError, OSError) as exc:
             missing.append(f"{_point_label(idx, policy, n_sta)}: {exc}")
             continue
-        for tok, key in keys.items():
+        for tok, cat, key in rows:
             analytic = analytic_rows.get(key)
             if isinstance(analytic, str):
                 missing.append(f"{_point_label(idx, policy, n_sta, tok)}: {analytic}")
@@ -343,7 +254,7 @@ def cmd_report(cfg: ExperimentConfig) -> int:
             if analytic is None or not np.isfinite(analytic.tau):
                 missing.append(f"no analytic row for {key}")
                 continue
-            sel = [i for i, c in enumerate(cats) if tok in ("all", c)]
+            sel = slice(None) if cat is None else categories == cat
             empirical = mt.build_estimates(bits[sel], elapsed_sums[sel], mac)
             if empirical is None:
                 missing.append(f"no {tok} nodes at {_point_label(idx, policy, n_sta)}")
@@ -415,7 +326,9 @@ def main(argv=None) -> int:
         "drop": cmd_drop, "analyze": cmd_analyze, "simulate": cmd_simulate, "report": cmd_report, "sweep": cmd_sweep
     }
     try:
-        return commands[args.command](cfg)
+        with warnings.catch_warnings():  # a library warning prints as one line, like the CLI's own warnings
+            warnings.showwarning = lambda message, *_args: print(f"warning: {message}", file=sys.stderr)
+            return commands[args.command](cfg)
     except (ValueError, OSError, MemoryError) as exc:  # MemoryError: a drop too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -63,11 +63,11 @@ class ExperimentConfig:
     th1: float = CategoryThresholds.th1
     th2: float = CategoryThresholds.th2
     th3: float = CategoryThresholds.th3
-    drop_mode: str = DropMode.FIXED_COUNT.value
+    drop_mode: DropMode = DropMode.FIXED_COUNT
     # policy grid
-    policies: tuple[str, ...] = ("traditional", "proposed")
+    policies: tuple[PolicyKind, ...] = (PolicyKind.TRADITIONAL, PolicyKind.PROPOSED)
     cw_values: tuple[int, ...] = (15, 127, 511)
-    categories: tuple[str, ...] = ("cat1", "cat2", "cat3")
+    categories: tuple[Category, ...] = (Category.CAT1, Category.CAT2, Category.CAT3)
     # contention grid
     n_sta: tuple[int, ...] = (10, 20, 40, 80)
     sweep_mode: str = "subsample"  # subsample | rescale
@@ -109,20 +109,8 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ValueError(f"scenario.th1/th2/th3: {exc}") from None
 
-    def drop_mode_enum(self) -> DropMode:
-        try:
-            return DropMode(self.drop_mode)
-        except ValueError as exc:
-            raise ValueError(f"scenario.drop_mode: {exc}") from None
-
     def mac_params(self) -> MacParameters:
         return MacParameters(**{f.name: getattr(self, f.name) for f in fields(MacParameters)})
-
-    def category_enums(self) -> tuple[Category, ...]:
-        try:
-            return tuple(category_from_token(tok) for tok in self.categories)
-        except ValueError as exc:
-            raise ValueError(f"policy.categories: {exc}") from None
 
     def tolerances(self) -> dict[str, float]:
         tols = {"tau": self.tau_tol}
@@ -133,13 +121,9 @@ class ExperimentConfig:
 
     def grid_points(self) -> list[tuple[int, BackoffPolicy, int]]:
         """(index, policy, n_sta) in the documented enumeration order.  The one place the policy
-        names and cw values become policies: a name or cw no policy takes raises, naming its key."""
+        kinds and cw values become policies: a cw no policy takes raises, naming its key."""
         pairs = []
-        for pol in self.policies:
-            try:
-                kind = PolicyKind(pol)
-            except ValueError as exc:
-                raise ValueError(f"policy.policies: {exc}") from None
+        for kind in self.policies:
             for cw in self.cw_values:
                 try:
                     policy = BackoffPolicy(kind, cw)
@@ -159,19 +143,15 @@ class ExperimentConfig:
 
     def validate(self) -> "ExperimentConfig":
         # a repeated value would give several grid rows one (policy, category, cw, n_sta) key
-        for name, values in (
-            ("policy.policies", self.policies),
-            ("policy.cw", self.cw_values),
-            ("policy.categories", self.categories),
-            ("contention.n_sta", self.n_sta),
-        ):
+        for name in ("policy.policies", "policy.cw", "policy.categories", "contention.n_sta"):
+            attr = _field_name(*name.split("."))
+            values = getattr(self, attr)
             if not values:
                 raise ValueError(f"{name} must not be empty")
             if len(set(values)) < len(values):
-                raise ValueError(f"{name} must not repeat a value: {' '.join(map(str, values))}")
+                raise ValueError(f"{name} must not repeat a value: {_FIELD_KIND[attr][1](values)}")
         self.grid_points()
-        self.category_enums()
-        if self.uncategorized == "silent" and "uncat" in self.categories:
+        if self.uncategorized == "silent" and Category.UNCATEGORIZED in self.categories:
             raise ValueError(
                 "policy.categories must not list uncat with sim.uncategorized = silent, which removes those nodes"
             )
@@ -197,7 +177,6 @@ class ExperimentConfig:
         if not math.isfinite(self.density * self.region().area):
             raise ValueError("scenario.density/width/height: the expected node count must be finite")
         self.thresholds()
-        self.drop_mode_enum()
         self.mac_params()
         return self
 
@@ -242,8 +221,16 @@ _KINDS = {
     int: (int, str),
     bool: (_parse_bool, lambda v: "true" if v else "false"),
     str: (str, str),
-    tuple[str, ...]: (lambda raw: tuple(raw.split()), " ".join),
     tuple[int, ...]: (lambda raw: tuple(int(tok) for tok in raw.split()), lambda v: " ".join(map(str, v))),
+    DropMode: (DropMode, lambda v: v.value),
+    tuple[PolicyKind, ...]: (
+        lambda raw: tuple(PolicyKind(tok) for tok in raw.split()),
+        lambda v: " ".join(kind.value for kind in v),
+    ),
+    tuple[Category, ...]: (
+        lambda raw: tuple(category_from_token(tok) for tok in raw.split()),
+        lambda v: " ".join(cat.token for cat in v),
+    ),
 }
 _FIELD_KIND = {name: _KINDS[hint] for name, hint in get_type_hints(ExperimentConfig).items()}
 

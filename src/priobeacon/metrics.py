@@ -180,8 +180,7 @@ class ComparisonReport:
 
     @property
     def passed(self) -> bool:
-        checked = [p for (_, _, _, tol, p) in self.rows.values() if tol is not None]
-        return all(checked) if checked else True
+        return all(p for (_, _, _, tol, p) in self.rows.values() if tol is not None)
 
     def to_text(self) -> str:
         policy, category, cw, n_sta = self.key

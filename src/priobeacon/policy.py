@@ -11,8 +11,9 @@ Two schemes over a fixed contention window of cw slots:
 
 Uncategorized stations contend with the highest chunk, CAT3's.  This rule
 lives only in `backoff_range`, which both the simulator's draws and the
-analytic model's contender classes read; whether uncategorized stations
-contend at all, or are reported, is decided downstream (`sim.uncategorized`).
+analytic model's contender classes read.  Whether uncategorized stations
+contend at all is decided downstream (`sim.uncategorized`); whether they are
+reported, by listing `uncat` in `policy.categories`.
 """
 
 from __future__ import annotations

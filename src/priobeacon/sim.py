@@ -15,11 +15,16 @@ backoff counter from its policy range.  Slot semantics:
 * a packet not transmitted by its period end expires; the next period
   starts with a fresh draw (no carryover).
 
-Collisions are classified after the fact, by `classify_collision` alone:
-SYNC when two mutually adjacent transmitters start in the same slot,
-hidden-node (HN) when transmissions of mutually non-adjacent stations
-overlap at a common receiver.  An event satisfying both is reported as
-SYNC, with both occurrences counted in the diagnostics.
+Collisions are classified after the fact: SYNC when two mutually adjacent
+transmitters start in the same slot, hidden-node (HN) when transmissions of
+mutually non-adjacent stations overlap at a common receiver.  An event
+satisfying both is reported as SYNC, with both occurrences counted in the
+diagnostics.  `classify_collision` defines both labels and labels every
+walked run.  The closed form labels same-draw ties SYNC by itself, which is
+the classifier's SYNC rule on a complete graph: every pair is adjacent, no
+pair is hidden, and only stations that start together overlap.
+`tests/test_sim.py::TestEngineEquivalence::test_walker_matches_closed_form`
+pins this.
 
 Two engines share these slot semantics; `run_simulations` picks one per
 config from the config and the adjacency it builds (`run_simulation` is
@@ -53,11 +58,13 @@ import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import IntEnum
+from pathlib import Path
 
 import numpy as np
 
 from .analytic import MacParameters
-from .geometry import Category, SpatialScenario, build_adjacency
+from .geometry import Category, SpatialScenario, build_adjacency, category_from_token
+from .metrics import MIN_PERIODS
 from .policy import BackoffPolicy, draw_matrix
 
 __all__ = [
@@ -67,6 +74,7 @@ __all__ = [
     "run_simulation",
     "run_simulations",
     "classify_collision",
+    "read_point",
     "OUTCOME_CSV_HEADER",
     "STATS_CSV_HEADER",
 ]
@@ -180,6 +188,49 @@ class SimOutcome:
 
 OUTCOME_CSV_HEADER = "node_id,category,delivered,sync,hn,expired"
 STATS_CSV_HEADER = "node_id,category,tx_count,sum_elapsed_slots"
+
+
+def read_point(bits_path: Path, stats_path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One simulated point read back from its `to_bits_text` and `to_stats_csv` files: the
+    (n, periods) transmitted bits, the (n,) int64 `Category` values and the (n,) elapsed sums.
+
+    Raises ValueError when the bits/stats pair is malformed or inconsistent:
+    ragged or too short bits rows, a bits row with a character other than
+    '0' and '1', a bad stats line, different node counts, or a tx_count
+    that differs from the node's count of '1's.
+    """
+    with open(bits_path, "rb") as fh:
+        rows = fh.read().split()
+    if len({len(r) for r in rows}) > 1:
+        raise ValueError(f"{bits_path.name}: bits rows differ in length")
+    raw = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), len(rows[0]) if rows else 0)
+    bits = raw == ord("1")
+    if bits.shape[1] < MIN_PERIODS:
+        raise ValueError(f"{bits_path.name}: {bits.shape[1]} periods, the estimators need {MIN_PERIODS}")
+    if raw.min() < ord("0") or raw.max() > ord("1"):
+        row = np.flatnonzero((~bits & (raw != ord("0"))).any(axis=1))[0]
+        raise ValueError(f"{bits_path.name} row {row + 1}: a character other than '0' and '1'")
+    with open(stats_path, "r", encoding="ascii") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != STATS_CSV_HEADER:
+        raise ValueError(f"{stats_path.name}: unexpected stats CSV header")
+    cats, tx, elapsed_sums = [], [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            _node, tok, n_tx, elapsed = line.split(",")
+            cats.append(category_from_token(tok))
+            tx.append(int(n_tx))
+            elapsed_sums.append(int(elapsed))
+        except ValueError:
+            raise ValueError(f"{stats_path.name} line {lineno}: malformed stats row {line!r}") from None
+    if len(cats) != bits.shape[0]:
+        raise ValueError(f"{bits_path.name} has {bits.shape[0]} nodes but {stats_path.name} has {len(cats)}")
+    ones = bits.sum(axis=1)
+    bad = np.flatnonzero(ones != tx)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{stats_path.name} node row {i + 1}: tx_count {tx[i]} but {ones[i]} '1's in {bits_path.name}")
+    return bits, np.array(cats, dtype=np.int64), np.array(elapsed_sums, dtype=np.int64)
 
 
 def classify_collision(node, start, end, adjacency: np.ndarray):

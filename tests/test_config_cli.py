@@ -16,6 +16,7 @@ from priobeacon.config import ExperimentConfig, canonical_text, derive_seed, par
 from priobeacon.geometry import Category, category_from_token
 from priobeacon.metrics import build_estimates
 from priobeacon.policy import BackoffPolicy, PolicyKind, backoff_range
+from priobeacon.sim import read_point
 
 
 class TestSeeds:
@@ -160,7 +161,7 @@ master = 7
 """
         )
         assert cfg.cw_values == (15, 127)
-        assert cfg.policies == ("traditional",)
+        assert cfg.policies == (PolicyKind.TRADITIONAL,)
         assert cfg.n_sta == (5, 10)
         assert cfg.periods == 250
         assert cfg.full_connectivity is True
@@ -231,7 +232,9 @@ master = 7
         assert canonical_text(ExperimentConfig()) == DEFAULT_CANONICAL
 
     def test_grid_enumeration_order(self):
-        cfg = ExperimentConfig(policies=("traditional", "proposed"), cw_values=(15, 127), n_sta=(10, 20))
+        cfg = ExperimentConfig(
+            policies=(PolicyKind.TRADITIONAL, PolicyKind.PROPOSED), cw_values=(15, 127), n_sta=(10, 20)
+        )
         points = cfg.grid_points()
         assert points[0] == (0, BackoffPolicy.traditional(15), 10)
         assert points[1] == (1, BackoffPolicy.traditional(15), 20)
@@ -241,7 +244,7 @@ master = 7
     @pytest.mark.parametrize("kind", list(PolicyKind))
     @pytest.mark.parametrize("cw", [3, 15, 127, 511])
     def test_one_all_row_exactly_when_every_category_shares_a_range(self, kind, cw):
-        cfg = ExperimentConfig(policies=(kind.value,), cw_values=(cw,))
+        cfg = ExperimentConfig(policies=(kind,), cw_values=(cw,))
         policy = BackoffPolicy(kind, cw)
         ranges = {backoff_range(policy, cat) for cat in Category}
         shared = len(ranges) == 1
@@ -250,7 +253,7 @@ master = 7
         assert (rows == [("all", None)]) == shared
         assert shared == (kind is PolicyKind.TRADITIONAL)
         if not shared:
-            assert rows == [(tok, category_from_token(tok)) for tok in cfg.categories]
+            assert rows == [("cat1", Category.CAT1), ("cat2", Category.CAT2), ("cat3", Category.CAT3)]
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -295,6 +298,19 @@ def test_cli_import_skips_scipy_stats():
     code = "import sys, priobeacon.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_states_a_window_longer_than_the_period_once(tmp_path):
+    # 20 ms gives 400 slots per beacon, so cw 511 draws past the period end
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    text = SMALL.replace("cw = 127", "cw = 15 511").replace("[sim]", "[mac]\nt_ibi = 0.02\n[sim]")
+    cfgp = write_config(tmp_path, text + f"[output]\ndir = {tmp_path}/out\n")
+    cmd = [sys.executable, "-m", "priobeacon.cli", "sweep", "--config", cfgp]
+    err = subprocess.run(cmd, env=env, capture_output=True, text=True).stderr
+    lines = [ln for ln in err.splitlines() if "511 exceeds 400 slots per beacon" in ln]
+    assert lines == ["warning: contention window 511 exceeds 400 slots per beacon; large draws will always expire"]
+    assert "UserWarning" not in err
 
 
 class TestCliDrop:
@@ -647,18 +663,21 @@ class TestParseTimeLimits:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "old, new, name",
+        "old, new, message",
         [
-            ("policies = traditional", "policies = traditional proposed traditional", "policy.policies"),
-            ("cw = 127", "cw = 127 15 127", "policy.cw"),
-            ("cw = 127", "cw = 127\ncategories = cat1 cat2 cat1", "policy.categories"),
-            ("n_sta = 5 10", "n_sta = 20 20", "contention.n_sta"),
+            ("policies = traditional", "policies = traditional proposed traditional",
+             "policy.policies must not repeat a value: traditional proposed traditional"),
+            ("cw = 127", "cw = 127 15 127", "policy.cw must not repeat a value: 127 15 127"),
+            ("cw = 127", "cw = 127\ncategories = cat1 cat2 cat1",
+             "policy.categories must not repeat a value: cat1 cat2 cat1"),
+            ("n_sta = 5 10", "n_sta = 20 20", "contention.n_sta must not repeat a value: 20 20"),
         ],
     )
-    def test_sweep_with_repeated_grid_value_writes_nothing(self, tmp_path, capsys, old, new, name):
+    def test_sweep_with_repeated_grid_value_writes_nothing(self, tmp_path, capsys, old, new, message):
+        # the values print as the config spells them
         cfgp = write_config(tmp_path, SMALL.replace(old, new) + f"[output]\ndir = {tmp_path}/out\n")
         assert main(["sweep", "--config", cfgp]) == 2
-        assert f"config error: {name} must not repeat a value" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -918,20 +937,21 @@ dir = {tmp_path}/out
         out = tmp_path / "out"
         (bits_path,) = out.glob("bits_*.txt")
         (stats_path,) = out.glob("stats_*.csv")
-        bits, cats, elapsed_sums = cli._read_point(bits_path, stats_path)
+        bits, categories, elapsed_sums = read_point(bits_path, stats_path)
 
         present = [Category(int(c)) for c in np.unique(outcome.config.scenario.categories)]
         assert len(present) >= 3
-        selections = [("all", np.arange(outcome.n_nodes))]
-        selections += [(cat.token, outcome.category_nodes(cat)) for cat in present]
-        for tok, nodes in selections:
+        assert categories.dtype == np.int64 and np.array_equal(categories, outcome.config.scenario.categories)
+        selections = [(None, np.arange(outcome.n_nodes))]
+        selections += [(cat, outcome.category_nodes(cat)) for cat in present]
+        for cat, nodes in selections:
             from_outcome = build_estimates(
                 outcome.transmitted_bits()[nodes], outcome.elapsed_sums()[nodes], outcome.config.params
             )
-            sel = [i for i, c in enumerate(cats) if tok in ("all", c)]
+            sel = slice(None) if cat is None else categories == cat
             from_files = build_estimates(bits[sel], elapsed_sums[sel], outcome.config.params)
             assert from_outcome is not None and from_outcome.n_nodes == len(nodes)
-            assert from_outcome == from_files, tok
+            assert from_outcome == from_files, cat
 
 
 SILENT = """

@@ -216,19 +216,26 @@ class TestElapsedAndFreezing:
 
 
 class TestEngineEquivalence:
+    @pytest.mark.parametrize("t_ibi", [100e-3, 20e-3, 5e-3])
     @pytest.mark.parametrize("cw", [3, 15, 127, 511])
-    def test_walker_matches_closed_form(self, cw):
+    def test_walker_matches_closed_form(self, cw, t_ibi):
+        # the closed form labels same-draw ties SYNC itself; this pins that it is the
+        # classifier's SYNC rule on a complete graph.  At 100 ms no packet expires
+        # (510 + 79 * 6 < 2000 slots); at 20 ms and 5 ms packets expire from cw 127 on.
         sc = make_scenario(seed=1)
         cats = sc.categories
         policy = BackoffPolicy.proposed(cw) if cw >= 3 else BackoffPolicy.traditional(cw)
         draws = draw_matrix(policy, cats, 40, np.random.default_rng(cw))
-        params = MacParameters()
+        params = MacParameters(t_ibi=t_ibi)
         slots, occ = params.slots_per_beacon, params.tx_occupancy_slots
-        oA, eA, _ = _run_full_connectivity(draws, slots, occ)
+        oA, eA, dA = _run_full_connectivity(draws, slots, occ)
         n = len(cats)
-        ((oB, eB, _),) = _run_walker([(draws[:, None], np.zeros(n, dtype=np.int64), complete_graph(n))], slots, occ)
+        ((oB, eB, dB),) = _run_walker([(draws[:, None], np.zeros(n, dtype=np.int64), complete_graph(n))], slots, occ)
         assert np.array_equal(oA, oB)
         assert np.array_equal(eA, eB)
+        for key in ("sync_events", "hn_events", "dual_label_events"):
+            assert dA[key] == dB[key], key
+        assert (oA == int(Outcome.EXPIRED)).any() == (t_ibi < 100e-3 and cw >= 127)
 
     @pytest.mark.parametrize("occ", [1, 6])
     def test_batched_matches_walker_random_adjacency(self, occ):

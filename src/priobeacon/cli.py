@@ -29,12 +29,13 @@ from .config import ExperimentConfig, canonical_text, parse_config
 from .geometry import (
     Category,
     SpatialScenario,
+    SweepMode,
     category_counts,
     category_mix,
     drop_nodes,
     save_scenario,
 )
-from .policy import BackoffPolicy
+from .policy import BackoffPolicy, UncategorizedMode
 from .sim import SimConfig, read_point, run_simulations
 from .sim import run_simulation  # noqa: F401  unused here, but perfbench/tracer.py wraps cli.run_simulation
 
@@ -55,12 +56,12 @@ def _drop_scenario(cfg: ExperimentConfig) -> SpatialScenario:
 def _point_scenario(cfg: ExperimentConfig, scenario: SpatialScenario, point_index: int, n_sta: int) -> SpatialScenario:
     """The stations that contend at a grid point, in the model and the simulation alike: the subsample
     of the drop (or the rescaled drop), less its uncategorized nodes under `uncategorized = silent`."""
-    if cfg.sweep_mode == "rescale":
+    if cfg.sweep_mode is SweepMode.RESCALE:
         density = n_sta / cfg.region().area
         sub = drop_nodes(cfg.region(), cfg.thresholds(), density, cfg.drop_mode, seed=cfg.subsample_seed(point_index))
     else:
         sub = scenario.subsample(n_sta, np.random.default_rng(cfg.subsample_seed(point_index)))
-    if cfg.uncategorized == "silent":
+    if cfg.uncategorized is UncategorizedMode.SILENT:
         sub = sub.select(sub.categories != Category.UNCATEGORIZED)
     return sub
 
@@ -177,6 +178,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                 f"{idx},{outcome.n_nodes},{diag['engine']},{diag['sync_events']},{diag['hn_events']},"
                 f"{diag['dual_label_events']}"
             )
+            del outcome  # so the next run is computed without this one's arrays
             status = "ok"
         else:
             status = config
@@ -196,7 +198,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         f"master_seed: {cfg.master_seed}",
         f"full_connectivity: {cfg.full_connectivity}",
         f"random_phase_offsets: {cfg.random_phase_offsets}",
-        f"uncategorized: {cfg.uncategorized}",
+        f"uncategorized: {cfg.uncategorized.value}",
         f"periods: {cfg.periods}",
         "",
         "config (output dir normalized so reruns are byte-identical):",

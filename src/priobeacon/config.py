@@ -19,13 +19,14 @@ from __future__ import annotations
 import configparser
 import math
 from dataclasses import dataclass, fields
+from enum import Enum
 from io import StringIO
 from typing import get_type_hints
 
-from .geometry import Category, CategoryThresholds, DropMode, RegionSpec, category_from_token
+from .geometry import Category, CategoryThresholds, DropMode, RegionSpec, SweepMode, category_from_token
 from .analytic import MacParameters
 from .metrics import MIN_PERIODS
-from .policy import BackoffPolicy, PolicyKind
+from .policy import BackoffPolicy, PolicyKind, UncategorizedMode
 from .sim import SimConfig
 
 __all__ = ["ExperimentConfig", "parse_config", "parse_config_text", "canonical_text", "derive_seed", "splitmix64"]
@@ -70,7 +71,7 @@ class ExperimentConfig:
     categories: tuple[Category, ...] = (Category.CAT1, Category.CAT2, Category.CAT3)
     # contention grid
     n_sta: tuple[int, ...] = (10, 20, 40, 80)
-    sweep_mode: str = "subsample"  # subsample | rescale
+    sweep_mode: SweepMode = SweepMode.SUBSAMPLE
     # mac
     t_ibi: float = MacParameters.t_ibi
     t_slot: float = MacParameters.t_slot
@@ -85,7 +86,7 @@ class ExperimentConfig:
     sense_range: float = SimConfig.sense_range
     full_connectivity: bool = False
     random_phase_offsets: bool = False
-    uncategorized: str = "contend"  # contend | silent
+    uncategorized: UncategorizedMode = UncategorizedMode.CONTEND
     zero_based_irt: bool = False
     # seeds
     master_seed: int = 1
@@ -151,19 +152,12 @@ class ExperimentConfig:
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} must not repeat a value: {_FIELD_KIND[attr][1](values)}")
         self.grid_points()
-        if self.uncategorized == "silent" and Category.UNCATEGORIZED in self.categories:
+        if self.uncategorized is UncategorizedMode.SILENT and Category.UNCATEGORIZED in self.categories:
             raise ValueError(
                 "policy.categories must not list uncat with sim.uncategorized = silent, which removes those nodes"
             )
         if any(n < 1 for n in self.n_sta):
             raise ValueError("contention.n_sta values must be positive")
-        if self.sweep_mode not in ("subsample", "rescale"):
-            raise ValueError("contention.sweep_mode must be subsample or rescale")
-        if self.uncategorized not in ("contend", "silent"):
-            raise ValueError(
-                "sim.uncategorized must be contend or silent; "
-                "to report the uncategorized nodes, list uncat in policy.categories"
-            )
         if self.periods < MIN_PERIODS:
             raise ValueError(f"sim.periods must be at least {MIN_PERIODS}, the tau and IRT estimators' floor")
         for name, value in (("sim.sense_range", self.sense_range), ("scenario.density", self.density)):
@@ -211,6 +205,23 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+class _NotAChoice(ValueError):
+    """A value outside a choice key's values; the message follows the key's name with no colon."""
+
+
+def _choice(enum: type[Enum], hint: str = ""):
+    """(parse, format) for a key whose values are `enum`'s: any other value reads
+    `<section.key> must be <a> or <b><hint>`."""
+
+    def parse(raw: str):
+        try:
+            return enum(raw)
+        except ValueError:
+            raise _NotAChoice(f"must be {' or '.join(m.value for m in enum)}{hint}") from None
+
+    return parse, lambda v: v.value
+
+
 # (parse, format) per field annotation: a key's kind is its field's type
 _KINDS = {
     float: (float, lambda v: repr(float(v))),
@@ -223,6 +234,10 @@ _KINDS = {
     str: (str, str),
     tuple[int, ...]: (lambda raw: tuple(int(tok) for tok in raw.split()), lambda v: " ".join(map(str, v))),
     DropMode: (DropMode, lambda v: v.value),
+    SweepMode: _choice(SweepMode),
+    UncategorizedMode: _choice(
+        UncategorizedMode, "; to report the uncategorized nodes, list uncat in policy.categories"
+    ),
     tuple[PolicyKind, ...]: (
         lambda raw: tuple(PolicyKind(tok) for tok in raw.split()),
         lambda v: " ".join(kind.value for kind in v),
@@ -252,7 +267,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             try:
                 overrides[name] = _FIELD_KIND[name][0](raw.strip())
             except ValueError as exc:
-                raise ValueError(f"{section}.{key}: {exc}") from None
+                raise ValueError(f"{section}.{key}{' ' if isinstance(exc, _NotAChoice) else ': '}{exc}") from None
     return ExperimentConfig(**overrides).validate()
 
 

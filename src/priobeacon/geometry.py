@@ -65,6 +65,14 @@ class DropMode(Enum):
     POISSON_COUNT = "poissoncount"
 
 
+class SweepMode(Enum):
+    """How a grid point's n_sta vehicles come from the drop: a subsample of it
+    (`SpatialScenario.subsample`), or a fresh drop at density n_sta / area (`drop_nodes`)."""
+
+    SUBSAMPLE = "subsample"
+    RESCALE = "rescale"
+
+
 @dataclass(frozen=True)
 class RegionSpec:
     """Axis-aligned rectangle [0, width] x [0, height] containing the danger point.

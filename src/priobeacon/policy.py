@@ -12,7 +12,8 @@ Two schemes over a fixed contention window of cw slots:
 Uncategorized stations contend with the highest chunk, CAT3's.  This rule
 lives only in `backoff_range`, which both the simulator's draws and the
 analytic model's contender classes read.  Whether uncategorized stations
-contend at all is decided downstream (`sim.uncategorized`); whether they are
+contend at all is an `UncategorizedMode` (config key `sim.uncategorized`),
+applied where a grid point's stations are chosen; whether they are
 reported, by listing `uncat` in `policy.categories`.
 """
 
@@ -31,6 +32,14 @@ __all__ = ["PolicyKind", "BackoffPolicy", "BackoffRange", "backoff_range", "draw
 class PolicyKind(Enum):
     TRADITIONAL = "traditional"
     PROPOSED = "proposed"
+
+
+class UncategorizedMode(Enum):
+    """Whether uncategorized stations contend (in CAT3's range) or stay silent,
+    left out of every grid point."""
+
+    CONTEND = "contend"
+    SILENT = "silent"
 
 
 @dataclass(frozen=True)
@@ -94,7 +103,14 @@ def draw_matrix(policy: BackoffPolicy, categories: np.ndarray, n_periods: int, r
 
     Column i draws uniformly from node i's range; a single generator call
     keeps the draw stream independent of how the matrix is later consumed.
+    Consecutive calls on one generator draw what one call of their rows
+    would, which lets `sim` draw a run chunk by chunk.  Scalar bounds, used
+    when every category shares one range, draw the same values as
+    per-column bounds of that range, and faster.
     """
+    shared = policy.shared_range()
+    if shared is not None:
+        return rng.integers(shared.lo, shared.hi + 1, size=(n_periods, categories.shape[0]))
     bounds = np.array([(r.lo, r.hi) for r in (backoff_range(policy, c) for c in Category)], dtype=np.int64)
     lo, hi = bounds[categories - int(Category.CAT1)].T
     return rng.integers(lo, hi + 1, size=(n_periods, lo.shape[0]))

@@ -40,6 +40,14 @@ its one-config case):
   batch are walked together, one row each, holding all of the run's
   periods, with the node axis padded to the largest station count.
 
+An aligned run, on either engine, is drawn and simulated chunk by chunk:
+each chunk of periods takes its draws in turn from the run's one generator
+and writes its rows of the run's int8 outcomes and int32 elapsed arrays,
+and the event counts are summed over chunks.  Consecutive draws from one
+generator equal one draw of the whole run and periods are independent, so
+the chunks change no result; they bound the working set beyond those
+arrays (5 bytes per node-period) to one chunk's, whatever the run's length.
+
 The walker jumps from one state change to the next.  Each node keeps one
 busy time, the latest end of the transmissions it senses.  Once the step's
 starters are on air, nothing changes until a frozen node's busy time, a
@@ -296,8 +304,9 @@ def run_simulations(configs) -> Iterator[SimOutcome]:
 
     Every phase-offset run of the batch is one row of a single walk (one walk
     per slot budget, occupancy and period count), made before the first
-    outcome is yielded.  Any other run is computed when it is yielded, so a
-    batch of long aligned runs holds one run's arrays at a time.
+    outcome is yielded.  Any other run is computed, chunk by chunk, when it
+    is yielded, so a caller that drops each outcome before asking for the
+    next holds one aligned run's arrays at a time.
     """
     configs = list(configs)
     groups: dict[tuple[int, int, int], list[int]] = {}
@@ -313,34 +322,52 @@ def run_simulations(configs) -> Iterator[SimOutcome]:
             groups.setdefault((slots, config.params.tx_occupancy_slots, config.n_periods), []).append(k)
     walked = {}
     for (slots, occupancy, _), ks in groups.items():
-        runs = [(draws[None], offsets, adjacency) for draws, offsets, adjacency in (_draw(configs[k]) for k in ks)]
+        runs = [_draw_phase_offset_run(configs[k]) for k in ks]
         walked.update(zip(ks, _run_walker(runs, slots, occupancy)))
     for k, config in enumerate(configs):
         yield SimOutcome(config, *(walked.pop(k) if k in walked else _run_aligned(config)))
 
 
-def _draw(config: SimConfig):
-    """A run's (periods, n) backoff draws, phase offsets (None for aligned
-    periods) and sensing graph; its seed's stream gives the offsets first."""
+def _draw_phase_offset_run(config: SimConfig):
+    """A phase-offset run's (1, periods, n) backoff draws, phase offsets and
+    sensing graph; its seed's stream gives the offsets first."""
     scenario = config.scenario
-    n = scenario.n_nodes
-    slots = config.params.slots_per_beacon
     adjacency = build_adjacency(scenario, config.sense_range)
     rng = np.random.default_rng(config.seed)
-    offsets = rng.integers(0, slots, size=n) if config.random_phase_offsets else None
+    offsets = rng.integers(0, config.params.slots_per_beacon, size=scenario.n_nodes)
     draws = draw_matrix(config.policy, scenario.categories, config.n_periods, rng)
-    return draws, offsets, adjacency
+    return draws[None], offsets, adjacency
+
+
+# Node-periods an aligned run draws and simulates at a time: about 1 MB of int64
+# draws, so the working set stays a few MB whatever the run's length.
+_CHUNK_NODE_PERIODS = 1 << 17
 
 
 def _run_aligned(config: SimConfig):
-    """An aligned run on its own: the closed form on a complete graph, else one walker row per period."""
-    draws, _, adjacency = _draw(config)
-    n = adjacency.shape[0]
+    """An aligned run on its own, chunk by chunk (see the module docstring): the closed
+    form on a complete graph, else one walker row per period."""
+    scenario = config.scenario
+    periods, n = config.n_periods, scenario.n_nodes
     slots, occupancy = config.params.slots_per_beacon, config.params.tx_occupancy_slots
-    if (adjacency | np.eye(n, dtype=bool)).all():
-        return _run_full_connectivity(draws, slots, occupancy)
-    (result,) = _run_walker([(draws[:, None], np.zeros(n, dtype=np.int64), adjacency)], slots, occupancy)
-    return result
+    adjacency = build_adjacency(scenario, config.sense_range)
+    complete = (adjacency | np.eye(n, dtype=bool)).all()
+    rng = np.random.default_rng(config.seed)
+    outcomes = np.empty((periods, n), dtype=np.int8)
+    elapsed = np.empty((periods, n), dtype=np.int32)
+    counts = dict.fromkeys(("sync_events", "hn_events", "dual_label_events"), 0)
+    step = max(1, _CHUNK_NODE_PERIODS // n)
+    for first in range(0, periods, step):
+        chunk = slice(first, min(first + step, periods))
+        draws = draw_matrix(config.policy, scenario.categories, chunk.stop - first, rng)
+        if complete:
+            outcomes[chunk], elapsed[chunk], diag = _run_full_connectivity(draws, slots, occupancy)
+        else:
+            runs = [(draws[:, None], np.zeros(n, dtype=np.int64), adjacency)]
+            ((outcomes[chunk], elapsed[chunk], diag),) = _run_walker(runs, slots, occupancy)
+        for key in counts:
+            counts[key] += diag[key]
+    return outcomes, elapsed, {**diag, **counts}
 
 
 def _run_full_connectivity(draws: np.ndarray, slots: int, occupancy: int):
@@ -352,21 +379,23 @@ def _run_full_connectivity(draws: np.ndarray, slots: int, occupancy: int):
     start slot beyond the period expires.
     """
     periods, n = draws.shape
+    # the smallest unsigned type that holds every draw makes the stable sort a radix sort
+    draws = draws.astype(np.min_scalar_type(int(draws.max())), copy=False)
     order = np.argsort(draws, axis=1, kind="stable")
     sorted_d = np.take_along_axis(draws, order, axis=1)
+    eq = sorted_d[:, 1:] == sorted_d[:, :-1]
     new_group = np.ones((periods, n), dtype=bool)
-    new_group[:, 1:] = sorted_d[:, 1:] != sorted_d[:, :-1]
-    gidx = np.cumsum(new_group, axis=1) - 1
+    new_group[:, 1:] = ~eq
+    gidx = np.cumsum(new_group, axis=1, dtype=np.int32) - 1
     tx_slot = sorted_d + gidx * occupancy
     expired = tx_slot >= slots
     tie = np.zeros((periods, n), dtype=bool)
-    eq = sorted_d[:, 1:] == sorted_d[:, :-1]
     tie[:, 1:] |= eq
     tie[:, :-1] |= eq
     out_sorted = np.full((periods, n), int(Outcome.DELIVERED), dtype=np.int8)
     out_sorted[tie] = int(Outcome.COLLIDED_SYNC)
     out_sorted[expired] = int(Outcome.EXPIRED)
-    el_sorted = np.where(expired, -1, tx_slot).astype(np.int32)
+    el_sorted = np.where(expired, -1, tx_slot)
 
     outcomes = np.empty((periods, n), dtype=np.int8)
     elapsed = np.empty((periods, n), dtype=np.int32)

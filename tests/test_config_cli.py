@@ -13,9 +13,9 @@ from priobeacon import analytic as an
 from priobeacon import cli
 from priobeacon.cli import build_parser, main
 from priobeacon.config import ExperimentConfig, canonical_text, derive_seed, parse_config, parse_config_text, splitmix64
-from priobeacon.geometry import Category, category_from_token
+from priobeacon.geometry import Category, SweepMode, category_from_token
 from priobeacon.metrics import build_estimates
-from priobeacon.policy import BackoffPolicy, PolicyKind, backoff_range
+from priobeacon.policy import BackoffPolicy, PolicyKind, UncategorizedMode, backoff_range
 from priobeacon.sim import read_point
 
 
@@ -153,9 +153,11 @@ cw = 15 127
 policies = traditional
 [contention]
 n_sta = 5 10
+sweep_mode = rescale
 [sim]
 periods = 250
 full_connectivity = true
+uncategorized = silent
 [seeds]
 master = 7
 """
@@ -163,8 +165,10 @@ master = 7
         assert cfg.cw_values == (15, 127)
         assert cfg.policies == (PolicyKind.TRADITIONAL,)
         assert cfg.n_sta == (5, 10)
+        assert cfg.sweep_mode is SweepMode.RESCALE
         assert cfg.periods == 250
         assert cfg.full_connectivity is True
+        assert cfg.uncategorized is UncategorizedMode.SILENT
         assert cfg.master_seed == 7
 
     def test_unknown_key_rejected(self):

@@ -122,3 +122,14 @@ class TestDraws:
         hi = np.array([backoff_range(pol, Category(c)).hi for c in cats.tolist()])
         want = np.random.default_rng(cw).integers(lo, hi + 1, size=(60, cats.size))
         assert np.array_equal(draw_matrix(pol, cats, 60, np.random.default_rng(cw)), want)
+
+    @pytest.mark.parametrize("kind", ["traditional", "proposed"])
+    @pytest.mark.parametrize("cw", [15, 127, 511])
+    @pytest.mark.parametrize("chunk", [1, 7, 50])
+    def test_draws_in_row_chunks_equal_one_draw(self, kind, cw, chunk):
+        # sim draws an aligned run chunk by chunk from one generator; this is why that changes no draw
+        pol = getattr(BackoffPolicy, kind)(cw)
+        cats = np.array([4, 1, 3, 3, 2, 1, 4, 2, 1], dtype=np.int64)
+        rng = np.random.default_rng(cw)
+        chunks = [draw_matrix(pol, cats, min(chunk, 120 - first), rng) for first in range(0, 120, chunk)]
+        assert np.array_equal(np.concatenate(chunks), draw_matrix(pol, cats, 120, np.random.default_rng(cw)))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -167,6 +168,48 @@ class TestBasics:
             SimConfig(scenario=sc, policy=BackoffPolicy.traditional(15), n_periods=500, seed=9, sense_range=math.inf)
         )
         assert out.counts()[Outcome.COLLIDED_HIDDEN].sum() == 0
+
+
+class TestChunkedAlignedRuns:
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("kind", ["traditional", "proposed"])
+    @pytest.mark.parametrize("sense_range", [math.inf, 700.0])
+    def test_chunk_boundaries_change_nothing(self, monkeypatch, sense_range, kind, chunk):
+        # 10 ms periods (200 slots) at cw 127: packets expire, and on the 700 m graph hidden nodes collide
+        sc = make_scenario(seed=1)
+        config = SimConfig(
+            scenario=sc, policy=getattr(BackoffPolicy, kind)(127), params=MacParameters(t_ibi=10e-3),
+            sense_range=sense_range, n_periods=50, seed=3,
+        )
+        assert 50 * sc.n_nodes <= sim._CHUNK_NODE_PERIODS  # one chunk
+        whole = run_simulation(config)
+        monkeypatch.setattr(sim, "_CHUNK_NODE_PERIODS", chunk * sc.n_nodes + sc.n_nodes - 1)
+        chunked = run_simulation(config)
+        for name in ("outcomes", "elapsed"):
+            a, b = getattr(whole, name), getattr(chunked, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert chunked.diagnostics == whole.diagnostics
+        assert (whole.outcomes == int(Outcome.EXPIRED)).any()
+        assert (whole.diagnostics["hn_events"] > 0) == (sense_range == 700.0)
+
+    def test_peak_memory_does_not_grow_with_periods(self):
+        # beyond the returned (periods, n) arrays, an aligned run holds one chunk's working set
+        sc = make_scenario(density=40 / REGION.area)
+        assert sc.n_nodes == 40
+
+        def traced_peak(periods):
+            config = SimConfig(
+                scenario=sc, policy=BackoffPolicy.traditional(127), n_periods=periods, seed=1, sense_range=math.inf
+            )
+            tracemalloc.start()
+            try:
+                out = run_simulation(config)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - out.outcomes.nbytes - out.elapsed.nbytes
+
+        assert traced_peak(16384) <= 1.1 * traced_peak(4096)
 
 
 class TestElapsedAndFreezing:

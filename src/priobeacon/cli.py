@@ -36,7 +36,7 @@ from .geometry import (
     save_scenario,
 )
 from .policy import BackoffPolicy, UncategorizedMode
-from .sim import SimConfig, read_point, run_simulations
+from .sim import SimConfig, point_files, read_point, run_simulations, write_point
 from .sim import run_simulation  # noqa: F401  unused here, but perfbench/tracer.py wraps cli.run_simulation
 
 __all__ = ["main", "build_parser"]
@@ -55,7 +55,8 @@ def _drop_scenario(cfg: ExperimentConfig) -> SpatialScenario:
 
 def _point_scenario(cfg: ExperimentConfig, scenario: SpatialScenario, point_index: int, n_sta: int) -> SpatialScenario:
     """The stations that contend at a grid point, in the model and the simulation alike: the subsample
-    of the drop (or the rescaled drop), less its uncategorized nodes under `uncategorized = silent`."""
+    of the drop (or the rescaled drop), less its uncategorized nodes under `uncategorized = silent`.
+    A point left with none raises one ValueError, so `analyze` and `simulate` give the same reason."""
     if cfg.sweep_mode is SweepMode.RESCALE:
         density = n_sta / cfg.region().area
         sub = drop_nodes(cfg.region(), cfg.thresholds(), density, cfg.drop_mode, seed=cfg.subsample_seed(point_index))
@@ -63,6 +64,8 @@ def _point_scenario(cfg: ExperimentConfig, scenario: SpatialScenario, point_inde
         sub = scenario.subsample(n_sta, np.random.default_rng(cfg.subsample_seed(point_index)))
     if cfg.uncategorized is UncategorizedMode.SILENT:
         sub = sub.select(sub.categories != Category.UNCATEGORIZED)
+    if sub.n_nodes == 0:
+        raise ValueError("no station contends at this point")
     return sub
 
 
@@ -165,13 +168,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     sim_points = ["index,stations,engine,sync_events,hn_events,dual_label_events"]
     written = set()
     for (idx, policy, n_sta), config in points:
-        tag = f"{idx:03d}_{policy.kind.value}_cw{policy.cw}_n{n_sta}"
-        names = (f"outcome_{tag}.csv", f"bits_{tag}.txt", f"stats_{tag}.csv")
         if isinstance(config, SimConfig):
             outcome = next(outcomes)
-            _write_text(out / names[0], outcome.to_outcome_csv())
-            _write_text(out / names[1], outcome.to_bits_text())
-            _write_text(out / names[2], outcome.to_stats_csv())
+            status, names = "ok", write_point(out, f"{idx:03d}_{policy.kind.value}_cw{policy.cw}_n{n_sta}", outcome)
             written.update(names)
             diag = outcome.diagnostics
             sim_points.append(
@@ -179,15 +178,13 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
                 f"{diag['dual_label_events']}"
             )
             del outcome  # so the next run is computed without this one's arrays
-            status = "ok"
         else:
-            status = config
-            names = ("", "", "")
+            status, names = config, ("", "", "")
         manifest.append(
             f"{idx},{policy.kind.value},{policy.cw},{n_sta},{cfg.sim_seed(idx)},{cfg.subsample_seed(idx)},{status},"
-            f"{names[0]},{names[1]},{names[2]},{str(cfg.full_connectivity).lower()}"
+            f"{','.join(names)},{str(cfg.full_connectivity).lower()}"
         )
-    for pattern in ("outcome_*.csv", "bits_*.txt", "stats_*.csv"):  # an earlier grid's points leave no files
+    for pattern in point_files("*"):  # an earlier grid's points leave no files
         for stale in out.glob(pattern):
             if stale.name not in written:
                 stale.unlink()

@@ -82,6 +82,8 @@ __all__ = [
     "run_simulation",
     "run_simulations",
     "classify_collision",
+    "point_files",
+    "write_point",
     "read_point",
     "OUTCOME_CSV_HEADER",
     "STATS_CSV_HEADER",
@@ -157,49 +159,48 @@ class SimOutcome:
     def category_nodes(self, category: Category) -> np.ndarray:
         return np.flatnonzero(self.config.scenario.categories == int(category))
 
-    def to_outcome_csv(self) -> str:
-        counts = self.counts()
+    def _per_node_csv(self, header: str, *columns: np.ndarray) -> str:
+        """`header`, then one line per node: its id, its category token and its value in each integer column."""
         scenario = self.config.scenario
-        lines = [OUTCOME_CSV_HEADER]
-        for i in range(self.n_nodes):
-            lines.append(
-                "%d,%s,%d,%d,%d,%d"
-                % (
-                    scenario.ids[i],
-                    Category(scenario.categories[i]).token,
-                    counts[Outcome.DELIVERED][i],
-                    counts[Outcome.COLLIDED_SYNC][i],
-                    counts[Outcome.COLLIDED_HIDDEN][i],
-                    counts[Outcome.EXPIRED][i],
-                )
-            )
-        return "\n".join(lines) + "\n"
+        tokens = [Category(cat).token for cat in scenario.categories]
+        line = "%d,%s" + ",%d" * len(columns)
+        return "\n".join([header, *(line % row for row in zip(scenario.ids, tokens, *columns))]) + "\n"
+
+    def to_outcome_csv(self) -> str:
+        return self._per_node_csv(OUTCOME_CSV_HEADER, *self.counts().values())
 
     def to_bits_text(self) -> str:
         """One line of '1'/'0' per node, one character per period."""
-        bits = self.transmitted_bits()
-        text = np.full((bits.shape[0], bits.shape[1] + 1), ord("\n"), dtype=np.uint8)
-        text[:, :-1] = bits
+        text = np.full((self.n_nodes, self.n_periods + 1), ord("\n"), dtype=np.uint8)
+        text[:, :-1] = self.transmitted_bits()
         text[:, :-1] += ord("0")
         return text.tobytes().decode("ascii")
 
     def to_stats_csv(self) -> str:
         """Diagnostic per-node stats: transmission count and summed elapsed backoff slots."""
-        tx = self.transmitted_bits().sum(axis=1)
-        elapsed = self.elapsed_sums()
-        scenario = self.config.scenario
-        lines = [STATS_CSV_HEADER]
-        for i in range(self.n_nodes):
-            lines.append("%d,%s,%d,%d" % (scenario.ids[i], Category(scenario.categories[i]).token, tx[i], elapsed[i]))
-        return "\n".join(lines) + "\n"
+        return self._per_node_csv(STATS_CSV_HEADER, self.transmitted_bits().sum(axis=1), self.elapsed_sums())
 
 
 OUTCOME_CSV_HEADER = "node_id,category,delivered,sync,hn,expired"
 STATS_CSV_HEADER = "node_id,category,tx_count,sum_elapsed_slots"
 
 
+def point_files(tag: str) -> tuple[str, str, str]:
+    """The names of a point's outcome, bits and stats files, in the order of the manifest's file
+    columns; the tag "*" gives their glob patterns."""
+    return f"outcome_{tag}.csv", f"bits_{tag}.txt", f"stats_{tag}.csv"
+
+
+def write_point(out: Path, tag: str, outcome: SimOutcome) -> tuple[str, str, str]:
+    """Write `outcome`'s outcome, bits and stats files into `out`, one text at a time; return their names."""
+    names = point_files(tag)
+    for name, text in zip(names, (outcome.to_outcome_csv, outcome.to_bits_text, outcome.to_stats_csv)):
+        (out / name).write_text(text(), encoding="ascii", newline="\n")
+    return names
+
+
 def read_point(bits_path: Path, stats_path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One simulated point read back from its `to_bits_text` and `to_stats_csv` files: the
+    """One simulated point read back from the bits and stats files `write_point` wrote: the
     (n, periods) transmitted bits, the (n,) int64 `Category` values and the (n,) elapsed sums.
 
     Raises ValueError when the bits/stats pair is malformed or inconsistent:
@@ -207,8 +208,7 @@ def read_point(bits_path: Path, stats_path: Path) -> tuple[np.ndarray, np.ndarra
     '0' and '1', a bad stats line, different node counts, or a tx_count
     that differs from the node's count of '1's.
     """
-    with open(bits_path, "rb") as fh:
-        rows = fh.read().split()
+    rows = bits_path.read_bytes().split()
     if len({len(r) for r in rows}) > 1:
         raise ValueError(f"{bits_path.name}: bits rows differ in length")
     raw = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), len(rows[0]) if rows else 0)
@@ -218,8 +218,7 @@ def read_point(bits_path: Path, stats_path: Path) -> tuple[np.ndarray, np.ndarra
     if raw.min() < ord("0") or raw.max() > ord("1"):
         row = np.flatnonzero((~bits & (raw != ord("0"))).any(axis=1))[0]
         raise ValueError(f"{bits_path.name} row {row + 1}: a character other than '0' and '1'")
-    with open(stats_path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = stats_path.read_text(encoding="ascii").splitlines()
     if not lines or lines[0] != STATS_CSV_HEADER:
         raise ValueError(f"{stats_path.name}: unexpected stats CSV header")
     cats, tx, elapsed_sums = [], [], []
@@ -304,9 +303,11 @@ def run_simulations(configs) -> Iterator[SimOutcome]:
 
     Every phase-offset run of the batch is one row of a single walk (one walk
     per slot budget, occupancy and period count), made before the first
-    outcome is yielded.  Any other run is computed, chunk by chunk, when it
-    is yielded, so a caller that drops each outcome before asking for the
-    next holds one aligned run's arrays at a time.
+    outcome is yielded; nothing here keeps the runs' draws, so the walk frees
+    them once stacked, and the batch then holds its walked outcomes until
+    each is yielded.  Any other run is computed, chunk by chunk, when it is
+    yielded, so a caller that drops each outcome before asking for the next
+    holds one aligned run's arrays at a time.
     """
     configs = list(configs)
     groups: dict[tuple[int, int, int], list[int]] = {}
@@ -322,8 +323,7 @@ def run_simulations(configs) -> Iterator[SimOutcome]:
             groups.setdefault((slots, config.params.tx_occupancy_slots, config.n_periods), []).append(k)
     walked = {}
     for (slots, occupancy, _), ks in groups.items():
-        runs = [_draw_phase_offset_run(configs[k]) for k in ks]
-        walked.update(zip(ks, _run_walker(runs, slots, occupancy)))
+        walked.update(zip(ks, _run_walker([_draw_phase_offset_run(configs[k]) for k in ks], slots, occupancy)))
     for k, config in enumerate(configs):
         yield SimOutcome(config, *(walked.pop(k) if k in walked else _run_aligned(config)))
 
@@ -417,9 +417,8 @@ def _run_walker(runs, slots: int, occupancy: int):
     runs is a list of (draws, offsets, adjacency), one per run: draws is
     (rows, periods, n) with the same periods in every run, and node i's
     period p of a row starts at offsets[i] + p * slots on that row's clock.
-    `run_simulations` passes an aligned run alone, as one row per period with
-    zero offsets (periods are independent trials there), and every
-    phase-offset run of a batch together, one row each.
+    The walk drops its references to the runs' draws once they are stacked,
+    and the stack once the walk ends, without changing the caller's list.
 
     The rows of all runs are stacked, the node axis padded to the largest n;
     padded nodes are never pending and add no boundary events.  Each row
@@ -453,6 +452,8 @@ def _run_walker(runs, slots: int, occupancy: int):
         hears[k, :m, :m] = adjacency.T
         draws[first[k]:first[k + 1], :, :m] = run_draws
         boundary[first[k]:first[k + 1], :m] = offsets
+    del run_draws
+    runs = [(offsets, adjacency) for _, offsets, adjacency in runs]
     cols = np.arange(n)
     elapsed = np.full((first[-1], periods, n), -1, dtype=np.int32)
 
@@ -489,8 +490,9 @@ def _run_walker(runs, slots: int, occupancy: int):
                 rows[keep], t[keep], span[keep], packet[keep], counter[keep], busy[keep], boundary[keep]
             )
 
+    del draws
     results = []
-    for k, (_, offsets, adjacency) in enumerate(runs):
+    for k, (offsets, adjacency) in enumerate(runs):
         m = adjacency.shape[0]
         run_elapsed = elapsed[first[k]:first[k + 1], :, :m]
         row, period, node = np.nonzero(run_elapsed >= 0)

@@ -1075,9 +1075,11 @@ dir = {tmp_path}/out
         rows = (out / "analytic.csv").read_text().splitlines()[1:]
         assert len(rows) == 8 and all(r.endswith(",nan,nan,nan,nan,nan,nan,nan") for r in rows)
         errors = (out / "analyze_errors.txt").read_text().splitlines()
-        assert len(errors) == 4 and all("empty scenario" in ln for ln in errors)
         manifest = (out / "manifest.csv").read_text().splitlines()[1:]
-        assert len(manifest) == 4 and all(",error: " in ln for ln in manifest)
+        assert len(errors) == 4 and len(manifest) == 4
+        for error, row in zip(errors, manifest):  # both stages give each point the same reason
+            status = row.split(",")[6]
+            assert status.startswith("error: ") and error.endswith("): " + status.removeprefix("error: "))
         assert (out / "sim_points.csv").read_text().splitlines()[1:] == []
         summary = (out / "summary.txt").read_text()
         assert summary.count("missing: point ") == 4

@@ -9,17 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from priobeacon.analytic import MacParameters
+from priobeacon.cli import MANIFEST_HEADER
 from priobeacon.geometry import Category, CategoryThresholds, RegionSpec, drop_nodes
 from priobeacon.policy import BackoffPolicy, draw_matrix
 from priobeacon.sim import (
+    OUTCOME_CSV_HEADER,
     Outcome,
     SimConfig,
     SimOutcome,
     _run_full_connectivity,
     _run_walker,
     classify_collision,
+    point_files,
+    read_point,
     run_simulation,
     run_simulations,
+    write_point,
 )
 from priobeacon import sim
 
@@ -572,6 +577,73 @@ class TestPhaseOffsets:
         counts = a.counts()
         assert (sum(counts[oc] for oc in Outcome) == 150).all()
         assert a.diagnostics["engine"] == "slot-walker"
+
+    def test_batch_keeps_no_draws(self, monkeypatch):
+        # once a phase-offset batch is stacked for its walk, no run's int64 draws are held:
+        # not while the walk classifies its runs, nor while the batch yields its outcomes
+        sc = make_scenario(density=12 / REGION.area)
+        configs = [
+            SimConfig(
+                scenario=sc, policy=BackoffPolicy.traditional(15), params=MacParameters(t_ibi=3e-3),
+                n_periods=30, seed=seed, random_phase_offsets=True,
+            )
+            for seed in range(4)
+        ]
+        from_draws = [tracemalloc.Filter(True, draw_matrix.__code__.co_filename)]
+
+        def draw_bytes():  # bytes held of what `policy.py` allocated: traditional draws allocate nothing else there
+            return sum(trace.size for trace in tracemalloc.take_snapshot().filter_traces(from_draws).traces)
+
+        held = []
+        real = sim.classify_collision
+
+        def classify(*args):
+            held.append(draw_bytes())
+            return real(*args)
+
+        monkeypatch.setattr(sim, "classify_collision", classify)
+        tracemalloc.start()
+        try:
+            probe = draw_matrix(configs[0].policy, sc.categories, 30, np.random.default_rng(0))
+            assert draw_bytes() >= probe.nbytes  # the filter sees draws that are held
+            del probe
+            batch = run_simulations(configs)
+            next(batch)
+            held.append(draw_bytes())
+        finally:
+            tracemalloc.stop()
+        assert held == [0] * (len(configs) + 1)
+
+
+class TestPointFiles:
+    @pytest.mark.parametrize("phase_offsets", [False, True])
+    def test_written_point_reads_back(self, tmp_path, phase_offsets):
+        # a complete-graph run (the closed form) and a phase-offset run (the walker), at
+        # 3 ms periods (60 slots) where packets expire
+        config = SimConfig(
+            scenario=make_scenario(seed=2), policy=BackoffPolicy.proposed(15), params=MacParameters(t_ibi=3e-3),
+            sense_range=math.inf, n_periods=120, seed=5, random_phase_offsets=phase_offsets,
+        )
+        out = run_simulation(config)
+        assert out.diagnostics["engine"] == ("slot-walker" if phase_offsets else "full-connectivity")
+        names = write_point(tmp_path, "004_proposed_cw15_n20", out)
+        assert names == point_files("004_proposed_cw15_n20")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+        bits, categories, elapsed_sums = read_point(tmp_path / names[1], tmp_path / names[2])
+        assert np.array_equal(bits, out.transmitted_bits()) and 0 < bits.mean() < 1
+        assert categories.dtype == np.int64 and np.array_equal(categories, config.scenario.categories)
+        assert elapsed_sums.dtype == np.int64 and np.array_equal(elapsed_sums, out.elapsed_sums())
+        lines = (tmp_path / names[0]).read_text(encoding="ascii").splitlines()
+        assert lines[0] == OUTCOME_CSV_HEADER
+        assert [int(ln.split(",")[0]) for ln in lines[1:]] == config.scenario.ids.tolist()
+        counts = np.array([[int(v) for v in ln.split(",")[2:]] for ln in lines[1:]])
+        assert np.array_equal(counts.T, np.stack(list(out.counts().values())))
+
+    def test_name_rule_follows_the_manifest_columns(self):
+        # perfbench reads a point's outcome, bits and stats files from manifest columns 7-9 by position
+        columns = MANIFEST_HEADER.split(",")[7:10]
+        assert [name.split("_")[0] + "_file" for name in point_files("000_traditional_cw15_n10")] == columns
+        assert point_files("*") == ("outcome_*.csv", "bits_*.txt", "stats_*.csv")
 
 
 class TestPriorityRealization:

@@ -48,16 +48,23 @@ generator equal one draw of the whole run and periods are independent, so
 the chunks change no result; they bound the working set beyond those
 arrays (5 bytes per node-period) to one chunk's, whatever the run's length.
 
-The walker jumps from one state change to the next.  Each node keeps one
-busy time, the latest end of the transmissions it senses.  Once the step's
-starters are on air, nothing changes until a frozen node's busy time, a
-decrementing counter's zero or a period boundary, so counters that sense
-an idle medium decrement by the whole jump and every other counter stays
-frozen.  It hands each run's transmissions to `classify_collision` once.
-Tests check the walker against the closed form on complete graphs, against
-a per-slot reference walker on random adjacency in both layouts and with
-runs of different sizes stacked in one walk, and `classify_collision`
-against a pairwise definition.
+The walker jumps from one transmission start to the next.  A node waiting
+with counter c as of time tau, sensing the medium busy until b (the latest
+end of the transmissions it senses), starts at s = max(b, tau) + c unless a
+transmission it senses begins first.  Between two starts no busy time
+changes, so no s does either.  A packet whose s is not before its period
+end e expires there; the node's next packet counts down its fresh draw
+from max(b, e).  Busy times only rise, so an s only rises, and an expiry
+is known as soon as a busy time pushes s to e.  One step takes each row's
+earliest s: the nodes starting then go on air together (adjacent ones
+collide SYNC); every other counter is settled to that time, the starters'
+listeners' busy times rise to the starters' ends, and each starter and
+each expired packet gives way to the node's next packet.  A row ends when
+its nodes' packets have run out.  It hands each run's transmissions to
+`classify_collision` once.  Tests check the walker against the closed
+form on complete graphs, against a per-slot reference walker on random
+adjacency in both layouts and with runs of different sizes stacked in one
+walk, and `classify_collision` against a pairwise definition.
 """
 
 from __future__ import annotations
@@ -339,6 +346,11 @@ def _draw_phase_offset_run(config: SimConfig):
     return draws[None], offsets, adjacency
 
 
+# A walked node with no packet left resumes at _NEVER, later than any transmission start,
+# in a period that ends at _END
+_NEVER = np.iinfo(np.int64).max // 2
+_END = np.iinfo(np.int64).max
+
 # Node-periods an aligned run draws and simulates at a time: about 1 MB of int64
 # draws, so the working set stays a few MB whatever the run's length.
 _CHUNK_NODE_PERIODS = 1 << 17
@@ -421,80 +433,93 @@ def _run_walker(runs, slots: int, occupancy: int):
     and the stack once the walk ends, without changing the caller's list.
 
     The rows of all runs are stacked, the node axis padded to the largest n;
-    padded nodes are never pending and add no boundary events.  Each row
-    has its run's sensing block and its own span (its run's last offset plus
-    periods * slots), keeps its own clock and jumps to its earliest state
-    change (see the module docstring).  A node's packet is pending while its
-    counter is >= 0 (the counter is -1 when none is).  busy[r, i] is the
-    time until which node i senses a transmission, idle when busy <= t: a
-    starter at t ends at min(t + occupancy, its boundary) and raises busy
-    to that end across its block row.  A frozen pending node's next event
-    is its busy time, a decrementing one's t + counter, any other node's its
-    boundary, each capped at the boundary.  Collisions are
-    classified afterwards, run by run, from `elapsed`, with row r of a run
-    placed at r * span on one run clock and each transmission cut at its
-    period end.  Returns one (outcomes, elapsed, diagnostics) per run, its
-    rows of periods stacked into (rows * periods, n).
+    padded nodes never start.  Each row has its run's sensing block, keeps
+    its own clock and jumps from one transmission start to the next (see
+    the module docstring).  Per (row, node) the walk keeps the flat index of
+    the current packet in the stacked draws, the period end, resume =
+    max(busy, tau) and start = resume + the counter left at resume.  A
+    starter at t ends at min(t + occupancy, its period end); a listener's
+    resume rises to the latest such end it hears, and its start by as much
+    as its resume rose past max(resume, t).  Collisions are classified
+    afterwards, run by run, from `elapsed`, with row r of a run placed at
+    r * span on one run clock (span is the run's last offset plus periods *
+    slots) and each transmission cut at its period end.  Returns one
+    (outcomes, elapsed, diagnostics) per run, its rows of periods stacked
+    into (rows * periods, n), each in arrays of its own.
     """
     periods = runs[0][0].shape[1]
     n = max(adjacency.shape[0] for _, _, adjacency in runs)
     sizes = [draws.shape[0] for draws, _, _ in runs]
     first = np.cumsum([0, *sizes])  # run k holds rows first[k]:first[k + 1]
     run_span = [int(offsets.max()) + periods * slots for _, offsets, _ in runs]
-    span = np.repeat(run_span, sizes)
     block = np.repeat(np.arange(len(runs)), sizes)  # each row's sensing block
     hears = np.zeros((len(runs), n, n), dtype=bool)  # hears[b, j, i]: i senses a transmitting j
-    # the smallest integer type that holds every draw keeps the padded stack small
-    draws = np.zeros((first[-1], periods, n), dtype=np.min_scalar_type(max(int(d.max()) for d, _, _ in runs)))
-    boundary = np.full((first[-1], n), np.iinfo(np.int64).max)  # padded nodes: never
+    # the smallest integer type that holds every draw and `no_packet` keeps the padded stack
+    # small; period `periods` holds `no_packet`, what a node draws once its packets run out
+    no_packet = max(int(d.max()) for d, _, _ in runs) + 1
+    draws = np.full((first[-1], periods + 1, n), no_packet, dtype=np.min_scalar_type(no_packet))
+    end = np.full((first[-1], n), _END)  # padded nodes: a period that never ends
     for k, (run_draws, offsets, adjacency) in enumerate(runs):
         m = adjacency.shape[0]
         hears[k, :m, :m] = adjacency.T
-        draws[first[k]:first[k + 1], :, :m] = run_draws
-        boundary[first[k]:first[k + 1], :m] = offsets
+        draws[first[k]:first[k + 1], :periods, :m] = run_draws
+        end[first[k]:first[k + 1], :m] = offsets
     del run_draws
     runs = [(offsets, adjacency) for _, offsets, adjacency in runs]
-    cols = np.arange(n)
-    elapsed = np.full((first[-1], periods, n), -1, dtype=np.int32)
+    draws = draws.reshape(-1)
+    hears = hears.reshape(-1, n)
+    elapsed = np.full(draws.size, -1, dtype=np.int32)  # the layout of the draws
 
-    # state of the rows still running, compacted as rows finish
-    rows = np.arange(first[-1])
-    t = np.zeros(rows.size, dtype=np.int64)
-    packet = np.full((rows.size, n), -1, dtype=np.int64)  # the node's current period, -1 before its first
-    counter = np.full((rows.size, n), -1, dtype=np.int64)  # -1 while no packet is pending
-    busy = np.zeros((rows.size, n), dtype=np.int64)  # the node senses a transmission until this time
-    while rows.size:
-        at_boundary = boundary == t[:, None]
-        if at_boundary.any():  # a fresh packet; an untransmitted one stays expired
-            packet += at_boundary
-            fresh = at_boundary & (packet < periods)
-            draw = draws[rows[:, None], np.minimum(packet, periods - 1), cols]
-            counter = np.where(fresh, draw, np.where(at_boundary, -1, counter))
-            boundary += at_boundary * slots
-        starters = (counter == 0) & (busy <= t[:, None])
-        if starters.any():
-            r, i = np.nonzero(starters)
-            elapsed[rows[r], packet[r, i], i] = t[r] - boundary[r, i] + slots
-            end = np.minimum(t[r] + occupancy, boundary[r, i])
-            np.maximum.at(busy, r, hears[block[rows[r]], i] * end[:, None])
-            counter[r, i] = -1
-        decr = (counter >= 0) & (busy <= t[:, None])
-        change = np.minimum(np.where(decr, t[:, None] + counter, np.where(counter >= 0, busy, boundary)), boundary)
-        dt = np.minimum(change.min(axis=1), span) - t
-        counter -= decr * dt[:, None]
-        t += dt
-        done = t >= span
-        if done.any():
-            keep = ~done
-            rows, t, span, packet, counter, busy, boundary = (
-                rows[keep], t[keep], span[keep], packet[keep], counter[keep], busy[keep], boundary[keep]
-            )
+    # per (row, node) of the rows still running, flat and compacted as rows finish; each
+    # node starts as if it had sent a packet -1 whose period ended at its offset
+    cols = np.arange(n)
+    packet = (np.arange(first[-1])[:, None] * (periods + 1) * n + cols - n).reshape(-1)  # its index in `draws`
+    hear_ix = (block[:, None] * n + cols).reshape(-1)  # its row of `hears`
+    end = end.reshape(-1)
+    resume = np.minimum(end, _NEVER)  # the counter runs down from here unless a busy time raises it
+    start = np.full(end.size, _NEVER)  # resume + the counter left at resume
+    while True:
+        # a sent packet, or one that can no longer start before its period end, gives way to the next
+        f = np.flatnonzero(start >= end)
+        while f.size:
+            p = packet[f] + n
+            packet[f] = p
+            d = draws[p]
+            last = d == no_packet
+            e = end[f]
+            res = np.where(last, _NEVER, np.maximum(resume[f], e))
+            resume[f] = res
+            start[f] = s = res + d
+            end[f] = e = np.where(last, _END, e + slots)
+            f = f[s >= e]
+        t = start.reshape(-1, n).min(axis=1)  # each row's next transmission start
+        if t.max() >= _NEVER:  # a row whose packets have all run out is done
+            done = t >= _NEVER
+            t = t[~done]
+            if not t.size:
+                break
+            keep = np.repeat(~done, n)
+            packet, hear_ix, resume, start, end = packet[keep], hear_ix[keep], resume[keep], start[keep], end[keep]
+        f = np.flatnonzero(start.reshape(-1, n) == t[:, None])
+        r = f // n  # sorted, and every row has a starter
+        tr, e = t[r], end[f]
+        elapsed[packet[f]] = tr - e + slots
+        heard = hears[hear_ix[f]] * np.minimum(tr + occupancy, e)[:, None]
+        if f.size > t.size:  # a row with several starters: the latest end each node hears
+            heard = np.maximum.reduceat(heard, np.searchsorted(r, np.arange(t.size)), axis=0)
+        settled = np.maximum(resume.reshape(-1, n), t[:, None])
+        raised = np.maximum(settled, heard)
+        start += (raised - settled).reshape(-1)
+        resume = raised.reshape(-1)
+        start[f] = _NEVER  # sent: gives way to the node's next packet at the top of the loop
 
     del draws
+    # each run's elapsed in an array of its own, so that no run's outcome keeps the batch alive
+    elapsed = elapsed.reshape(first[-1], periods + 1, n)
+    elapsed = [elapsed[first[k]:first[k + 1], :periods, :adj.shape[0]].copy() for k, (_, adj) in enumerate(runs)]
     results = []
-    for k, (offsets, adjacency) in enumerate(runs):
+    for k, ((offsets, adjacency), run_elapsed) in enumerate(zip(runs, elapsed)):
         m = adjacency.shape[0]
-        run_elapsed = elapsed[first[k]:first[k + 1], :, :m]
         row, period, node = np.nonzero(run_elapsed >= 0)
         base = row * run_span[k] + offsets[node] + period * slots
         start = base + run_elapsed[row, period, node]

@@ -369,6 +369,99 @@ class TestEngineEquivalence:
         hn = int(Outcome.COLLIDED_HIDDEN)
         assert o[1, 0] == hn and o[0, 2] == hn and o[1, 1] == int(Outcome.DELIVERED)
 
+    @staticmethod
+    def walk_one(draws, offsets, adjacency, slots, occupancy):
+        """One run walked alone, checked against the per-slot reference; draws is (periods, n)."""
+        ((o, e, d),) = _run_walker([(draws[None], offsets, adjacency)], slots, occupancy)
+        oW, eW, dW = reference_walk(draws, offsets, adjacency, slots, occupancy)
+        assert np.array_equal(o, oW) and np.array_equal(e, eW) and d == dW
+        return o, e, d
+
+    def test_expires_several_periods_in_a_row(self):
+        # 10-slot periods, occupancy 3, node 1 offset by 4.  Node 0's draws 10, 25 and 11
+        # reach their period ends (10 exactly), so it rolls from period 0 to period 3, whose
+        # draw 3 counts down from 30 to a start at 33.  Node 1's fresh draw 1 at 34 waits
+        # for that transmission's end at 36 and starts at 37
+        draws = np.array([[10, 2], [25, 3], [11, 0], [3, 1]])
+        o, e, d = self.walk_one(draws, np.array([0, 4]), complete_graph(2), 10, 3)
+        assert e.T.tolist() == [[-1, -1, -1, 3], [2, 3, 0, 3]]
+        assert (o[:3, 0] == int(Outcome.EXPIRED)).all() and (o[3] == int(Outcome.DELIVERED)).all()
+
+    def test_busy_from_the_previous_period_freezes_a_fresh_packet(self):
+        # node 1 (offset 5) sends over [8, 14); node 0, frozen with one count left, expires
+        # at its boundary 10.  Its fresh draw 0 stays frozen past the boundary and starts at
+        # 14, and node 1's next draw 2 (period [15, 25)) waits for that end, 20, to start at 22
+        draws = np.array([[9, 3], [0, 2]])
+        o, e, d = self.walk_one(draws, np.array([0, 5]), complete_graph(2), 10, 6)
+        assert e.T.tolist() == [[-1, 4], [3, 7]]
+        assert o[0, 0] == int(Outcome.EXPIRED) and d["sync_events"] == d["hn_events"] == 0
+
+    def test_zero_draw_at_a_boundary_starts_with_a_neighbour(self):
+        # node 0 sends over [1, 3); node 1 (offset 3) counts its 7 down from 3 to a start at
+        # 10, the slot node 0's fresh draw 0 starts in: neither can sense the other, SYNC
+        draws = np.array([[1, 7], [0, 5]])
+        o, e, d = self.walk_one(draws, np.array([0, 3]), complete_graph(2), 10, 2)
+        assert e.T.tolist() == [[1, 0], [7, 5]]
+        sync = int(Outcome.COLLIDED_SYNC)
+        assert o[1, 0] == sync and o[0, 1] == sync and d["sync_events"] == 2
+
+    def test_rows_go_on_after_another_run_runs_out(self):
+        # a 1-node run whose two packets are sent by slot 10, stacked with the chain 0-1-2 at
+        # offsets 0, 3 and 9, whose row goes on to slot 24.  In the chain, node 1's second
+        # packet (period [13, 23)) is frozen by node 2 from 14 to 18 and by node 0 from 15 to
+        # 19, so its 6 counts would end at 24: it expires.  Nodes 0 and 2, hidden from each
+        # other, overlap at node 1: HN
+        alone = (np.array([[0], [0]]), np.array([0]), np.zeros((1, 1), dtype=bool))
+        chain = (np.array([[2, 0, 4], [5, 6, 1]]), np.array([0, 3, 9]), TestCollisionClassification.CHAIN)
+        results = _run_walker([(draws[None], offsets, adj) for draws, offsets, adj in (alone, chain)], 10, 4)
+        for (draws, offsets, adj), (o, e, d) in zip((alone, chain), results):
+            oW, eW, dW = reference_walk(draws, offsets, adj, 10, 4)
+            assert np.array_equal(o, oW) and np.array_equal(e, eW) and d == dW
+        (oA, eA, _), (oB, eB, dB) = results
+        assert eA.tolist() == [[0], [0]] and (oA == int(Outcome.DELIVERED)).all()
+        assert eB.T.tolist() == [[2, 5], [3, -1], [5, 1]]
+        hn = int(Outcome.COLLIDED_HIDDEN)
+        assert oB[1, 1] == int(Outcome.EXPIRED) and oB[1, 0] == hn and oB[0, 2] == hn and dB["hn_events"] == 2
+
+    def test_random_stacked_batches_match_reference(self):
+        # seeded batches of 1-3 runs of 1-13 nodes and 1-2 rows each, occupancy 1-7, 2-59
+        # slots, 1-7 periods, draws up to 2 * slots (many expire, some at their period end
+        # exactly), zero or random offsets; each row of each run must equal the per-slot
+        # reference walked alone, outcome for outcome and in the SYNC/HN/dual counts
+        master = np.random.default_rng(23)
+        keys = ("sync_events", "hn_events", "dual_label_events")
+        totals = dict.fromkeys((*keys, "expired"), 0)
+        for _ in range(300):
+            slots, occ, periods = int(master.integers(2, 60)), int(master.integers(1, 8)), int(master.integers(1, 8))
+            runs = []
+            for _ in range(int(master.integers(1, 4))):
+                n = int(master.integers(1, 14))
+                upper = np.triu(master.random((n, n)) < master.uniform(0.1, 0.9), 1)
+                offsets = master.integers(0, slots, size=n) if master.random() < 0.5 else np.zeros(n, dtype=np.int64)
+                draws = master.integers(0, 2 * slots + 1, size=(int(master.integers(1, 3)), periods, n))
+                runs.append((draws, offsets, upper | upper.T))
+            for (draws, offsets, adj), (o, e, d) in zip(runs, _run_walker(runs, slots, occ)):
+                want = [reference_walk(row, offsets, adj, slots, occ) for row in draws]
+                assert np.array_equal(o, np.concatenate([w[0] for w in want]))
+                assert np.array_equal(e, np.concatenate([w[1] for w in want]))
+                for key in keys:
+                    assert d[key] == sum(w[2][key] for w in want), key
+                    totals[key] += d[key]
+                totals["expired"] += int((o == int(Outcome.EXPIRED)).sum())
+        assert all(v > 0 for v in totals.values()), totals
+
+    def test_stacked_runs_own_their_arrays(self):
+        # a walked run's arrays hold no view of the padded batch: keeping one outcome must
+        # not keep the others' rows alive
+        rng = np.random.default_rng(4)
+        runs = [(rng.integers(0, 15, size=(1, 6, m)), rng.integers(0, 20, size=m), complete_graph(m)) for m in (3, 5)]
+        (oA, eA, _), (oB, eB, _) = _run_walker(runs, 20, 2)
+        for a in (oA, eA):
+            for b in (oB, eB):
+                assert not np.shares_memory(a, b)
+        for e, m in ((eA, 3), (eB, 5)):
+            assert e.shape == (6, m) and (e.base is None or e.base.nbytes == e.nbytes)
+
     def test_run_simulations_matches_run_simulation(self):
         # a mixed batch: phase-offset runs at several n (two period counts, so two
         # stacked walks), an aligned 700 m run and a full-connectivity run

@@ -48,6 +48,16 @@ generator equal one draw of the whole run and periods are independent, so
 the chunks change no result; they bound the working set beyond those
 arrays (5 bytes per node-period) to one chunk's, whatever the run's length.
 
+The closed form ranks each period's draws with one sort of packed keys,
+(draw << b) | node with b bits for the node, so the keys are unique and
+their order is the stable order by draw.  Draws are clipped at the slots
+per beacon first: a larger draw expires whatever its rank, and the clip
+bounds the keys by the period whatever the window (at the paper's windows
+and station counts they are 16 bits wide).  The k-th distinct value u of a
+period starts at u + k * occupancy.  Each node-period's outcome and elapsed
+travel as one int32 code, scattered once into the run's elapsed rows and
+decoded there in place, into its elapsed and outcome rows.
+
 The walker jumps from one transmission start to the next.  A node waiting
 with counter c as of time tau, sensing the medium busy until b (the latest
 end of the transmissions it senses), starts at s = max(b, tau) + c unless a
@@ -161,7 +171,13 @@ class SimOutcome:
 
     def elapsed_sums(self) -> np.ndarray:
         """(n,) int64: each node's elapsed backoff slots summed over its transmitted periods."""
-        return self.elapsed.sum(axis=0, dtype=np.int64, where=self.outcomes != int(Outcome.EXPIRED))
+        return self._tx_counts_and_elapsed_sums()[1]
+
+    def _tx_counts_and_elapsed_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each node's transmitted periods and elapsed sum over them: an expired period's
+        elapsed is -1, so its column sum plus its expired count."""
+        expired = np.count_nonzero(self.outcomes == int(Outcome.EXPIRED), axis=0)
+        return self.n_periods - expired, self.elapsed.sum(axis=0, dtype=np.int64) + expired
 
     def category_nodes(self, category: Category) -> np.ndarray:
         return np.flatnonzero(self.config.scenario.categories == int(category))
@@ -185,7 +201,7 @@ class SimOutcome:
 
     def to_stats_csv(self) -> str:
         """Diagnostic per-node stats: transmission count and summed elapsed backoff slots."""
-        return self._per_node_csv(STATS_CSV_HEADER, self.transmitted_bits().sum(axis=1), self.elapsed_sums())
+        return self._per_node_csv(STATS_CSV_HEADER, *self._tx_counts_and_elapsed_sums())
 
 
 OUTCOME_CSV_HEADER = "node_id,category,delivered,sync,hn,expired"
@@ -373,7 +389,7 @@ def _run_aligned(config: SimConfig):
         chunk = slice(first, min(first + step, periods))
         draws = draw_matrix(config.policy, scenario.categories, chunk.stop - first, rng)
         if complete:
-            outcomes[chunk], elapsed[chunk], diag = _run_full_connectivity(draws, slots, occupancy)
+            diag = _run_full_connectivity(draws, slots, occupancy, outcomes[chunk], elapsed[chunk])
         else:
             runs = [(draws[:, None], np.zeros(n, dtype=np.int64), adjacency)]
             ((outcomes[chunk], elapsed[chunk], diag),) = _run_walker(runs, slots, occupancy)
@@ -382,45 +398,63 @@ def _run_aligned(config: SimConfig):
     return outcomes, elapsed, {**diag, **counts}
 
 
-def _run_full_connectivity(draws: np.ndarray, slots: int, occupancy: int):
-    """Closed-form per-period outcomes under full connectivity with aligned periods.
+def _run_full_connectivity(draws: np.ndarray, slots: int, occupancy: int, outcomes: np.ndarray, elapsed: np.ndarray):
+    """Closed-form per-period outcomes under full connectivity with aligned periods,
+    written into `outcomes` and `elapsed` (C-contiguous, shaped like `draws`); returns
+    the diagnostics.
 
     All stations freeze and decrement in lockstep, so transmissions happen in
     draw order: the k-th distinct draw value u transmits at slot u + k*occupancy
     (k counted from 0), stations sharing a draw start together (SYNC), and a
-    start slot beyond the period expires.
+    start slot beyond the period expires.  A draw of `slots` or more expires
+    whatever its rank, so draws are clipped at `slots`: that changes neither
+    the order nor the ties of the draws below it.  Each period sorts the keys
+    (clipped draw << b) | node, with b bits for the node, in the smallest
+    unsigned type of 16 bits or more that holds them (uint16 up to cw 512 at
+    128 nodes).  The keys are unique, so their order is the stable order by
+    draw, and a key's low bits give its node back.  Each node-period's
+    outcome and elapsed travel as one int32 code, t for a clean start at
+    slot t, -2 - t for a SYNC start and -1 for expired, scattered once into
+    `elapsed` and decoded there in place.
     """
     periods, n = draws.shape
-    # the smallest unsigned type that holds every draw makes the stable sort a radix sort
-    draws = draws.astype(np.min_scalar_type(int(draws.max())), copy=False)
-    order = np.argsort(draws, axis=1, kind="stable")
-    sorted_d = np.take_along_axis(draws, order, axis=1)
-    eq = sorted_d[:, 1:] == sorted_d[:, :-1]
-    new_group = np.ones((periods, n), dtype=bool)
-    new_group[:, 1:] = ~eq
-    gidx = np.cumsum(new_group, axis=1, dtype=np.int32) - 1
-    tx_slot = sorted_d + gidx * occupancy
-    expired = tx_slot >= slots
-    tie = np.zeros((periods, n), dtype=bool)
-    tie[:, 1:] |= eq
-    tie[:, :-1] |= eq
-    out_sorted = np.full((periods, n), int(Outcome.DELIVERED), dtype=np.int8)
-    out_sorted[tie] = int(Outcome.COLLIDED_SYNC)
-    out_sorted[expired] = int(Outcome.EXPIRED)
-    el_sorted = np.where(expired, -1, tx_slot)
-
-    outcomes = np.empty((periods, n), dtype=np.int8)
-    elapsed = np.empty((periods, n), dtype=np.int32)
-    np.put_along_axis(outcomes, order, out_sorted, axis=1)
-    np.put_along_axis(elapsed, order, el_sorted, axis=1)
-    transmitted = ~expired
-    diag = {
+    shift = (n - 1).bit_length()
+    top = min(int(draws.max()), slots)
+    # at least 16 bits: numpy sorts short rows of 8-bit keys about twice as slowly
+    keys = np.empty((periods, n), dtype=np.promote_types(np.min_scalar_type(top << shift | (n - 1)), np.uint16))
+    np.minimum(draws, top, out=keys, casting="unsafe")
+    keys <<= shift
+    keys |= np.arange(n, dtype=keys.dtype)
+    keys.sort(axis=1)
+    value = keys >> shift
+    # new[i]: flat entry i starts a run of equal draws in its period; the last entry closes the last period
+    flat = value.reshape(-1)
+    new = np.empty(flat.size + 1, dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=new[1:-1])
+    new[::n] = True
+    tie = ~(new[:-1] & new[1:]).reshape(periods, n)
+    # the running count of runs, less its period's first, is the number of smaller distinct draws
+    tx = np.cumsum(new[:-1], dtype=np.int32).reshape(periods, n)
+    tx -= tx[:, :1]
+    tx *= occupancy
+    np.add(tx, value, out=tx, casting="unsafe")  # value <= slots, and elapsed is int32 anyway
+    code = tx * 2
+    code += 2
+    code *= tie
+    np.subtract(tx, code, out=code)  # -2 - t where tied, else t
+    np.copyto(code, -1, where=tx >= slots)
+    index = np.bitwise_and(keys, (1 << shift) - 1, dtype=np.intp)
+    index += np.arange(0, periods * n, n)[:, None]
+    elapsed.reshape(-1)[index.reshape(-1)] = code.reshape(-1)
+    np.less(elapsed, 0, out=outcomes, casting="unsafe")  # DELIVERED, or COLLIDED_SYNC unless expired
+    np.copyto(outcomes, int(Outcome.EXPIRED), where=elapsed == -1)
+    np.maximum(elapsed, -2 - elapsed, out=elapsed)
+    return {
         "engine": "full-connectivity",
-        "sync_events": int((tie & transmitted).sum()),
+        "sync_events": int(np.count_nonzero(code < -1)),
         "hn_events": 0,
         "dual_label_events": 0,
     }
-    return outcomes, elapsed, diag
 
 
 def _run_walker(runs, slots: int, occupancy: int):
@@ -445,7 +479,10 @@ def _run_walker(runs, slots: int, occupancy: int):
     r * span on one run clock (span is the run's last offset plus periods *
     slots) and each transmission cut at its period end.  Returns one
     (outcomes, elapsed, diagnostics) per run, its rows of periods stacked
-    into (rows * periods, n), each in arrays of its own.
+    into (rows * periods, n).  A walk of several runs gives each run arrays of
+    its own.  A walk of one run returns a view of the walk's elapsed buffer,
+    which holds one more period per row; `_run_aligned` copies its rows once,
+    into the run's array.
     """
     periods = runs[0][0].shape[1]
     n = max(adjacency.shape[0] for _, _, adjacency in runs)
@@ -514,9 +551,10 @@ def _run_walker(runs, slots: int, occupancy: int):
         start[f] = _NEVER  # sent: gives way to the node's next packet at the top of the loop
 
     del draws
-    # each run's elapsed in an array of its own, so that no run's outcome keeps the batch alive
     elapsed = elapsed.reshape(first[-1], periods + 1, n)
-    elapsed = [elapsed[first[k]:first[k + 1], :periods, :adj.shape[0]].copy() for k, (_, adj) in enumerate(runs)]
+    elapsed = [elapsed[first[k]:first[k + 1], :periods, :adj.shape[0]] for k, (_, adj) in enumerate(runs)]
+    if len(runs) > 1:  # each run's elapsed in an array of its own, so that no run's outcome keeps the batch alive
+        elapsed = [run_elapsed.copy() for run_elapsed in elapsed]
     results = []
     for k, ((offsets, adjacency), run_elapsed) in enumerate(zip(runs, elapsed)):
         m = adjacency.shape[0]

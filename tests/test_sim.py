@@ -36,6 +36,24 @@ def complete_graph(n: int) -> np.ndarray:
     return ~np.eye(n, dtype=bool)
 
 
+def closed_form(draws: np.ndarray, slots: int, occupancy: int):
+    """`_run_full_connectivity` into fresh arrays holding values no outcome or elapsed
+    can take, so that an entry it leaves unwritten shows; returns (outcomes, elapsed, diagnostics)."""
+    outcomes = np.full(draws.shape, 99, dtype=np.int8)
+    elapsed = np.full(draws.shape, -99, dtype=np.int32)
+    diag = _run_full_connectivity(draws, slots, occupancy, outcomes, elapsed)
+    return outcomes, elapsed, diag
+
+
+def walk_complete(draws: np.ndarray, slots: int, occupancy: int):
+    """The walker on a complete graph, one row per period of the (periods, n) draws."""
+    n = draws.shape[1]
+    ((outcomes, elapsed, diag),) = _run_walker(
+        [(draws[:, None], np.zeros(n, dtype=np.int64), complete_graph(n))], slots, occupancy
+    )
+    return outcomes, elapsed, diag
+
+
 def reference_walk(draws: np.ndarray, offsets: np.ndarray, adjacency: np.ndarray, slots: int, occupancy: int):
     """Per-slot oracle for `_run_walker`: steps every busy slot of the whole
     run, any adjacency, optional per-node phase offsets.  Quiet stretches (no
@@ -216,6 +234,49 @@ class TestChunkedAlignedRuns:
 
         assert traced_peak(16384) <= 1.1 * traced_peak(4096)
 
+    def test_closed_form_peak_memory_stays_below_its_argsort_form(self):
+        # 5 573 523 B: the peak beyond the returned arrays of the argsort-and-put_along_axis closed
+        # form for this run, a 3 276-period chunk; writing each chunk in place must not regrow it
+        sc = make_scenario(density=40 / REGION.area)
+        config = SimConfig(
+            scenario=sc, policy=BackoffPolicy.traditional(127), n_periods=16384, seed=1, sense_range=math.inf
+        )
+        tracemalloc.start()
+        try:
+            out = run_simulation(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.diagnostics["engine"] == "full-connectivity"
+        assert peak - out.outcomes.nbytes - out.elapsed.nbytes <= 5_573_523
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunked_closed_form_matches_walker(self, monkeypatch, chunk):
+        # one node; cw far past the period (clipped draws); more than 128 nodes at cw 511
+        # (keys wider than 16 bits); 5 ms periods, where packets expire
+        many = make_scenario(density=140 / REGION.area)
+        assert many.n_nodes > 128
+        cases = [
+            (single_node_scenario(), BackoffPolicy.traditional(511), MacParameters()),
+            (make_scenario(seed=2), BackoffPolicy.traditional(2**40), MacParameters(t_ibi=20e-3)),
+            (many, BackoffPolicy.traditional(511), MacParameters()),
+            (make_scenario(seed=1), BackoffPolicy.proposed(127), MacParameters(t_ibi=5e-3)),
+        ]
+        expired = 0
+        for sc, policy, params in cases:
+            config = SimConfig(scenario=sc, policy=policy, params=params, sense_range=math.inf, n_periods=30, seed=5)
+            monkeypatch.setattr(sim, "_CHUNK_NODE_PERIODS", chunk * sc.n_nodes + sc.n_nodes - 1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                out = run_simulation(config)
+            draws = draw_matrix(policy, sc.categories, 30, np.random.default_rng(5))
+            o, e, d = walk_complete(draws, params.slots_per_beacon, params.tx_occupancy_slots)
+            assert out.diagnostics["engine"] == "full-connectivity"
+            assert np.array_equal(out.outcomes, o) and np.array_equal(out.elapsed, e)
+            assert out.diagnostics["sync_events"] == d["sync_events"]
+            expired += int((o == int(Outcome.EXPIRED)).sum())
+        assert expired > 0
+
 
 class TestElapsedAndFreezing:
     def test_elapsed_at_least_draw(self):
@@ -276,14 +337,37 @@ class TestEngineEquivalence:
         draws = draw_matrix(policy, cats, 40, np.random.default_rng(cw))
         params = MacParameters(t_ibi=t_ibi)
         slots, occ = params.slots_per_beacon, params.tx_occupancy_slots
-        oA, eA, dA = _run_full_connectivity(draws, slots, occ)
-        n = len(cats)
-        ((oB, eB, dB),) = _run_walker([(draws[:, None], np.zeros(n, dtype=np.int64), complete_graph(n))], slots, occ)
+        oA, eA, dA = closed_form(draws, slots, occ)
+        oB, eB, dB = walk_complete(draws, slots, occ)
         assert np.array_equal(oA, oB)
         assert np.array_equal(eA, eB)
         for key in ("sync_events", "hn_events", "dual_label_events"):
             assert dA[key] == dB[key], key
         assert (oA == int(Outcome.EXPIRED)).any() == (t_ibi < 100e-3 and cw >= 127)
+
+    def test_closed_form_matches_walker_on_random_draws(self):
+        # seeded cases at occupancy 1-7: one node, periods whose draws all tie, draws at or
+        # past the period end, cw far past it (clipped keys), more than 128 nodes at cw 511
+        # (keys wider than 16 bits) and periods of 2^27 and 2^30 slots (64-bit keys)
+        rng = np.random.default_rng(11)
+        cases = [(1, 511, 2000), (1, 50, 20), (2, 2**40, 30), (40, 2**40, 400), (129, 511, 2000), (140, 511, 400)]
+        cases += [(80, 2**40, 2**27), (3, 2**31, 2**30)]
+        cases += [(int(rng.integers(1, 14)), int(rng.integers(1, 80)), int(rng.integers(2, 60))) for _ in range(300)]
+        totals = dict.fromkeys(Outcome, 0)
+        for n, cw, slots in cases:
+            occ, periods = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            draws = rng.integers(0, cw, size=(periods, n))
+            draws[rng.random(periods) < 0.3] = rng.integers(0, cw)  # every draw of the period tied
+            oA, eA, dA = closed_form(draws, slots, occ)
+            oB, eB, dB = walk_complete(draws, slots, occ)
+            assert oA.dtype == oB.dtype and np.array_equal(oA, oB), (n, cw, slots, occ)
+            assert eA.dtype == eB.dtype and np.array_equal(eA, eB), (n, cw, slots, occ)
+            for key in ("sync_events", "hn_events", "dual_label_events"):
+                assert dA[key] == dB[key], key
+            for oc in Outcome:
+                totals[oc] += int((oA == int(oc)).sum())
+        assert totals[Outcome.COLLIDED_HIDDEN] == 0
+        assert all(totals[oc] > 0 for oc in (Outcome.DELIVERED, Outcome.COLLIDED_SYNC, Outcome.EXPIRED)), totals
 
     @pytest.mark.parametrize("occ", [1, 6])
     def test_batched_matches_walker_random_adjacency(self, occ):
@@ -547,8 +631,8 @@ class TestEngineEquivalence:
         for b1 in range(3):
             for b2 in range(3):
                 draws = np.array([[b1, b2]])
-                oA, eA, _ = _run_full_connectivity(draws, 4, 6)
-                ((oB, eB, _),) = _run_walker([(draws[:, None], np.zeros(2, dtype=np.int64), complete_graph(2))], 4, 6)
+                oA, eA, _ = closed_form(draws, 4, 6)
+                oB, eB, _ = walk_complete(draws, 4, 6)
                 assert np.array_equal(oA, oB) and np.array_equal(eA, eB)
                 if b1 == b2:
                     assert list(oA[0]) == [int(Outcome.COLLIDED_SYNC)] * 2

@@ -97,6 +97,16 @@ class MacParameters:
                 "a transmission must occupy at least one slot; "
                 "difs, sifs, header_airtime, payload_bytes and t_prop are all zero"
             )
+        # The simulator keeps start slots in int32.  The closed form starts the k-th distinct
+        # draw u <= slots of a period at u + k * occupancy, with k <= u, and codes a tied start
+        # t as -2 - t, so slots * (occupancy + 1) must not pass 2^31 - 2.
+        limit = (2**31 - 2) // (self.tx_occupancy_slots + 1)
+        if self.slots_per_beacon > limit:
+            raise ValueError(
+                f"t_ibi must be at most {limit} slots at {self.tx_occupancy_slots} slots per transmission, "
+                f"not {self.slots_per_beacon}: the simulator's int32 start slots reach "
+                "slots_per_beacon * (tx_occupancy_slots + 1)"
+            )
 
     @property
     def slots_per_beacon(self) -> int:

@@ -36,7 +36,7 @@ from .geometry import (
     save_scenario,
 )
 from .policy import BackoffPolicy, UncategorizedMode
-from .sim import SimConfig, point_files, read_point, run_simulations, write_point
+from .sim import SimConfig, point_files, read_point, simulate_points
 from .sim import run_simulation  # noqa: F401  unused here, but perfbench/tracer.py wraps cli.run_simulation
 
 __all__ = ["main", "build_parser"]
@@ -162,22 +162,23 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         except ValueError as exc:
             config = f"error: {exc}"
         points.append(((idx, policy, n_sta), config))
-    configs = [config for _, config in points if isinstance(config, SimConfig)]
-    outcomes = run_simulations(configs)
+    simulated = [
+        (f"{idx:03d}_{policy.kind.value}_cw{policy.cw}_n{n_sta}", config)
+        for (idx, policy, n_sta), config in points
+        if isinstance(config, SimConfig)
+    ]
+    results = simulate_points(out, simulated)
     manifest = [MANIFEST_HEADER]
     sim_points = ["index,stations,engine,sync_events,hn_events,dual_label_events"]
     written = set()
     for (idx, policy, n_sta), config in points:
         if isinstance(config, SimConfig):
-            outcome = next(outcomes)
-            status, names = "ok", write_point(out, f"{idx:03d}_{policy.kind.value}_cw{policy.cw}_n{n_sta}", outcome)
+            status, (names, diag) = "ok", next(results)
             written.update(names)
-            diag = outcome.diagnostics
             sim_points.append(
-                f"{idx},{outcome.n_nodes},{diag['engine']},{diag['sync_events']},{diag['hn_events']},"
+                f"{idx},{config.scenario.n_nodes},{diag['engine']},{diag['sync_events']},{diag['hn_events']},"
                 f"{diag['dual_label_events']}"
             )
-            del outcome  # so the next run is computed without this one's arrays
         else:
             status, names = config, ("", "", "")
         manifest.append(
@@ -202,7 +203,7 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
         canonical_text(replace(cfg, out_dir="out")),
     ]
     _write_text(out / "metadata.txt", "\n".join(meta))
-    print(f"simulated {len(configs)}/{len(points)} grid points -> {out / 'manifest.csv'}")
+    print(f"simulated {len(simulated)}/{len(points)} grid points -> {out / 'manifest.csv'}")
     return 0
 
 

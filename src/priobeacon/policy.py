@@ -106,11 +106,15 @@ def draw_matrix(policy: BackoffPolicy, categories: np.ndarray, n_periods: int, r
     Consecutive calls on one generator draw what one call of their rows
     would, which lets `sim` draw a run chunk by chunk.  Scalar bounds, used
     when every category shares one range, draw the same values as
-    per-column bounds of that range, and faster.
+    per-column bounds of that range, and faster.  The matrix is int32 when
+    every draw fits (cw - 1 < 2^31), else int64: numpy draws a range of
+    up to 2^32 values from 32-bit outputs whatever the dtype, so both
+    dtypes give the same values and leave the generator in the same state.
     """
+    dtype = np.int32 if policy.cw - 1 < 2**31 else np.int64
     shared = policy.shared_range()
     if shared is not None:
-        return rng.integers(shared.lo, shared.hi + 1, size=(n_periods, categories.shape[0]))
+        return rng.integers(shared.lo, shared.hi + 1, size=(n_periods, categories.shape[0]), dtype=dtype)
     bounds = np.array([(r.lo, r.hi) for r in (backoff_range(policy, c) for c in Category)], dtype=np.int64)
     lo, hi = bounds[categories - int(Category.CAT1)].T
-    return rng.integers(lo, hi + 1, size=(n_periods, lo.shape[0]))
+    return rng.integers(lo, hi + 1, size=(n_periods, lo.shape[0]), dtype=dtype)

@@ -42,11 +42,19 @@ its one-config case):
 
 An aligned run, on either engine, is drawn and simulated chunk by chunk:
 each chunk of periods takes its draws in turn from the run's one generator
-and writes its rows of the run's int8 outcomes and int32 elapsed arrays,
-and the event counts are summed over chunks.  Consecutive draws from one
-generator equal one draw of the whole run and periods are independent, so
-the chunks change no result; they bound the working set beyond those
-arrays (5 bytes per node-period) to one chunk's, whatever the run's length.
+and yields its rows of int8 outcomes and int32 elapsed (the closed form
+writes them into two buffers that every chunk reuses), and the event
+counts are summed over chunks.  Consecutive draws from one generator equal
+one draw of the whole run and periods are independent, so the chunks
+change no result.  `run_simulations` gathers a run's chunks into the
+(periods, n) arrays of a `SimOutcome` (5 bytes per node-period).
+`simulate_points`, which `simulate` runs, keeps no such arrays: it tallies
+each chunk into what the point's files hold, per-node outcome counts and
+int64 elapsed sums and the node-major bits text, one column block per
+chunk (a walked phase-offset run is one block), and writes them as bytes.
+A `SimOutcome`'s files are formatted by the same tally, so both give the
+same bytes, and a streamed point holds its bits text (1 byte per
+node-period) and one chunk's working set, whatever the run's length.
 
 The closed form ranks each period's draws with one sort of packed keys,
 (draw << b) | node with b bits for the node, so the keys are unique and
@@ -54,9 +62,11 @@ their order is the stable order by draw.  Draws are clipped at the slots
 per beacon first: a larger draw expires whatever its rank, and the clip
 bounds the keys by the period whatever the window (at the paper's windows
 and station counts they are 16 bits wide).  The k-th distinct value u of a
-period starts at u + k * occupancy.  Each node-period's outcome and elapsed
-travel as one int32 code, scattered once into the run's elapsed rows and
-decoded there in place, into its elapsed and outcome rows.
+period starts at u + k * occupancy (k <= u, so a start is at most
+slots * (occupancy + 1), which `MacParameters` keeps inside int32).  Each
+node-period's outcome and elapsed travel as one int32 code, scattered once
+into the chunk's elapsed rows and decoded there in place, into its elapsed
+and outcome rows.
 
 The walker jumps from one transmission start to the next.  A node waiting
 with counter c as of time tau, sensing the medium busy until b (the latest
@@ -98,6 +108,7 @@ __all__ = [
     "SimOutcome",
     "run_simulation",
     "run_simulations",
+    "simulate_points",
     "classify_collision",
     "point_files",
     "write_point",
@@ -162,7 +173,7 @@ class SimOutcome:
 
     def counts(self) -> dict[Outcome, np.ndarray]:
         """Per-node counters of each outcome; they sum to n_periods per node."""
-        return {oc: (self.outcomes == int(oc)).sum(axis=0) for oc in Outcome}
+        return dict(zip(Outcome, self._tally().counts))
 
     def transmitted_bits(self) -> np.ndarray:
         """(n, periods) bool: True where the node's packet was transmitted
@@ -171,37 +182,73 @@ class SimOutcome:
 
     def elapsed_sums(self) -> np.ndarray:
         """(n,) int64: each node's elapsed backoff slots summed over its transmitted periods."""
-        return self._tx_counts_and_elapsed_sums()[1]
-
-    def _tx_counts_and_elapsed_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each node's transmitted periods and elapsed sum over them: an expired period's
-        elapsed is -1, so its column sum plus its expired count."""
-        expired = np.count_nonzero(self.outcomes == int(Outcome.EXPIRED), axis=0)
-        return self.n_periods - expired, self.elapsed.sum(axis=0, dtype=np.int64) + expired
+        return self._tally().tx_counts_and_elapsed_sums()[1]
 
     def category_nodes(self, category: Category) -> np.ndarray:
         return np.flatnonzero(self.config.scenario.categories == int(category))
 
-    def _per_node_csv(self, header: str, *columns: np.ndarray) -> str:
-        """`header`, then one line per node: its id, its category token and its value in each integer column."""
-        scenario = self.config.scenario
-        tokens = [Category(cat).token for cat in scenario.categories]
-        line = "%d,%s" + ",%d" * len(columns)
-        return "\n".join([header, *(line % row for row in zip(scenario.ids, tokens, *columns))]) + "\n"
+    def _tally(self) -> "_PointTally":
+        tally = _PointTally(self.config.scenario, self.n_periods)
+        tally.add(0, self.outcomes, self.elapsed)
+        return tally
 
     def to_outcome_csv(self) -> str:
-        return self._per_node_csv(OUTCOME_CSV_HEADER, *self.counts().values())
+        return self._tally().outcome_csv()
 
     def to_bits_text(self) -> str:
         """One line of '1'/'0' per node, one character per period."""
-        text = np.full((self.n_nodes, self.n_periods + 1), ord("\n"), dtype=np.uint8)
-        text[:, :-1] = self.transmitted_bits()
-        text[:, :-1] += ord("0")
-        return text.tobytes().decode("ascii")
+        return self._tally().bits.tobytes().decode("ascii")
 
     def to_stats_csv(self) -> str:
         """Diagnostic per-node stats: transmission count and summed elapsed backoff slots."""
-        return self._per_node_csv(STATS_CSV_HEADER, *self._tx_counts_and_elapsed_sums())
+        return self._tally().stats_csv()
+
+
+class _PointTally:
+    """What a point's files hold, filled one block of periods at a time: each node's outcome
+    counts and int64 elapsed sum, and the bits text, one line of '1'/'0' per node."""
+
+    def __init__(self, scenario: SpatialScenario, periods: int):
+        n = scenario.n_nodes
+        self.scenario = scenario
+        self.counts = np.zeros((len(Outcome), n), dtype=np.int64)
+        self.elapsed_sums = np.zeros(n, dtype=np.int64)  # an expired period adds -1
+        self.bits = np.full((n, periods + 1), ord("\n"), dtype=np.uint8)
+
+    def add(self, first: int, outcomes: np.ndarray, elapsed: np.ndarray) -> None:
+        """Tally periods first, first + 1, ... from their (rows, n) outcomes and elapsed."""
+        bits = self.bits[:, first:first + outcomes.shape[0]]
+        np.not_equal(outcomes.T, int(Outcome.EXPIRED), out=bits)
+        bits += ord("0")
+        for oc in Outcome:
+            self.counts[oc] += np.count_nonzero(outcomes == int(oc), axis=0)
+        self.elapsed_sums += elapsed.sum(axis=0, dtype=np.int64)
+
+    def tx_counts_and_elapsed_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each node's transmitted periods and its elapsed sum over them."""
+        expired = self.counts[Outcome.EXPIRED]
+        return self.bits.shape[1] - 1 - expired, self.elapsed_sums + expired
+
+    def _per_node_csv(self, header: str, *columns: np.ndarray) -> str:
+        """`header`, then one line per node: its id, its category token and its value in each integer column."""
+        tokens = [Category(cat).token for cat in self.scenario.categories]
+        line = "%d,%s" + ",%d" * len(columns)
+        return "\n".join([header, *(line % row for row in zip(self.scenario.ids, tokens, *columns))]) + "\n"
+
+    def outcome_csv(self) -> str:
+        return self._per_node_csv(OUTCOME_CSV_HEADER, *self.counts)
+
+    def stats_csv(self) -> str:
+        return self._per_node_csv(STATS_CSV_HEADER, *self.tx_counts_and_elapsed_sums())
+
+    def write(self, out: Path, tag: str) -> tuple[str, str, str]:
+        """Write the point's outcome, bits and stats files into `out`; return their names."""
+        names = point_files(tag)
+        (out / names[0]).write_bytes(self.outcome_csv().encode("ascii"))
+        with open(out / names[1], "wb") as fh:
+            fh.write(self.bits)
+        (out / names[2]).write_bytes(self.stats_csv().encode("ascii"))
+        return names
 
 
 OUTCOME_CSV_HEADER = "node_id,category,delivered,sync,hn,expired"
@@ -215,11 +262,8 @@ def point_files(tag: str) -> tuple[str, str, str]:
 
 
 def write_point(out: Path, tag: str, outcome: SimOutcome) -> tuple[str, str, str]:
-    """Write `outcome`'s outcome, bits and stats files into `out`, one text at a time; return their names."""
-    names = point_files(tag)
-    for name, text in zip(names, (outcome.to_outcome_csv, outcome.to_bits_text, outcome.to_stats_csv)):
-        (out / name).write_text(text(), encoding="ascii", newline="\n")
-    return names
+    """Write `outcome`'s outcome, bits and stats files into `out`; return their names."""
+    return outcome._tally().write(out, tag)
 
 
 def read_point(bits_path: Path, stats_path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -333,6 +377,36 @@ def run_simulations(configs) -> Iterator[SimOutcome]:
     holds one aligned run's arrays at a time.
     """
     configs = list(configs)
+    for config, chunks in zip(configs, _simulated_chunks(configs)):
+        shape = (config.n_periods, config.scenario.n_nodes)
+        outcomes, elapsed = np.empty(shape, dtype=np.int8), np.empty(shape, dtype=np.int32)
+
+        def gather(first, chunk_outcomes, chunk_elapsed):
+            outcomes[first:first + chunk_outcomes.shape[0]] = chunk_outcomes
+            elapsed[first:first + chunk_elapsed.shape[0]] = chunk_elapsed
+
+        yield SimOutcome(config, outcomes, elapsed, _fold(chunks, gather))
+
+
+def simulate_points(out: Path, points) -> Iterator[tuple[tuple[str, str, str], dict]]:
+    """Simulate each (tag, config) of `points` as `run_simulations` does and write the point's
+    files into `out`, the bytes `write_point` writes for its outcome; yield, point by point,
+    the files' names and the run's diagnostics.
+
+    A point's files are tallied as its run is computed, an aligned run chunk by
+    chunk and a walked phase-offset run as one block, so no run's (periods, n)
+    arrays are kept: what a point holds beyond one chunk is its bits text.
+    """
+    points = list(points)
+    for (tag, config), chunks in zip(points, _simulated_chunks([config for _, config in points])):
+        tally = _PointTally(config.scenario, config.n_periods)
+        diagnostics = _fold(chunks, tally.add)
+        yield tally.write(out, tag), diagnostics
+
+
+def _simulated_chunks(configs: list[SimConfig]) -> Iterator[Iterator[tuple]]:
+    """Per config, in order, its run as (first period, outcomes, elapsed, diagnostics) chunks of
+    consecutive periods: all of a walked phase-offset run in one, an aligned run's as computed."""
     groups: dict[tuple[int, int, int], list[int]] = {}
     for k, config in enumerate(configs):
         slots = config.params.slots_per_beacon
@@ -340,7 +414,7 @@ def run_simulations(configs) -> Iterator[SimOutcome]:
             warnings.warn(
                 f"contention window {config.policy.cw} exceeds {slots} slots per beacon; "
                 "large draws will always expire",
-                stacklevel=2,
+                stacklevel=3,
             )
         if config.random_phase_offsets:
             groups.setdefault((slots, config.params.tx_occupancy_slots, config.n_periods), []).append(k)
@@ -348,7 +422,18 @@ def run_simulations(configs) -> Iterator[SimOutcome]:
     for (slots, occupancy, _), ks in groups.items():
         walked.update(zip(ks, _run_walker([_draw_phase_offset_run(configs[k]) for k in ks], slots, occupancy)))
     for k, config in enumerate(configs):
-        yield SimOutcome(config, *(walked.pop(k) if k in walked else _run_aligned(config)))
+        yield iter([(0, *walked.pop(k))]) if k in walked else _run_aligned(config)
+
+
+def _fold(chunks, add) -> dict:
+    """Pass each chunk's first period, outcomes and elapsed to `add`; return the run's
+    diagnostics, the last chunk's with the event counts summed over all chunks."""
+    counts = dict.fromkeys(("sync_events", "hn_events", "dual_label_events"), 0)
+    for first, outcomes, elapsed, diag in chunks:
+        add(first, outcomes, elapsed)
+        for key in counts:
+            counts[key] += diag[key]
+    return {**diag, **counts}
 
 
 def _draw_phase_offset_run(config: SimConfig):
@@ -367,35 +452,40 @@ def _draw_phase_offset_run(config: SimConfig):
 _NEVER = np.iinfo(np.int64).max // 2
 _END = np.iinfo(np.int64).max
 
-# Node-periods an aligned run draws and simulates at a time: about 1 MB of int64
-# draws, so the working set stays a few MB whatever the run's length.
-_CHUNK_NODE_PERIODS = 1 << 17
+# Node-periods an aligned run draws and simulates at a time: 0.25 MB of int32 draws
+# and about 2 MB of closed-form temporaries, whatever the run's length.  Twice as
+# many outgrow what glibc's malloc keeps for reuse (its trim threshold follows the
+# largest block freed so far, and `simulate` frees no per-run arrays), so every
+# chunk would fault its temporaries in afresh.
+_CHUNK_NODE_PERIODS = 1 << 16
 
 
 def _run_aligned(config: SimConfig):
-    """An aligned run on its own, chunk by chunk (see the module docstring): the closed
-    form on a complete graph, else one walker row per period."""
+    """Yield an aligned run's chunks (see the module docstring) as (first period, outcomes,
+    elapsed, diagnostics): the closed form on a complete graph, written into two buffers
+    that every chunk reuses, so a chunk's arrays hold until the next chunk is asked for;
+    else one walker row per period."""
     scenario = config.scenario
     periods, n = config.n_periods, scenario.n_nodes
     slots, occupancy = config.params.slots_per_beacon, config.params.tx_occupancy_slots
     adjacency = build_adjacency(scenario, config.sense_range)
     complete = (adjacency | np.eye(n, dtype=bool)).all()
     rng = np.random.default_rng(config.seed)
-    outcomes = np.empty((periods, n), dtype=np.int8)
-    elapsed = np.empty((periods, n), dtype=np.int32)
-    counts = dict.fromkeys(("sync_events", "hn_events", "dual_label_events"), 0)
-    step = max(1, _CHUNK_NODE_PERIODS // n)
+    step = min(periods, max(1, _CHUNK_NODE_PERIODS // n))
+    if complete:
+        outcome_rows, elapsed_rows = np.empty((step, n), dtype=np.int8), np.empty((step, n), dtype=np.int32)
     for first in range(0, periods, step):
-        chunk = slice(first, min(first + step, periods))
-        draws = draw_matrix(config.policy, scenario.categories, chunk.stop - first, rng)
+        rows = min(step, periods - first)
+        draws = draw_matrix(config.policy, scenario.categories, rows, rng)
         if complete:
-            diag = _run_full_connectivity(draws, slots, occupancy, outcomes[chunk], elapsed[chunk])
+            outcomes, elapsed = outcome_rows[:rows], elapsed_rows[:rows]
+            diag = _run_full_connectivity(draws, slots, occupancy, outcomes, elapsed)
         else:
             runs = [(draws[:, None], np.zeros(n, dtype=np.int64), adjacency)]
-            ((outcomes[chunk], elapsed[chunk], diag),) = _run_walker(runs, slots, occupancy)
-        for key in counts:
-            counts[key] += diag[key]
-    return outcomes, elapsed, {**diag, **counts}
+            ((outcomes, elapsed, diag),) = _run_walker(runs, slots, occupancy)
+            del runs
+        del draws
+        yield first, outcomes, elapsed, diag
 
 
 def _run_full_connectivity(draws: np.ndarray, slots: int, occupancy: int, outcomes: np.ndarray, elapsed: np.ndarray):
@@ -481,8 +571,8 @@ def _run_walker(runs, slots: int, occupancy: int):
     (outcomes, elapsed, diagnostics) per run, its rows of periods stacked
     into (rows * periods, n).  A walk of several runs gives each run arrays of
     its own.  A walk of one run returns a view of the walk's elapsed buffer,
-    which holds one more period per row; `_run_aligned` copies its rows once,
-    into the run's array.
+    which holds one more period per row; an aligned chunk's is tallied into
+    its point's files or copied once, into the run's array.
     """
     periods = runs[0][0].shape[1]
     n = max(adjacency.shape[0] for _, _, adjacency in runs)

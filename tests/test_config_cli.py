@@ -16,7 +16,7 @@ from priobeacon.config import ExperimentConfig, canonical_text, derive_seed, par
 from priobeacon.geometry import Category, SweepMode, category_from_token
 from priobeacon.metrics import build_estimates
 from priobeacon.policy import BackoffPolicy, PolicyKind, UncategorizedMode, backoff_range
-from priobeacon.sim import read_point
+from priobeacon.sim import read_point, run_simulation
 
 
 class TestSeeds:
@@ -268,16 +268,16 @@ def write_config(tmp_path, text, name="exp.ini"):
 
 @pytest.fixture
 def sim_outcomes(monkeypatch):
-    """Every SimOutcome that cmd_simulate produces, in grid order."""
+    """`run_simulation`'s outcome of each config that cmd_simulate simulates, in grid order;
+    cmd_simulate streams each point's files without keeping its arrays."""
     outcomes = []
-    real_run = cli.run_simulations
+    real_points = cli.simulate_points
 
-    def capture(configs):
-        for outcome in real_run(configs):
-            outcomes.append(outcome)
-            yield outcome
+    def capture(out, points):
+        outcomes.extend(run_simulation(config) for _, config in points)
+        return real_points(out, points)
 
-    monkeypatch.setattr(cli, "run_simulations", capture)
+    monkeypatch.setattr(cli, "simulate_points", capture)
     return outcomes
 
 
@@ -762,6 +762,7 @@ class TestParseTimeLimits:
             ("mac", "t_ibi = inf", "t_ibi"),
             ("mac", "difs = inf", "difs"),
             ("mac", "t_ibi = 1e300\nt_slot = 1e-300", "t_ibi / t_slot"),  # finite times, infinite slot count
+            ("mac", "t_ibi = 2e5", "t_ibi"),  # 4e9 slots: past the simulator's int32 start slots
         ],
     )
     def test_sweep_with_bad_value_writes_nothing(self, tmp_path, capsys, section, line, name):

@@ -133,3 +133,25 @@ class TestDraws:
         rng = np.random.default_rng(cw)
         chunks = [draw_matrix(pol, cats, min(chunk, 120 - first), rng) for first in range(0, 120, chunk)]
         assert np.array_equal(np.concatenate(chunks), draw_matrix(pol, cats, 120, np.random.default_rng(cw)))
+
+    @pytest.mark.parametrize("top", [1, 14, 510, 2**16, 2**31 - 1])
+    def test_int32_draws_equal_int64_draws(self, top):
+        # draw_matrix draws int32 when every value fits; numpy's bounded draws of a range of up
+        # to 2^32 values do not depend on the dtype, for scalar and per-column bounds alike, and
+        # leave the generator where the int64 draw would, so a second call matches too
+        lo = np.array([0, top // 3, 0, top, (2 * top) // 3])
+        hi = np.array([top // 3, (2 * top) // 3, top, top, top])
+        for low, high in ((0, top + 1), (lo, hi + 1)):
+            narrow, wide = np.random.default_rng(top), np.random.default_rng(top)
+            for periods in (37, 11):
+                a = narrow.integers(low, high, size=(periods, 5), dtype=np.int32)
+                b = wide.integers(low, high, size=(periods, 5), dtype=np.int64)
+                assert a.dtype == np.int32 and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", ["traditional", "proposed"])
+    @pytest.mark.parametrize("cw, dtype", [(511, np.int32), (2**31, np.int32), (2**31 + 1, np.int64), (2**40, np.int64)])
+    def test_draws_are_int32_where_the_window_fits(self, kind, cw, dtype):
+        pol = getattr(BackoffPolicy, kind)(cw)
+        cats = np.array([4, 1, 3, 3, 2, 1, 4, 2, 1], dtype=np.int64)
+        draws = draw_matrix(pol, cats, 20, np.random.default_rng(5))
+        assert draws.dtype == dtype and draws.max() <= cw - 1

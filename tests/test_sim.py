@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from priobeacon.analytic import MacParameters
-from priobeacon.cli import MANIFEST_HEADER
+from priobeacon.cli import MANIFEST_HEADER, main
 from priobeacon.geometry import Category, CategoryThresholds, RegionSpec, drop_nodes
 from priobeacon.policy import BackoffPolicy, draw_matrix
 from priobeacon.sim import (
@@ -24,6 +24,7 @@ from priobeacon.sim import (
     read_point,
     run_simulation,
     run_simulations,
+    simulate_points,
     write_point,
 )
 from priobeacon import sim
@@ -249,6 +250,27 @@ class TestChunkedAlignedRuns:
             tracemalloc.stop()
         assert out.diagnostics["engine"] == "full-connectivity"
         assert peak - out.outcomes.nbytes - out.elapsed.nbytes <= 5_573_523
+
+    def test_simulate_holds_only_the_bits_text_beyond_a_chunk(self, tmp_path):
+        # `simulate` streams each point into its files: from P to 4P periods its peak grows by the
+        # bits text, one byte per node-period, not by the run's arrays (5 B) or copies of the text
+        n, periods = 40, 4096
+
+        def traced_peak(p):
+            cfgp = tmp_path / f"{p}.ini"
+            cfgp.write_text(
+                f"[policy]\npolicies = traditional\ncw = 127\n[contention]\nn_sta = {n}\n"
+                f"[sim]\nperiods = {p}\nfull_connectivity = true\n[output]\ndir = {tmp_path}/out{p}\n"
+            )
+            tracemalloc.start()
+            try:
+                assert main(["simulate", "--config", str(cfgp)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        grown = traced_peak(4 * periods) - traced_peak(periods)
+        assert grown <= 1.1 * 3 * periods * n
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunked_closed_form_matches_walker(self, monkeypatch, chunk):
@@ -642,6 +664,40 @@ class TestEngineEquivalence:
                     assert oA[0, loser] == int(Outcome.EXPIRED)
                     assert eA[0, winner] == min(b1, b2)
 
+    def test_engines_agree_just_below_the_int32_start_limit(self):
+        # the closed form starts the k-th distinct draw u <= slots at u + k * occupancy (k <= u) and
+        # codes a tied start t as -2 - t, all in int32, so MacParameters caps slots * (occupancy + 1)
+        occ = MacParameters().tx_occupancy_slots
+        limit = (2**31 - 2) // (occ + 1)
+        for t_ibi in (2e5, (limit + 1) * 50e-6):
+            with pytest.raises(ValueError, match=f"t_ibi must be at most {limit} slots"):
+                MacParameters(t_ibi=t_ibi)
+        params = MacParameters(t_ibi=limit * 50e-6)
+        assert params.slots_per_beacon == limit and params.tx_occupancy_slots == occ
+        # 3 nodes, 3 periods, cw 2^33: at 4e9 slots int32 starts wrap and the engines disagree here
+        sc = make_scenario(density=3 / REGION.area)
+        assert sc.n_nodes == 3
+        transmitted = 0
+        for seed in range(6):
+            config = SimConfig(
+                scenario=sc, policy=BackoffPolicy.traditional(2**33), params=params,
+                sense_range=math.inf, n_periods=3, seed=seed,
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                out = run_simulation(config)
+            draws = draw_matrix(config.policy, sc.categories, 3, np.random.default_rng(seed))
+            o, e, _ = walk_complete(draws, limit, occ)
+            assert np.array_equal(out.outcomes, o) and np.array_equal(out.elapsed, e), seed
+            transmitted += int((o != int(Outcome.EXPIRED)).sum())
+        assert transmitted > 0
+        # the largest draws a period can hold, tied and not
+        draws = np.array([[limit - 1, limit - 1, limit - 2], [limit - 1 - occ, 0, limit], [limit - 1] * 3])
+        oA, eA, dA = closed_form(draws, limit, occ)
+        oB, eB, dB = walk_complete(draws, limit, occ)
+        assert np.array_equal(oA, oB) and np.array_equal(eA, eB) and dA["sync_events"] == dB["sync_events"]
+        assert eA.max() == limit - 1 and (oA == int(Outcome.COLLIDED_SYNC)).any()
+
 
 def pairwise_labels(node, start, end, adj):
     """Brute-force SYNC/HN labels: every ordered pair of events of different nodes."""
@@ -815,6 +871,37 @@ class TestPointFiles:
         assert [int(ln.split(",")[0]) for ln in lines[1:]] == config.scenario.ids.tolist()
         counts = np.array([[int(v) for v in ln.split(",")[2:]] for ln in lines[1:]])
         assert np.array_equal(counts.T, np.stack(list(out.counts().values())))
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_streamed_files_equal_write_point(self, tmp_path, monkeypatch, chunk):
+        # one batch: a complete-graph run (the closed form), an aligned 700 m run (walker rows) and a
+        # phase-offset run (one walked block), at 10 ms periods where packets expire, streamed in
+        # chunks of `chunk` periods, against each run's outcome computed in one chunk
+        sc = make_scenario(seed=1)
+        base = SimConfig(
+            scenario=sc, policy=BackoffPolicy.proposed(127), params=MacParameters(t_ibi=10e-3), n_periods=40, seed=3
+        )
+        points = [
+            ("000_full", replace(base, sense_range=math.inf)),
+            ("001_700m", replace(base, seed=4)),
+            ("002_phase", replace(base, seed=5, random_phase_offsets=True)),
+        ]
+        assert 40 * sc.n_nodes <= sim._CHUNK_NODE_PERIODS
+        outcomes = [run_simulation(config) for _, config in points]
+        monkeypatch.setattr(sim, "_CHUNK_NODE_PERIODS", chunk * sc.n_nodes + sc.n_nodes - 1)
+        streamed, written = tmp_path / "streamed", tmp_path / "written"
+        streamed.mkdir()
+        written.mkdir()
+        results = list(simulate_points(streamed, points))
+        assert len(results) == len(points)
+        for (tag, _), outcome, (names, diag) in zip(points, outcomes, results):
+            assert write_point(written, tag, outcome) == names == point_files(tag)
+            assert diag == outcome.diagnostics
+            for name in names:
+                assert (streamed / name).read_bytes() == (written / name).read_bytes(), name
+        assert [diag["engine"] for _, diag in results] == ["full-connectivity", "slot-walker", "slot-walker"]
+        assert results[1][1]["hn_events"] > 0
+        assert all((out.outcomes == int(Outcome.EXPIRED)).any() for out in outcomes)
 
     def test_name_rule_follows_the_manifest_columns(self):
         # perfbench reads a point's outcome, bits and stats files from manifest columns 7-9 by position

@@ -173,7 +173,7 @@ class SimOutcome:
 
     def counts(self) -> dict[Outcome, np.ndarray]:
         """Per-node counters of each outcome; they sum to n_periods per node."""
-        return dict(zip(Outcome, self._tally().counts))
+        return dict(zip(Outcome, _outcome_counts(self.outcomes)))
 
     def transmitted_bits(self) -> np.ndarray:
         """(n, periods) bool: True where the node's packet was transmitted
@@ -182,7 +182,8 @@ class SimOutcome:
 
     def elapsed_sums(self) -> np.ndarray:
         """(n,) int64: each node's elapsed backoff slots summed over its transmitted periods."""
-        return self._tally().tx_counts_and_elapsed_sums()[1]
+        # an expired period's elapsed is -1
+        return self.elapsed.sum(axis=0, dtype=np.int64) + _outcome_counts(self.outcomes)[Outcome.EXPIRED]
 
     def category_nodes(self, category: Category) -> np.ndarray:
         return np.flatnonzero(self.config.scenario.categories == int(category))
@@ -220,8 +221,7 @@ class _PointTally:
         bits = self.bits[:, first:first + outcomes.shape[0]]
         np.not_equal(outcomes.T, int(Outcome.EXPIRED), out=bits)
         bits += ord("0")
-        for oc in Outcome:
-            self.counts[oc] += np.count_nonzero(outcomes == int(oc), axis=0)
+        self.counts += _outcome_counts(outcomes)
         self.elapsed_sums += elapsed.sum(axis=0, dtype=np.int64)
 
     def tx_counts_and_elapsed_sums(self) -> tuple[np.ndarray, np.ndarray]:
@@ -249,6 +249,31 @@ class _PointTally:
             fh.write(self.bits)
         (out / names[2]).write_bytes(self.stats_csv().encode("ascii"))
         return names
+
+
+_COUNT_FIELDS = np.arange(0, 16 * len(Outcome), 16, dtype=np.uint64)[:, None]  # each outcome's shift in a packed count
+
+
+def _outcome_counts(outcomes: np.ndarray) -> np.ndarray:
+    """(len(Outcome), n) int64: how often each Outcome code occurs in each column of the (rows, n)
+    int8 `outcomes`.
+
+    Each block of rows is counted in one pass: code c stands for 1 << 16c, so one uint64 sum down
+    the block's rows packs its four counts, 16 bits each.  A block has at most 0xFFFF rows, so no
+    count carries into the next, and at most a chunk's node-periods, so the one buffer every
+    block reuses, 8 bytes per node-period, stays within a chunk's working set.
+    """
+    rows, n = outcomes.shape
+    step = min(0xFFFF, max(1, _CHUNK_NODE_PERIODS // n))
+    counts = np.zeros((len(Outcome), n), dtype=np.int64)
+    fields = np.empty((min(step, rows), n), dtype=np.uint64)
+    for first in range(0, rows, step):
+        block = fields[:rows - first]
+        block[...] = outcomes[first:first + step]
+        block <<= 4
+        np.left_shift(1, block, out=block)
+        counts += ((block.sum(axis=0) >> _COUNT_FIELDS) & 0xFFFF).astype(np.int64)
+    return counts
 
 
 OUTCOME_CSV_HEADER = "node_id,category,delivered,sync,hn,expired"
@@ -453,10 +478,11 @@ _NEVER = np.iinfo(np.int64).max // 2
 _END = np.iinfo(np.int64).max
 
 # Node-periods an aligned run draws and simulates at a time: 0.25 MB of int32 draws
-# and about 2 MB of closed-form temporaries, whatever the run's length.  Twice as
-# many outgrow what glibc's malloc keeps for reuse (its trim threshold follows the
-# largest block freed so far, and `simulate` frees no per-run arrays), so every
-# chunk would fault its temporaries in afresh.
+# (under 1 MB of temporaries while per-column bounds are drawn), about 2 MB of
+# closed-form temporaries and 0.5 MB to count outcomes, whatever the run's length.
+# Twice as many outgrow what glibc's malloc keeps for reuse (its trim threshold
+# follows the largest block freed so far, and `simulate` frees no per-run arrays),
+# so every chunk would fault its temporaries in afresh.
 _CHUNK_NODE_PERIODS = 1 << 16
 
 

@@ -134,6 +134,25 @@ class TestDraws:
         chunks = [draw_matrix(pol, cats, min(chunk, 120 - first), rng) for first in range(0, 120, chunk)]
         assert np.array_equal(np.concatenate(chunks), draw_matrix(pol, cats, 120, np.random.default_rng(cw)))
 
+    @pytest.mark.parametrize("cw", [3, 4, 15, 127, 511, 3 * 2**31 + 4, 3 * 2**32, 2**40])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_per_column_draws_keep_the_generator_stream(self, cw, seed):
+        # draw_matrix maps raw 32-bit outputs for per-column bounds; numpy's per-column call is the
+        # reference for the matrix, the generator state after it and the next call's draws.  cw 3
+        # and 4 have width-1 columns, which numpy draws nothing for; at 3 * 2^31 + 4 the widths
+        # are 2^31 + 1 and 2^31 + 2, about half of all outputs reject and the fallback runs; at
+        # 3 * 2^32 every width is 2^32, where numpy returns the output itself; at 2^40 the widths
+        # exceed 2^32.  Odd element counts leave half of a 64-bit output buffered.
+        pol = BackoffPolicy.proposed(cw)
+        cats = np.array([4, 1, 3, 3, 2, 1, 4, 2, 1], dtype=np.int64)
+        lo = np.array([backoff_range(pol, Category(c)).lo for c in cats.tolist()])
+        hi = np.array([backoff_range(pol, Category(c)).hi for c in cats.tolist()])
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for periods in (37, 11):
+            draws = draw_matrix(pol, cats, periods, rng)
+            assert np.array_equal(draws, ref.integers(lo, hi + 1, size=(periods, cats.size)))
+            assert rng.bit_generator.state == ref.bit_generator.state
+
     @pytest.mark.parametrize("top", [1, 14, 510, 2**16, 2**31 - 1])
     def test_int32_draws_equal_int64_draws(self, top):
         # draw_matrix draws int32 when every value fits; numpy's bounded draws of a range of up

@@ -186,6 +186,31 @@ class TestBasics:
         assert a.to_bits_text() == b.to_bits_text()
         assert a.to_stats_csv() == b.to_stats_csv()
 
+    @pytest.mark.parametrize("rows, n", [(819, 80), (37, 5), (2**16, 1), (2**16 + 3, 2)])
+    def test_outcome_counts_equal_per_outcome_counts(self, rows, n):
+        # packed counts hold 0xFFFF per field: 2^16 rows of one outcome need two blocks
+        rng = np.random.default_rng(rows)
+        for outcomes in (rng.integers(0, len(Outcome), size=(rows, n), dtype=np.int8),
+                         np.full((rows, n), int(Outcome.EXPIRED), dtype=np.int8)):
+            want = np.stack([np.count_nonzero(outcomes == int(oc), axis=0) for oc in Outcome])
+            counts = sim._outcome_counts(outcomes)
+            assert counts.dtype == np.int64 and np.array_equal(counts, want)
+
+    def test_counts_and_elapsed_sums_build_no_bits_text(self, monkeypatch):
+        sc = make_scenario(seed=2)
+        out = run_simulation(SimConfig(
+            scenario=sc, policy=BackoffPolicy.proposed(15), params=MacParameters(t_ibi=3e-3),
+            sense_range=math.inf, n_periods=150, seed=4,
+        ))
+        assert (out.outcomes == int(Outcome.EXPIRED)).any()
+        want_counts = [np.count_nonzero(out.outcomes == int(oc), axis=0) for oc in Outcome]
+        want_sums = np.where(out.elapsed >= 0, out.elapsed, 0).sum(axis=0)
+        monkeypatch.setattr(sim, "_PointTally", None)
+        counts = out.counts()
+        assert list(counts) == list(Outcome)
+        assert all(np.array_equal(counts[oc], want) for oc, want in zip(Outcome, want_counts))
+        assert out.elapsed_sums().dtype == np.int64 and np.array_equal(out.elapsed_sums(), want_sums)
+
     def test_full_connectivity_never_hidden(self):
         sc = make_scenario(seed=4)
         out = run_simulation(

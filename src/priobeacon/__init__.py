@@ -28,7 +28,7 @@ from .analytic import (
     solve_tau,
     success_time,
 )
-from .sim import Outcome, SimConfig, SimOutcome, classify_collision, run_simulation, run_simulations
+from .sim import Outcome, SimConfig, SimOutcome, classify_collision, run_simulation
 from .metrics import (
     ComparisonReport,
     EmpiricalEstimates,

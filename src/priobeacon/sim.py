@@ -26,9 +26,9 @@ pair is hidden, and only stations that start together overlap.
 `tests/test_sim.py::TestEngineEquivalence::test_walker_matches_closed_form`
 pins this.
 
-Two engines share these slot semantics; `run_simulations` picks one per
-config from the config and the adjacency it builds (`run_simulation` is
-its one-config case):
+Two engines share these slot semantics; each run takes one, picked from
+its config and the adjacency it builds, whether it comes alone to
+`run_simulation` or in a batch to `simulate_points`:
 
 * aligned periods (``random_phase_offsets`` false) on a complete graph,
   which includes ``sense_range = inf``: a closed form (all stations sense
@@ -46,15 +46,15 @@ and yields its rows of int8 outcomes and int32 elapsed (the closed form
 writes them into two buffers that every chunk reuses), and the event
 counts are summed over chunks.  Consecutive draws from one generator equal
 one draw of the whole run and periods are independent, so the chunks
-change no result.  `run_simulations` gathers a run's chunks into the
+change no result.  `run_simulation` gathers a run's chunks into the
 (periods, n) arrays of a `SimOutcome` (5 bytes per node-period).
 `simulate_points`, which `simulate` runs, keeps no such arrays: it tallies
 each chunk into what the point's files hold, per-node outcome counts and
 int64 elapsed sums and the node-major bits text, one column block per
 chunk (a walked phase-offset run is one block), and writes them as bytes.
-A `SimOutcome`'s files are formatted by the same tally, so both give the
-same bytes, and a streamed point holds its bits text (1 byte per
-node-period) and one chunk's working set, whatever the run's length.
+A `SimOutcome`'s `to_*` exporters give the same bytes, and a streamed
+point holds its bits text (1 byte per node-period) and one chunk's
+working set, whatever the run's length.
 
 The closed form ranks each period's draws with one sort of packed keys,
 (draw << b) | node with b bits for the node, so the keys are unique and
@@ -107,11 +107,9 @@ __all__ = [
     "SimConfig",
     "SimOutcome",
     "run_simulation",
-    "run_simulations",
     "simulate_points",
     "classify_collision",
     "point_files",
-    "write_point",
     "read_point",
     "OUTCOME_CSV_HEADER",
     "STATS_CSV_HEADER",
@@ -188,21 +186,27 @@ class SimOutcome:
     def category_nodes(self, category: Category) -> np.ndarray:
         return np.flatnonzero(self.config.scenario.categories == int(category))
 
-    def _tally(self) -> "_PointTally":
-        tally = _PointTally(self.config.scenario, self.n_periods)
-        tally.add(0, self.outcomes, self.elapsed)
-        return tally
-
     def to_outcome_csv(self) -> str:
-        return self._tally().outcome_csv()
+        return _per_node_csv(self.config.scenario, OUTCOME_CSV_HEADER, *_outcome_counts(self.outcomes))
 
     def to_bits_text(self) -> str:
         """One line of '1'/'0' per node, one character per period."""
-        return self._tally().bits.tobytes().decode("ascii")
+        tally = _PointTally(self.config.scenario, self.n_periods)
+        tally.add(0, self.outcomes, self.elapsed)
+        return str(tally.bits.data, "ascii")
 
     def to_stats_csv(self) -> str:
         """Diagnostic per-node stats: transmission count and summed elapsed backoff slots."""
-        return self._tally().stats_csv()
+        tx = self.n_periods - _outcome_counts(self.outcomes)[Outcome.EXPIRED]
+        return _per_node_csv(self.config.scenario, STATS_CSV_HEADER, tx, self.elapsed_sums())
+
+
+def _per_node_csv(scenario: SpatialScenario, header: str, *columns: np.ndarray) -> str:
+    """`header`, then one line per node of `scenario`: its id, its category token and its value
+    in each integer column."""
+    tokens = [Category(cat).token for cat in scenario.categories]
+    line = "%d,%s" + ",%d" * len(columns)
+    return "\n".join([header, *(line % row for row in zip(scenario.ids, tokens, *columns))]) + "\n"
 
 
 class _PointTally:
@@ -224,22 +228,14 @@ class _PointTally:
         self.counts += _outcome_counts(outcomes)
         self.elapsed_sums += elapsed.sum(axis=0, dtype=np.int64)
 
-    def tx_counts_and_elapsed_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each node's transmitted periods and its elapsed sum over them."""
-        expired = self.counts[Outcome.EXPIRED]
-        return self.bits.shape[1] - 1 - expired, self.elapsed_sums + expired
-
-    def _per_node_csv(self, header: str, *columns: np.ndarray) -> str:
-        """`header`, then one line per node: its id, its category token and its value in each integer column."""
-        tokens = [Category(cat).token for cat in self.scenario.categories]
-        line = "%d,%s" + ",%d" * len(columns)
-        return "\n".join([header, *(line % row for row in zip(self.scenario.ids, tokens, *columns))]) + "\n"
-
     def outcome_csv(self) -> str:
-        return self._per_node_csv(OUTCOME_CSV_HEADER, *self.counts)
+        return _per_node_csv(self.scenario, OUTCOME_CSV_HEADER, *self.counts)
 
     def stats_csv(self) -> str:
-        return self._per_node_csv(STATS_CSV_HEADER, *self.tx_counts_and_elapsed_sums())
+        """Each node's transmitted periods and its elapsed sum over them."""
+        expired = self.counts[Outcome.EXPIRED]
+        tx = self.bits.shape[1] - 1 - expired
+        return _per_node_csv(self.scenario, STATS_CSV_HEADER, tx, self.elapsed_sums + expired)
 
     def write(self, out: Path, tag: str) -> tuple[str, str, str]:
         """Write the point's outcome, bits and stats files into `out`; return their names."""
@@ -286,13 +282,8 @@ def point_files(tag: str) -> tuple[str, str, str]:
     return f"outcome_{tag}.csv", f"bits_{tag}.txt", f"stats_{tag}.csv"
 
 
-def write_point(out: Path, tag: str, outcome: SimOutcome) -> tuple[str, str, str]:
-    """Write `outcome`'s outcome, bits and stats files into `out`; return their names."""
-    return outcome._tally().write(out, tag)
-
-
 def read_point(bits_path: Path, stats_path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One simulated point read back from the bits and stats files `write_point` wrote: the
+    """One simulated point read back from the bits and stats files `simulate_points` wrote: the
     (n, periods) transmitted bits, the (n,) int64 `Category` values and the (n,) elapsed sums.
 
     Raises ValueError when the bits/stats pair is malformed or inconsistent:
@@ -387,40 +378,30 @@ def classify_collision(node, start, end, adjacency: np.ndarray):
 
 def run_simulation(config: SimConfig) -> SimOutcome:
     """Run the Monte Carlo engine; deterministic under the config seed."""
-    return next(run_simulations([config]))
+    shape = (config.n_periods, config.scenario.n_nodes)
+    outcomes, elapsed = np.empty(shape, dtype=np.int8), np.empty(shape, dtype=np.int32)
 
+    def gather(first, chunk_outcomes, chunk_elapsed):
+        outcomes[first:first + chunk_outcomes.shape[0]] = chunk_outcomes
+        elapsed[first:first + chunk_elapsed.shape[0]] = chunk_elapsed
 
-def run_simulations(configs) -> Iterator[SimOutcome]:
-    """Yield one SimOutcome per config, in config order, each deterministic under its own seed.
-
-    Every phase-offset run of the batch is one row of a single walk (one walk
-    per slot budget, occupancy and period count), made before the first
-    outcome is yielded; nothing here keeps the runs' draws, so the walk frees
-    them once stacked, and the batch then holds its walked outcomes until
-    each is yielded.  Any other run is computed, chunk by chunk, when it is
-    yielded, so a caller that drops each outcome before asking for the next
-    holds one aligned run's arrays at a time.
-    """
-    configs = list(configs)
-    for config, chunks in zip(configs, _simulated_chunks(configs)):
-        shape = (config.n_periods, config.scenario.n_nodes)
-        outcomes, elapsed = np.empty(shape, dtype=np.int8), np.empty(shape, dtype=np.int32)
-
-        def gather(first, chunk_outcomes, chunk_elapsed):
-            outcomes[first:first + chunk_outcomes.shape[0]] = chunk_outcomes
-            elapsed[first:first + chunk_elapsed.shape[0]] = chunk_elapsed
-
-        yield SimOutcome(config, outcomes, elapsed, _fold(chunks, gather))
+    (chunks,) = _simulated_chunks([config])
+    return SimOutcome(config, outcomes, elapsed, _fold(chunks, gather))
 
 
 def simulate_points(out: Path, points) -> Iterator[tuple[tuple[str, str, str], dict]]:
-    """Simulate each (tag, config) of `points` as `run_simulations` does and write the point's
-    files into `out`, the bytes `write_point` writes for its outcome; yield, point by point,
-    the files' names and the run's diagnostics.
+    """Simulate each (tag, config) of `points`, in order, and write the point's files into
+    `out`, the bytes `SimOutcome.to_*` give for `run_simulation(config)`; yield, point by
+    point, the files' names and the run's diagnostics.
 
-    A point's files are tallied as its run is computed, an aligned run chunk by
-    chunk and a walked phase-offset run as one block, so no run's (periods, n)
-    arrays are kept: what a point holds beyond one chunk is its bits text.
+    Every phase-offset run of the batch is one row of a single walk (one walk
+    per slot budget, occupancy and period count), made before the first point
+    is written; nothing here keeps the runs' draws, so the walk frees them
+    once stacked.  Any other run is computed, chunk by chunk, when its point
+    is asked for.  A point's files are tallied as its run is computed, an
+    aligned run chunk by chunk and a walked run as one block, so no run's
+    (periods, n) arrays are kept: what a point holds beyond one chunk is its
+    bits text.
     """
     points = list(points)
     for (tag, config), chunks in zip(points, _simulated_chunks([config for _, config in points])):
@@ -595,10 +576,11 @@ def _run_walker(runs, slots: int, occupancy: int):
     r * span on one run clock (span is the run's last offset plus periods *
     slots) and each transmission cut at its period end.  Returns one
     (outcomes, elapsed, diagnostics) per run, its rows of periods stacked
-    into (rows * periods, n).  A walk of several runs gives each run arrays of
-    its own.  A walk of one run returns a view of the walk's elapsed buffer,
-    which holds one more period per row; an aligned chunk's is tallied into
-    its point's files or copied once, into the run's array.
+    into (rows * periods, n).  A walk of several runs copies each run's
+    elapsed out of the padded buffer, which is then freed before the runs are
+    classified.  A walk of one run returns a view of the walk's elapsed
+    buffer, which holds one more period per row; an aligned chunk's is
+    tallied into its point's files or copied once, into the run's array.
     """
     periods = runs[0][0].shape[1]
     n = max(adjacency.shape[0] for _, _, adjacency in runs)
@@ -669,7 +651,7 @@ def _run_walker(runs, slots: int, occupancy: int):
     del draws
     elapsed = elapsed.reshape(first[-1], periods + 1, n)
     elapsed = [elapsed[first[k]:first[k + 1], :periods, :adj.shape[0]] for k, (_, adj) in enumerate(runs)]
-    if len(runs) > 1:  # each run's elapsed in an array of its own, so that no run's outcome keeps the batch alive
+    if len(runs) > 1:  # copied out, so the padded buffer is freed before classification's temporaries
         elapsed = [run_elapsed.copy() for run_elapsed in elapsed]
     results = []
     for k, ((offsets, adjacency), run_elapsed) in enumerate(zip(runs, elapsed)):

@@ -214,6 +214,12 @@ master = 7
             options = [opt for action in stage._actions for opt in action.option_strings]
             assert options == ["-h", "--help", *documented], name
 
+    def test_readme_library_example_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        assert capsys.readouterr().out
+
     @pytest.mark.parametrize("stage", ["drop", "analyze", "simulate", "report", "sweep"])
     def test_help_lists_only_config_and_out(self, capsys, stage):
         with pytest.raises(SystemExit) as exc:

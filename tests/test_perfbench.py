@@ -63,7 +63,7 @@ def test_tracer_wrapped_names_resolve():
 
 
 def test_tracer_reads_a_simulation_result():
-    # `cmd_simulate` calls `run_simulations`, so no sweep reaches this wrapper;
+    # `cmd_simulate` calls `simulate_points`, so no sweep reaches this wrapper;
     # feed it a real result instead.
     tracer = _load_perfbench("tracer")
     scenario = drop_nodes(RegionSpec(), CategoryThresholds(), 5 / RegionSpec().area, seed=0)

@@ -14,6 +14,7 @@ from priobeacon.geometry import Category, CategoryThresholds, RegionSpec, drop_n
 from priobeacon.policy import BackoffPolicy, draw_matrix
 from priobeacon.sim import (
     OUTCOME_CSV_HEADER,
+    STATS_CSV_HEADER,
     Outcome,
     SimConfig,
     SimOutcome,
@@ -23,9 +24,7 @@ from priobeacon.sim import (
     point_files,
     read_point,
     run_simulation,
-    run_simulations,
     simulate_points,
-    write_point,
 )
 from priobeacon import sim
 
@@ -210,6 +209,13 @@ class TestBasics:
         assert list(counts) == list(Outcome)
         assert all(np.array_equal(counts[oc], want) for oc, want in zip(Outcome, want_counts))
         assert out.elapsed_sums().dtype == np.int64 and np.array_equal(out.elapsed_sums(), want_sums)
+        # the per-node exporters format the same counts and sums, with no bits text either
+        tokens = [Category(c).token for c in sc.categories]
+        tx = out.n_periods - want_counts[Outcome.EXPIRED]
+        for text, header, columns in ((out.to_outcome_csv(), OUTCOME_CSV_HEADER, want_counts),
+                                      (out.to_stats_csv(), STATS_CSV_HEADER, [tx, want_sums])):
+            rows = zip(sc.ids, tokens, *columns)
+            assert text == "\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n"
 
     def test_full_connectivity_never_hidden(self):
         sc = make_scenario(seed=4)
@@ -240,6 +246,32 @@ class TestChunkedAlignedRuns:
         assert chunked.diagnostics == whole.diagnostics
         assert (whole.outcomes == int(Outcome.EXPIRED)).any()
         assert (whole.diagnostics["hn_events"] > 0) == (sense_range == 700.0)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_aligned_runs_are_computed_when_asked_for(self, tmp_path, monkeypatch, chunk):
+        rows = []  # the periods of each closed-form chunk, in call order
+        real = sim._run_full_connectivity
+
+        def counted(draws, *args):
+            rows.append(draws.shape[0])
+            return real(draws, *args)
+
+        sc = make_scenario(seed=2)
+        monkeypatch.setattr(sim, "_run_full_connectivity", counted)
+        monkeypatch.setattr(sim, "_CHUNK_NODE_PERIODS", chunk * sc.n_nodes + sc.n_nodes - 1)
+        points = [
+            (f"{s:03d}", SimConfig(
+                scenario=sc, policy=BackoffPolicy.traditional(15), n_periods=20, seed=s, sense_range=math.inf
+            ))
+            for s in range(3)
+        ]
+        per_run = -(-20 // chunk)
+        results = simulate_points(tmp_path, points)
+        assert not rows
+        next(results)
+        assert len(rows) == per_run and sum(rows) == 20
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(point_files("000"))
+        assert len(list(results)) == 2 and len(rows) == 3 * per_run
 
     def test_peak_memory_does_not_grow_with_periods(self):
         # beyond the returned (periods, n) arrays, an aligned run holds one chunk's working set
@@ -582,8 +614,8 @@ class TestEngineEquivalence:
         assert all(v > 0 for v in totals.values()), totals
 
     def test_stacked_runs_own_their_arrays(self):
-        # a walked run's arrays hold no view of the padded batch: keeping one outcome must
-        # not keep the others' rows alive
+        # a walked run's arrays hold no view of the padded batch, so the batch's buffer is
+        # freed before its runs are classified
         rng = np.random.default_rng(4)
         runs = [(rng.integers(0, 15, size=(1, 6, m)), rng.integers(0, 20, size=m), complete_graph(m)) for m in (3, 5)]
         (oA, eA, _), (oB, eB, _) = _run_walker(runs, 20, 2)
@@ -592,57 +624,6 @@ class TestEngineEquivalence:
                 assert not np.shares_memory(a, b)
         for e, m in ((eA, 3), (eB, 5)):
             assert e.shape == (6, m) and (e.base is None or e.base.nbytes == e.nbytes)
-
-    def test_run_simulations_matches_run_simulation(self):
-        # a mixed batch: phase-offset runs at several n (two period counts, so two
-        # stacked walks), an aligned 700 m run and a full-connectivity run
-        sc = make_scenario(seed=1)
-        params = MacParameters(t_ibi=3e-3)  # 60 slots: packets expire
-        rng = np.random.default_rng(0)
-        subs = [sc.subsample(n, rng) for n in (1, 5, 12)] + [sc]
-        offset_runs = [
-            SimConfig(
-                scenario=sub, policy=BackoffPolicy.proposed(15) if k % 2 else BackoffPolicy.traditional(31),
-                params=params, n_periods=40, seed=k, random_phase_offsets=True,
-            )
-            for k, sub in enumerate(subs)
-        ]
-        aligned = SimConfig(scenario=sc, policy=BackoffPolicy.traditional(15), params=params, n_periods=30, seed=7)
-        full = replace(aligned, seed=8, sense_range=math.inf)
-        second_walk = replace(offset_runs[-1], n_periods=25, seed=9, sense_range=math.inf)
-        configs = [*offset_runs[:2], aligned, offset_runs[2], full, offset_runs[3], second_walk]
-        batch = list(run_simulations(configs))
-        assert len(batch) == len(configs)
-        for config, got in zip(configs, batch):
-            want = run_simulation(config)
-            arrays = [(o.config.scenario.ids, o.config.scenario.categories, o.outcomes, o.elapsed) for o in (got, want)]
-            for name, a, b in zip(("ids", "categories", "outcomes", "elapsed"), *arrays):
-                assert a.dtype == b.dtype and np.array_equal(a, b), name
-            assert got.diagnostics == want.diagnostics
-            assert got.config is config and got.n_periods == config.n_periods
-        engines = [out.diagnostics["engine"] for out in batch]
-        assert engines.count("full-connectivity") == 1 and engines.count("slot-walker") == len(configs) - 1
-        assert sum(out.diagnostics["hn_events"] for out in batch) > 0
-
-    def test_run_simulations_computes_aligned_runs_when_yielded(self, monkeypatch):
-        calls = []
-        real = sim._run_full_connectivity
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(sim, "_run_full_connectivity", counted)
-        sc = make_scenario(seed=2)
-        configs = [
-            SimConfig(scenario=sc, policy=BackoffPolicy.traditional(15), n_periods=20, seed=s, sense_range=math.inf)
-            for s in range(3)
-        ]
-        outcomes = run_simulations(configs)
-        assert not calls
-        next(outcomes)
-        assert len(calls) == 1
-        assert len(list(outcomes)) == 2 and len(calls) == 3
 
     def test_walker_fuzz_invariants_random_adjacency(self):
         # random topologies and window/period shapes: conservation, elapsed >= draw,
@@ -836,9 +817,10 @@ class TestPhaseOffsets:
         assert (sum(counts[oc] for oc in Outcome) == 150).all()
         assert a.diagnostics["engine"] == "slot-walker"
 
-    def test_batch_keeps_no_draws(self, monkeypatch):
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_batch_keeps_no_draws(self, tmp_path, monkeypatch, chunk):
         # once a phase-offset batch is stacked for its walk, no run's int64 draws are held:
-        # not while the walk classifies its runs, nor while the batch yields its outcomes
+        # not while the walk classifies its runs, nor while the batch writes its points
         sc = make_scenario(density=12 / REGION.area)
         configs = [
             SimConfig(
@@ -847,6 +829,7 @@ class TestPhaseOffsets:
             )
             for seed in range(4)
         ]
+        monkeypatch.setattr(sim, "_CHUNK_NODE_PERIODS", chunk * sc.n_nodes + sc.n_nodes - 1)
         from_draws = [tracemalloc.Filter(True, draw_matrix.__code__.co_filename)]
 
         def draw_bytes():  # bytes held of what `policy.py` allocated: traditional draws allocate nothing else there
@@ -865,7 +848,7 @@ class TestPhaseOffsets:
             probe = draw_matrix(configs[0].policy, sc.categories, 30, np.random.default_rng(0))
             assert draw_bytes() >= probe.nbytes  # the filter sees draws that are held
             del probe
-            batch = run_simulations(configs)
+            batch = simulate_points(tmp_path, [(f"{k:03d}", config) for k, config in enumerate(configs)])
             next(batch)
             held.append(draw_bytes())
         finally:
@@ -874,8 +857,9 @@ class TestPhaseOffsets:
 
 
 class TestPointFiles:
+    @pytest.mark.parametrize("chunk", [1, 7])
     @pytest.mark.parametrize("phase_offsets", [False, True])
-    def test_written_point_reads_back(self, tmp_path, phase_offsets):
+    def test_written_point_reads_back(self, tmp_path, monkeypatch, phase_offsets, chunk):
         # a complete-graph run (the closed form) and a phase-offset run (the walker), at
         # 3 ms periods (60 slots) where packets expire
         config = SimConfig(
@@ -884,8 +868,10 @@ class TestPointFiles:
         )
         out = run_simulation(config)
         assert out.diagnostics["engine"] == ("slot-walker" if phase_offsets else "full-connectivity")
-        names = write_point(tmp_path, "004_proposed_cw15_n20", out)
-        assert names == point_files("004_proposed_cw15_n20")
+        n = config.scenario.n_nodes
+        monkeypatch.setattr(sim, "_CHUNK_NODE_PERIODS", chunk * n + n - 1)
+        ((names, diag),) = simulate_points(tmp_path, [("004_proposed_cw15_n20", config)])
+        assert names == point_files("004_proposed_cw15_n20") and diag == out.diagnostics
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
         bits, categories, elapsed_sums = read_point(tmp_path / names[1], tmp_path / names[2])
         assert np.array_equal(bits, out.transmitted_bits()) and 0 < bits.mean() < 1
@@ -898,35 +884,50 @@ class TestPointFiles:
         assert np.array_equal(counts.T, np.stack(list(out.counts().values())))
 
     @pytest.mark.parametrize("chunk", [1, 7])
-    def test_streamed_files_equal_write_point(self, tmp_path, monkeypatch, chunk):
-        # one batch: a complete-graph run (the closed form), an aligned 700 m run (walker rows) and a
-        # phase-offset run (one walked block), at 10 ms periods where packets expire, streamed in
-        # chunks of `chunk` periods, against each run's outcome computed in one chunk
+    def test_streamed_files_equal_run_simulation_exports(self, tmp_path, monkeypatch, chunk):
+        # one mixed batch, streamed in chunks of `chunk` periods, against each run's own outcome
+        # computed in one chunk: phase-offset runs at n = 1, 5, 12 and the full drop (two period
+        # counts, so two stacked walks) and an aligned 700 m run (walker rows) and a complete-graph
+        # run (the closed form) at 3 ms periods (60 slots), where packets expire; then a
+        # complete-graph, an aligned 700 m and a phase-offset run at 10 ms, where hidden nodes collide
         sc = make_scenario(seed=1)
-        base = SimConfig(
+        params = MacParameters(t_ibi=3e-3)
+        rng = np.random.default_rng(0)
+        subs = [sc.subsample(n, rng) for n in (1, 5, 12)] + [sc]
+        offset_runs = [
+            SimConfig(
+                scenario=sub, policy=BackoffPolicy.proposed(15) if k % 2 else BackoffPolicy.traditional(31),
+                params=params, n_periods=40, seed=k, random_phase_offsets=True,
+            )
+            for k, sub in enumerate(subs)
+        ]
+        aligned = SimConfig(scenario=sc, policy=BackoffPolicy.traditional(15), params=params, n_periods=30, seed=7)
+        second_walk = replace(offset_runs[-1], n_periods=25, seed=9, sense_range=math.inf)
+        slow = SimConfig(
             scenario=sc, policy=BackoffPolicy.proposed(127), params=MacParameters(t_ibi=10e-3), n_periods=40, seed=3
         )
-        points = [
-            ("000_full", replace(base, sense_range=math.inf)),
-            ("001_700m", replace(base, seed=4)),
-            ("002_phase", replace(base, seed=5, random_phase_offsets=True)),
+        configs = [
+            *offset_runs[:2], aligned, offset_runs[2], replace(aligned, seed=8, sense_range=math.inf),
+            offset_runs[3], second_walk,
+            replace(slow, sense_range=math.inf), replace(slow, seed=4), replace(slow, seed=5, random_phase_offsets=True),
         ]
-        assert 40 * sc.n_nodes <= sim._CHUNK_NODE_PERIODS
-        outcomes = [run_simulation(config) for _, config in points]
+        points = [(f"{k:03d}", config) for k, config in enumerate(configs)]
+        assert all(config.n_periods * config.scenario.n_nodes <= sim._CHUNK_NODE_PERIODS for config in configs)
+        outcomes = [run_simulation(config) for config in configs]
         monkeypatch.setattr(sim, "_CHUNK_NODE_PERIODS", chunk * sc.n_nodes + sc.n_nodes - 1)
-        streamed, written = tmp_path / "streamed", tmp_path / "written"
-        streamed.mkdir()
-        written.mkdir()
-        results = list(simulate_points(streamed, points))
+        results = list(simulate_points(tmp_path, points))
         assert len(results) == len(points)
         for (tag, _), outcome, (names, diag) in zip(points, outcomes, results):
-            assert write_point(written, tag, outcome) == names == point_files(tag)
+            assert names == point_files(tag)
             assert diag == outcome.diagnostics
-            for name in names:
-                assert (streamed / name).read_bytes() == (written / name).read_bytes(), name
-        assert [diag["engine"] for _, diag in results] == ["full-connectivity", "slot-walker", "slot-walker"]
-        assert results[1][1]["hn_events"] > 0
-        assert all((out.outcomes == int(Outcome.EXPIRED)).any() for out in outcomes)
+            exports = (outcome.to_outcome_csv(), outcome.to_bits_text(), outcome.to_stats_csv())
+            for name, text in zip(names, exports):
+                assert (tmp_path / name).read_bytes() == text.encode("ascii"), name
+        engines = [diag["engine"] for _, diag in results]
+        assert engines.count("full-connectivity") == 2 and engines.count("slot-walker") == len(points) - 2
+        assert results[2][1]["hn_events"] > 0 and results[8][1]["hn_events"] > 0  # the aligned 700 m runs
+        # packets expire in every run but the two smallest walks (n = 1 and 5)
+        assert all((out.outcomes == int(Outcome.EXPIRED)).any() for out in outcomes[2:])
 
     def test_name_rule_follows_the_manifest_columns(self):
         # perfbench reads a point's outcome, bits and stats files from manifest columns 7-9 by position

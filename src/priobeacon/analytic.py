@@ -98,8 +98,8 @@ class MacParameters:
                 "difs, sifs, header_airtime, payload_bytes and t_prop are all zero"
             )
         # The simulator keeps start slots in int32.  The closed form starts the k-th distinct
-        # draw u <= slots of a period at u + k * occupancy, with k <= u, and codes a tied start
-        # t as -2 - t, so slots * (occupancy + 1) must not pass 2^31 - 2.
+        # draw u <= slots of a period at u + k * occupancy, with k <= u, so a start is at most
+        # slots * (occupancy + 1), which the limit keeps at or below 2^31 - 2.
         limit = (2**31 - 2) // (self.tx_occupancy_slots + 1)
         if self.slots_per_beacon > limit:
             raise ValueError(

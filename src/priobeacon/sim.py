@@ -64,9 +64,8 @@ bounds the keys by the period whatever the window (at the paper's windows
 and station counts they are 16 bits wide).  The k-th distinct value u of a
 period starts at u + k * occupancy (k <= u, so a start is at most
 slots * (occupancy + 1), which `MacParameters` keeps inside int32).  Each
-node-period's outcome and elapsed travel as one int32 code, scattered once
-into the chunk's elapsed rows and decoded there in place, into its elapsed
-and outcome rows.
+node-period's start slot (-1 where it expires) and its outcome are then
+scattered, through one index, into the chunk's elapsed and outcome rows.
 
 The walker jumps from one transmission start to the next.  A node waiting
 with counter c as of time tau, sensing the medium busy until b (the latest
@@ -197,8 +196,16 @@ class SimOutcome:
 
     def to_stats_csv(self) -> str:
         """Diagnostic per-node stats: transmission count and summed elapsed backoff slots."""
-        tx = self.n_periods - _outcome_counts(self.outcomes)[Outcome.EXPIRED]
-        return _per_node_csv(self.config.scenario, STATS_CSV_HEADER, tx, self.elapsed_sums())
+        raw_sums = self.elapsed.sum(axis=0, dtype=np.int64)
+        return _stats_csv(self.config.scenario, _outcome_counts(self.outcomes), raw_sums)
+
+
+def _stats_csv(scenario: SpatialScenario, counts: np.ndarray, raw_sums: np.ndarray) -> str:
+    """The stats file of `scenario`'s nodes: each node's transmitted periods and its elapsed sum over
+    them, from its (len(Outcome), n) outcome counts and its raw elapsed sum, to which each expired
+    period added -1."""
+    expired = counts[Outcome.EXPIRED]
+    return _per_node_csv(scenario, STATS_CSV_HEADER, counts.sum(axis=0) - expired, raw_sums + expired)
 
 
 def _per_node_csv(scenario: SpatialScenario, header: str, *columns: np.ndarray) -> str:
@@ -232,10 +239,7 @@ class _PointTally:
         return _per_node_csv(self.scenario, OUTCOME_CSV_HEADER, *self.counts)
 
     def stats_csv(self) -> str:
-        """Each node's transmitted periods and its elapsed sum over them."""
-        expired = self.counts[Outcome.EXPIRED]
-        tx = self.bits.shape[1] - 1 - expired
-        return _per_node_csv(self.scenario, STATS_CSV_HEADER, tx, self.elapsed_sums + expired)
+        return _stats_csv(self.scenario, self.counts, self.elapsed_sums)
 
     def write(self, out: Path, tag: str) -> tuple[str, str, str]:
         """Write the point's outcome, bits and stats files into `out`; return their names."""
@@ -459,7 +463,7 @@ _NEVER = np.iinfo(np.int64).max // 2
 _END = np.iinfo(np.int64).max
 
 # Node-periods an aligned run draws and simulates at a time: 0.25 MB of int32 draws
-# (under 1 MB of temporaries while per-column bounds are drawn), about 2 MB of
+# (under 1 MB of temporaries while per-column bounds are drawn), about 1.1 MB of
 # closed-form temporaries and 0.5 MB to count outcomes, whatever the run's length.
 # Twice as many outgrow what glibc's malloc keeps for reuse (its trim threshold
 # follows the largest block freed so far, and `simulate` frees no per-run arrays),
@@ -509,10 +513,10 @@ def _run_full_connectivity(draws: np.ndarray, slots: int, occupancy: int, outcom
     (clipped draw << b) | node, with b bits for the node, in the smallest
     unsigned type of 16 bits or more that holds them (uint16 up to cw 512 at
     128 nodes).  The keys are unique, so their order is the stable order by
-    draw, and a key's low bits give its node back.  Each node-period's
-    outcome and elapsed travel as one int32 code, t for a clean start at
-    slot t, -2 - t for a SYNC start and -1 for expired, scattered once into
-    `elapsed` and decoded there in place.
+    draw, and a key's low bits give its node back.  Each node-period's start
+    slot (-1 where it expires) and its outcome (EXPIRED, else COLLIDED_SYNC
+    where its draw is tied and DELIVERED where not) are computed in key order
+    and scattered into `elapsed` and `outcomes` through one index.
     """
     periods, n = draws.shape
     shift = (n - 1).bit_length()
@@ -535,20 +539,19 @@ def _run_full_connectivity(draws: np.ndarray, slots: int, occupancy: int, outcom
     tx -= tx[:, :1]
     tx *= occupancy
     np.add(tx, value, out=tx, casting="unsafe")  # value <= slots, and elapsed is int32 anyway
-    code = tx * 2
-    code += 2
-    code *= tie
-    np.subtract(tx, code, out=code)  # -2 - t where tied, else t
-    np.copyto(code, -1, where=tx >= slots)
+    expired = tx >= slots
+    np.copyto(tx, -1, where=expired)
+    label = tie.view(np.int8)  # COLLIDED_SYNC where tied, else DELIVERED
+    np.copyto(label, int(Outcome.EXPIRED), where=expired)
+    del flat, value, new, expired  # freed before the scatter index, the largest temporary
     index = np.bitwise_and(keys, (1 << shift) - 1, dtype=np.intp)
     index += np.arange(0, periods * n, n)[:, None]
-    elapsed.reshape(-1)[index.reshape(-1)] = code.reshape(-1)
-    np.less(elapsed, 0, out=outcomes, casting="unsafe")  # DELIVERED, or COLLIDED_SYNC unless expired
-    np.copyto(outcomes, int(Outcome.EXPIRED), where=elapsed == -1)
-    np.maximum(elapsed, -2 - elapsed, out=elapsed)
+    index = index.reshape(-1)
+    elapsed.reshape(-1)[index] = tx.reshape(-1)
+    outcomes.reshape(-1)[index] = label.reshape(-1)
     return {
         "engine": "full-connectivity",
-        "sync_events": int(np.count_nonzero(code < -1)),
+        "sync_events": int(np.count_nonzero(label == int(Outcome.COLLIDED_SYNC))),
         "hn_events": 0,
         "dual_label_events": 0,
     }
@@ -568,7 +571,9 @@ def _run_walker(runs, slots: int, occupancy: int):
     its own clock and jumps from one transmission start to the next (see
     the module docstring).  Per (row, node) the walk keeps the flat index of
     the current packet in the stacked draws, the period end, resume =
-    max(busy, tau) and start = resume + the counter left at resume.  A
+    max(busy, tau) and start = resume + the counter left at resume, from the
+    node's first packet, whose period starts at its offset, until the index
+    passes the row's last period.  A
     starter at t ends at min(t + occupancy, its period end); a listener's
     resume rises to the latest such end it hears, and its start by as much
     as its resume rose past max(resume, t).  Collisions are classified
@@ -579,8 +584,9 @@ def _run_walker(runs, slots: int, occupancy: int):
     into (rows * periods, n).  A walk of several runs copies each run's
     elapsed out of the padded buffer, which is then freed before the runs are
     classified.  A walk of one run returns a view of the walk's elapsed
-    buffer, which holds one more period per row; an aligned chunk's is
-    tallied into its point's files or copied once, into the run's array.
+    buffer, which holds the runs' rows of periods and nothing else, so an
+    unpadded run's is the whole buffer; an aligned chunk's is tallied into
+    its point's files or copied once, into the run's array.
     """
     periods = runs[0][0].shape[1]
     n = max(adjacency.shape[0] for _, _, adjacency in runs)
@@ -589,38 +595,39 @@ def _run_walker(runs, slots: int, occupancy: int):
     run_span = [int(offsets.max()) + periods * slots for _, offsets, _ in runs]
     block = np.repeat(np.arange(len(runs)), sizes)  # each row's sensing block
     hears = np.zeros((len(runs), n, n), dtype=bool)  # hears[b, j, i]: i senses a transmitting j
-    # the smallest integer type that holds every draw and `no_packet` keeps the padded stack
-    # small; period `periods` holds `no_packet`, what a node draws once its packets run out
-    no_packet = max(int(d.max()) for d, _, _ in runs) + 1
-    draws = np.full((first[-1], periods + 1, n), no_packet, dtype=np.min_scalar_type(no_packet))
-    end = np.full((first[-1], n), _END)  # padded nodes: a period that never ends
+    # the smallest integer type that holds every draw keeps the padded stack small
+    draws = np.zeros((first[-1], periods, n), dtype=np.min_scalar_type(max(int(d.max()) for d, _, _ in runs)))
+    # each node's first packet, in the period that starts at its offset; padded nodes resume at
+    # _NEVER, in a period that never ends
+    resume = np.full((first[-1], n), _NEVER)
+    end = np.full((first[-1], n), _END)
     for k, (run_draws, offsets, adjacency) in enumerate(runs):
         m = adjacency.shape[0]
         hears[k, :m, :m] = adjacency.T
-        draws[first[k]:first[k + 1], :periods, :m] = run_draws
-        end[first[k]:first[k + 1], :m] = offsets
+        draws[first[k]:first[k + 1], :, :m] = run_draws
+        resume[first[k]:first[k + 1], :m] = offsets
+        end[first[k]:first[k + 1], :m] = offsets + slots
     del run_draws
     runs = [(offsets, adjacency) for _, offsets, adjacency in runs]
-    draws = draws.reshape(-1)
     hears = hears.reshape(-1, n)
     elapsed = np.full(draws.size, -1, dtype=np.int32)  # the layout of the draws
 
-    # per (row, node) of the rows still running, flat and compacted as rows finish; each
-    # node starts as if it had sent a packet -1 whose period ended at its offset
+    # per (row, node) of the rows still running, flat and compacted as rows finish
     cols = np.arange(n)
-    packet = (np.arange(first[-1])[:, None] * (periods + 1) * n + cols - n).reshape(-1)  # its index in `draws`
+    packet = (np.arange(first[-1])[:, None] * periods * n + cols).reshape(-1)  # its index in `draws`
     hear_ix = (block[:, None] * n + cols).reshape(-1)  # its row of `hears`
+    start = np.add(resume, draws[:, 0], dtype=np.int64).reshape(-1)  # resume + the counter left at resume
+    resume = resume.reshape(-1)  # the counter runs down from here unless a busy time raises it
     end = end.reshape(-1)
-    resume = np.minimum(end, _NEVER)  # the counter runs down from here unless a busy time raises it
-    start = np.full(end.size, _NEVER)  # resume + the counter left at resume
+    draws = draws.reshape(-1)
     while True:
         # a sent packet, or one that can no longer start before its period end, gives way to the next
         f = np.flatnonzero(start >= end)
         while f.size:
             p = packet[f] + n
             packet[f] = p
-            d = draws[p]
-            last = d == no_packet
+            last = p % (periods * n) < n  # wrapped into the next row: the row's packets have run out
+            d = draws.take(p, mode="clip")  # a last packet's draw is never used
             e = end[f]
             res = np.where(last, _NEVER, np.maximum(resume[f], e))
             resume[f] = res
@@ -649,8 +656,8 @@ def _run_walker(runs, slots: int, occupancy: int):
         start[f] = _NEVER  # sent: gives way to the node's next packet at the top of the loop
 
     del draws
-    elapsed = elapsed.reshape(first[-1], periods + 1, n)
-    elapsed = [elapsed[first[k]:first[k + 1], :periods, :adj.shape[0]] for k, (_, adj) in enumerate(runs)]
+    elapsed = elapsed.reshape(first[-1], periods, n)
+    elapsed = [elapsed[first[k]:first[k + 1], :, :adj.shape[0]] for k, (_, adj) in enumerate(runs)]
     if len(runs) > 1:  # copied out, so the padded buffer is freed before classification's temporaries
         elapsed = [run_elapsed.copy() for run_elapsed in elapsed]
     results = []

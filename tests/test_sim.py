@@ -625,6 +625,22 @@ class TestEngineEquivalence:
         for e, m in ((eA, 3), (eB, 5)):
             assert e.shape == (6, m) and (e.base is None or e.base.nbytes == e.nbytes)
 
+    @pytest.mark.parametrize("layout", ["aligned", "offset"])
+    def test_a_lone_run_is_walked_in_its_own_layout(self, layout):
+        # the walk's elapsed buffer holds the rows' periods and nothing else: a lone unpadded
+        # run's elapsed is a view of all of it, 80 nodes x 100 periods, in either layout
+        rng = np.random.default_rng(6)
+        n, periods = 80, 100
+        upper = np.triu(rng.random((n, n)) < 0.3, 1)
+        draws = rng.integers(0, 127, size=(periods, n))
+        if layout == "aligned":
+            run = (draws[:, None], np.zeros(n, dtype=np.int64), upper | upper.T)
+        else:
+            run = (draws[None], rng.integers(0, 400, size=n), upper | upper.T)
+        ((o, e, _),) = _run_walker([run], 400, 6)
+        assert e.shape == o.shape == (periods, n) and e.flags.c_contiguous
+        assert e.base is not None and e.base.dtype == np.int32 and e.base.size == periods * n
+
     def test_walker_fuzz_invariants_random_adjacency(self):
         # random topologies and window/period shapes: conservation, elapsed >= draw,
         # SYNC only between adjacent same-slot starters, HN never under full connectivity
@@ -671,8 +687,8 @@ class TestEngineEquivalence:
                     assert eA[0, winner] == min(b1, b2)
 
     def test_engines_agree_just_below_the_int32_start_limit(self):
-        # the closed form starts the k-th distinct draw u <= slots at u + k * occupancy (k <= u) and
-        # codes a tied start t as -2 - t, all in int32, so MacParameters caps slots * (occupancy + 1)
+        # the closed form starts the k-th distinct draw u <= slots at u + k * occupancy (k <= u), in
+        # int32, so MacParameters caps slots * (occupancy + 1) at 2^31 - 2
         occ = MacParameters().tx_occupancy_slots
         limit = (2**31 - 2) // (occ + 1)
         for t_ibi in (2e5, (limit + 1) * 50e-6):

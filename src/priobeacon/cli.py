@@ -242,11 +242,11 @@ def cmd_report(cfg: ExperimentConfig) -> int:
         seen_keys.update(key for *_, key in rows)
         try:
             bits_name, stats_name = _manifest_files(manifest.get(str(idx)), policy, n_sta)
-            bits, categories, elapsed_sums = read_point(out / bits_name, out / stats_name)
+            groups = read_point(out / bits_name, out / stats_name, [cat for _, cat, _ in rows])
         except (ValueError, OSError) as exc:
             missing.append(f"{_point_label(idx, policy, n_sta)}: {exc}")
             continue
-        for tok, cat, key in rows:
+        for (tok, _cat, key), (bit_sums, elapsed_sums) in zip(rows, groups):
             analytic = analytic_rows.get(key)
             if isinstance(analytic, str):
                 missing.append(f"{_point_label(idx, policy, n_sta, tok)}: {analytic}")
@@ -254,8 +254,7 @@ def cmd_report(cfg: ExperimentConfig) -> int:
             if analytic is None or not np.isfinite(analytic.tau):
                 missing.append(f"no analytic row for {key}")
                 continue
-            sel = slice(None) if cat is None else categories == cat
-            empirical = mt.build_estimates(bits[sel], elapsed_sums[sel], mac)
+            empirical = mt.build_estimates(bit_sums, elapsed_sums, mac)
             if empirical is None:
                 missing.append(f"no {tok} nodes at {_point_label(idx, policy, n_sta)}")
                 continue

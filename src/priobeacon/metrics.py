@@ -26,6 +26,7 @@ from .analytic import AnalyticalResult, MacParameters, success_time
 __all__ = [
     "TauEstimate",
     "IrtEstimate",
+    "BitSums",
     "EmpiricalEstimates",
     "ComparisonReport",
     "estimate_irt",
@@ -86,6 +87,60 @@ def _zero_runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows[0::2], ends - starts, (starts > 0) & (ends < periods)
 
 
+class BitSums:
+    """What every estimate takes from a node set's (n, periods) transmission bits: the
+    transmitted node-periods, each row's total wait (in row order), the count of each gap
+    between consecutive '1's and the number of rows with fewer than two '1's.
+
+    Each is a sum over rows, so the sums are added up one block of rows at a time, and a
+    block needs nothing from the rows before it; `report` reads a bits file that way.
+    """
+
+    def __init__(self, periods: int):
+        self.n_periods = periods
+        self.tx = 0
+        self.waits: list[int] = []
+        self.gap_counts = np.zeros(2, dtype=np.int64)  # gap_counts[g]: gaps of g periods
+        self.without = 0
+
+    @classmethod
+    def of(cls, bits: np.ndarray) -> BitSums:
+        """The sums of a whole (n, periods) bool matrix."""
+        bits = np.asarray(bits, dtype=bool)
+        if bits.ndim != 2:
+            raise ValueError("bit_sequences must be a 2-d array")
+        sums = cls(bits.shape[1])
+        sums.add(bits)
+        return sums
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.waits)
+
+    def add(self, bits: np.ndarray) -> None:
+        """Add the (rows, periods) bool block `bits`, the rows that follow those added so far."""
+        rows, k, bounded = _zero_runs(bits)
+        waits = np.zeros(bits.shape[0], dtype=np.int64)
+        np.add.at(waits, rows, k * (k + 1) // 2)
+        gaps = np.bincount(k[bounded] + 1, minlength=2)
+        gaps[1] = np.count_nonzero(bits[:, 1:] & bits[:, :-1])
+        if gaps.size > self.gap_counts.size:
+            self.gap_counts = np.pad(self.gap_counts, (0, gaps.size - self.gap_counts.size))
+        self.gap_counts[:gaps.size] += gaps
+        ones = np.count_nonzero(bits, axis=1)
+        self.tx += int(ones.sum())
+        self.without += int(np.count_nonzero(ones < 2))
+        self.waits += waits.tolist()
+
+    def irt(self) -> IrtEstimate:
+        """The inter-reception-time estimate of the rows added so far (see `estimate_irt`)."""
+        if self.n_periods < MIN_PERIODS:
+            raise ValueError(f"IRT estimation needs sequences of at least {MIN_PERIODS} periods")
+        gaps = np.flatnonzero(self.gap_counts)
+        total = int(self.gap_counts.sum())
+        return IrtEstimate(dict(zip(gaps.tolist(), (self.gap_counts[gaps] / total).tolist())), total, self.without)
+
+
 def estimate_irt(bit_sequences: np.ndarray) -> IrtEstimate:
     """Empirical inter-reception-time PMF from per-period bit sequences.
 
@@ -94,19 +149,7 @@ def estimate_irt(bit_sequences: np.ndarray) -> IrtEstimate:
     Sequences with fewer than two '1's contribute no gaps and are counted
     in the diagnostics.
     """
-    bits = np.asarray(bit_sequences, dtype=bool)
-    if bits.ndim != 2:
-        raise ValueError("bit_sequences must be a 2-d array")
-    if bits.shape[1] < MIN_PERIODS:
-        raise ValueError(f"IRT estimation needs sequences of at least {MIN_PERIODS} periods")
-    rows, k, bounded = _zero_runs(bits)
-    counts = np.bincount(k[bounded] + 1, minlength=2)
-    counts[1] = np.count_nonzero(bits[:, 1:] & bits[:, :-1])
-    gaps = np.flatnonzero(counts)
-    total = int(counts.sum())
-    ones = bits.shape[1] - np.bincount(rows, weights=k, minlength=bits.shape[0])
-    without = int(np.count_nonzero(ones < 2))
-    return IrtEstimate(dict(zip(gaps.tolist(), (counts[gaps] / total).tolist())), total, without)
+    return BitSums.of(bit_sequences).irt()
 
 
 def total_wait_periods(bits: np.ndarray) -> np.ndarray:
@@ -116,11 +159,7 @@ def total_wait_periods(bits: np.ndarray) -> np.ndarray:
     (one period if the very next period transmits), censored at the end of
     the sequence.
     """
-    bits = np.asarray(bits, dtype=bool)
-    rows, k, _bounded = _zero_runs(bits)
-    waits = np.zeros(bits.shape[0], dtype=np.int64)
-    np.add.at(waits, rows, k * (k + 1) // 2)
-    return waits
+    return np.array(BitSums.of(bits).waits, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -134,15 +173,18 @@ class EmpiricalEstimates:
     irt: IrtEstimate
 
 
-def build_estimates(bits: np.ndarray, elapsed_sums: np.ndarray, params: MacParameters) -> EmpiricalEstimates | None:
+def build_estimates(
+    bits: np.ndarray | BitSums, elapsed_sums: np.ndarray, params: MacParameters
+) -> EmpiricalEstimates | None:
     """All empirical estimates for one tagged node set (None if it is empty).
 
     bits: (n, periods) bool, True where the node transmitted (delivered or
-    collided) in that period; elapsed_sums: (n,) summed elapsed backoff
-    slots over each node's transmitted periods.  The caller picks the rows
-    of the tagged nodes: `SimOutcome` gives both arrays (`transmitted_bits`,
-    `elapsed_sums`, indexed by `category_nodes`), and so do the exported
-    `bits_*`/`stats_*` files.  `compare` takes the grid key.
+    collided) in that period, or the `BitSums` of such rows; elapsed_sums:
+    (n,) summed elapsed backoff slots over each node's transmitted periods.
+    The caller picks the rows of the tagged nodes: `SimOutcome` gives both
+    arrays (`transmitted_bits`, `elapsed_sums`, indexed by `category_nodes`),
+    and `sim.read_point` gives the sums from the exported `bits_*`/`stats_*`
+    files.  `compare` takes the grid key.
 
     tau_hat is the transmitted fraction of node-periods, with its CI from
     `proportion_ci`.  E[N_bo] is the mean elapsed backoff per transmitted
@@ -150,15 +192,16 @@ def build_estimates(bits: np.ndarray, elapsed_sums: np.ndarray, params: MacParam
     T_suc, and each expired one T_ibi per wasted period until the node's
     next transmission (censored at the end of the run).
     """
-    n, periods = bits.shape
+    sums = bits if isinstance(bits, BitSums) else BitSums.of(bits)
+    n, periods = sums.n_nodes, sums.n_periods
     if n == 0:
         return None
-    tx_total = int(bits.sum())
+    tx_total = sums.tx
     elapsed_total = float(elapsed_sums.sum())
     tau = proportion_ci(tx_total, n * periods)
     t_suc = success_time(params)
     total_delay = elapsed_total * params.t_slot + tx_total * t_suc
-    for wait in total_wait_periods(bits).tolist():
+    for wait in sums.waits:  # node by node, so the float sum does not depend on how the rows were read
         total_delay += wait * params.t_ibi
     delay = total_delay / (n * periods)
     return EmpiricalEstimates(
@@ -168,7 +211,7 @@ def build_estimates(bits: np.ndarray, elapsed_sums: np.ndarray, params: MacParam
         e_nbo_hat=elapsed_total / tx_total if tx_total else None,
         delay_hat=delay,
         r_hat=tau.value * t_suc / delay if delay > 0 else None,
-        irt=estimate_irt(bits),
+        irt=sums.irt(),
     )
 
 

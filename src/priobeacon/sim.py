@@ -43,18 +43,21 @@ its config and the adjacency it builds, whether it comes alone to
 An aligned run, on either engine, is drawn and simulated chunk by chunk:
 each chunk of periods takes its draws in turn from the run's one generator
 and yields its rows of int8 outcomes and int32 elapsed (the closed form
-writes them into two buffers that every chunk reuses), and the event
-counts are summed over chunks.  Consecutive draws from one generator equal
-one draw of the whole run and periods are independent, so the chunks
-change no result.  `run_simulation` gathers a run's chunks into the
-(periods, n) arrays of a `SimOutcome` (5 bytes per node-period).
-`simulate_points`, which `simulate` runs, keeps no such arrays: it tallies
-each chunk into what the point's files hold, per-node outcome counts and
-int64 elapsed sums and the node-major bits text, one column block per
-chunk (a walked phase-offset run is one block), and writes them as bytes.
-A `SimOutcome`'s `to_*` exporters give the same bytes, and a streamed
-point holds its bits text (1 byte per node-period) and one chunk's
-working set, whatever the run's length.
+writes them into two buffers that every chunk reuses, as it reuses its
+temporaries), and the event counts are summed over chunks.  Consecutive
+draws from one generator equal one draw of the whole run and periods are
+independent, so the chunks change no result.  `run_simulation` gathers a
+run's chunks into the (periods, n) arrays of a `SimOutcome` (5 bytes per
+node-period).  `simulate_points`, which `simulate` runs, keeps no such
+arrays: it tallies each chunk into what the point's files hold, per-node
+outcome counts and int64 elapsed sums, and gathers the chunks' columns of
+the node-major bits text into a block that is written in place, row by
+row, into the file sized for the whole run (a walked phase-offset run is
+one chunk).  A `SimOutcome`'s `to_*` exporters give the same bytes, and a
+streamed point holds one block of its bits text (at most 256 kB) and one
+chunk's working set, whatever the run's length.  `read_point` reads the
+file back one block of rows at a time, into the `metrics.BitSums` that
+every estimate takes.
 
 The closed form ranks each period's draws with one sort of packed keys,
 (draw << b) | node with b bits for the node, so the keys are unique and
@@ -88,6 +91,8 @@ walk, and `classify_collision` against a pairwise definition.
 
 from __future__ import annotations
 
+import math
+import os
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -98,7 +103,7 @@ import numpy as np
 
 from .analytic import MacParameters
 from .geometry import Category, SpatialScenario, build_adjacency, category_from_token
-from .metrics import MIN_PERIODS
+from .metrics import MIN_PERIODS, BitSums
 from .policy import BackoffPolicy, draw_matrix
 
 __all__ = [
@@ -180,7 +185,7 @@ class SimOutcome:
     def elapsed_sums(self) -> np.ndarray:
         """(n,) int64: each node's elapsed backoff slots summed over its transmitted periods."""
         # an expired period's elapsed is -1
-        return self.elapsed.sum(axis=0, dtype=np.int64) + _outcome_counts(self.outcomes)[Outcome.EXPIRED]
+        return _column_sums(self.elapsed) + _outcome_counts(self.outcomes)[Outcome.EXPIRED]
 
     def category_nodes(self, category: Category) -> np.ndarray:
         return np.flatnonzero(self.config.scenario.categories == int(category))
@@ -190,14 +195,13 @@ class SimOutcome:
 
     def to_bits_text(self) -> str:
         """One line of '1'/'0' per node, one character per period."""
-        tally = _PointTally(self.config.scenario, self.n_periods)
-        tally.add(0, self.outcomes, self.elapsed)
-        return str(tally.bits.data, "ascii")
+        text = np.full((self.n_nodes, self.n_periods + 1), ord("\n"), dtype=np.uint8)
+        _put_bits(self.outcomes, text[:, :-1])
+        return str(text.data, "ascii")
 
     def to_stats_csv(self) -> str:
         """Diagnostic per-node stats: transmission count and summed elapsed backoff slots."""
-        raw_sums = self.elapsed.sum(axis=0, dtype=np.int64)
-        return _stats_csv(self.config.scenario, _outcome_counts(self.outcomes), raw_sums)
+        return _stats_csv(self.config.scenario, _outcome_counts(self.outcomes), _column_sums(self.elapsed))
 
 
 def _stats_csv(scenario: SpatialScenario, counts: np.ndarray, raw_sums: np.ndarray) -> str:
@@ -216,39 +220,88 @@ def _per_node_csv(scenario: SpatialScenario, header: str, *columns: np.ndarray) 
     return "\n".join([header, *(line % row for row in zip(scenario.ids, tokens, *columns))]) + "\n"
 
 
-class _PointTally:
-    """What a point's files hold, filled one block of periods at a time: each node's outcome
-    counts and int64 elapsed sum, and the bits text, one line of '1'/'0' per node."""
+def _put_bits(outcomes: np.ndarray, out: np.ndarray) -> None:
+    """Write the '1'/'0' codes of the (rows, n) `outcomes` into the (n, rows) uint8 `out`: '1'
+    where the node's packet was transmitted that period."""
+    np.not_equal(outcomes.T, int(Outcome.EXPIRED), out=out)
+    out += ord("0")
 
-    def __init__(self, scenario: SpatialScenario, periods: int):
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """The (n,) int64 column sums of the (rows, n) integer array `a`.
+
+    numpy reduces a narrow array row by row, so each whole group of 16 rows is summed as one
+    row 16 times as wide, whose 16 parts are then added; integer sums are exact in any order.
+    """
+    rows, n = a.shape
+    whole = rows - rows % 16
+    sums = a[whole:].sum(axis=0, dtype=np.int64)
+    if whole:
+        sums += a[:whole].reshape(-1, 16 * n).sum(axis=0, dtype=np.int64).reshape(16, n).sum(axis=0)
+    return sums
+
+
+class _PointTally:
+    """What a point's files hold, filled one chunk of periods at a time: each node's outcome
+    counts and int64 elapsed sum, and its bits file, one line of '1'/'0' per node.
+
+    The bits file is node-major, so it is sized once and written in place: the chunks' columns
+    are gathered into one block of at most `_FLUSH_NODE_PERIODS` bytes, and each full block
+    is written out with one `os.pwrite` per node row, at the row's offset plus the block's
+    first period; the last block carries the rows' newlines.  So the tally holds one block of
+    the text, whatever the run's length.
+    """
+
+    def __init__(self, scenario: SpatialScenario, periods: int, bits_file):
         n = scenario.n_nodes
         self.scenario = scenario
         self.counts = np.zeros((len(Outcome), n), dtype=np.int64)
         self.elapsed_sums = np.zeros(n, dtype=np.int64)  # an expired period adds -1
-        self.bits = np.full((n, periods + 1), ord("\n"), dtype=np.uint8)
+        self.fd, self.row_bytes = bits_file.fileno(), periods + 1
+        os.ftruncate(self.fd, n * self.row_bytes)
+        # one column more than a block holds, for the newlines
+        self.block = np.empty((n, min(periods, max(1, _FLUSH_NODE_PERIODS // n)) + 1), dtype=np.uint8)
+        self.first, self.filled = 0, 0  # the block holds periods first, ..., first + filled - 1
 
     def add(self, first: int, outcomes: np.ndarray, elapsed: np.ndarray) -> None:
-        """Tally periods first, first + 1, ... from their (rows, n) outcomes and elapsed."""
-        bits = self.bits[:, first:first + outcomes.shape[0]]
-        np.not_equal(outcomes.T, int(Outcome.EXPIRED), out=bits)
-        bits += ord("0")
+        """Tally periods first, first + 1, ... from their (rows, n) outcomes and elapsed; chunks
+        come in order, each after the periods tallied so far."""
         self.counts += _outcome_counts(outcomes)
-        self.elapsed_sums += elapsed.sum(axis=0, dtype=np.int64)
+        self.elapsed_sums += _column_sums(elapsed)
+        width = self.block.shape[1] - 1
+        done, rows = 0, outcomes.shape[0]
+        while done < rows:
+            if self.filled == width:  # written once more columns come, so the last block is never empty
+                self._write(width)
+            if not self.filled:
+                self.first = first + done
+            take = min(rows - done, width - self.filled)
+            _put_bits(outcomes[done:done + take], self.block[:, self.filled:self.filled + take])
+            self.filled += take
+            done += take
+
+    def finish(self) -> None:
+        """Write the last block and the rows' newlines after it."""
+        self.block[:, self.filled] = ord("\n")
+        self._write(self.filled + 1)
+
+    def _write(self, cols: int) -> None:
+        """Write the block's first `cols` columns into each row at period `first`; empty the block."""
+        block = self.block[:, :cols]
+        if cols == self.row_bytes:  # whole rows, which follow each other in the file: one call
+            pieces = [(block, 0)]
+        else:
+            pieces = [(data, row * self.row_bytes + self.first) for row, data in enumerate(block)]
+        for data, offset in pieces:
+            if os.pwrite(self.fd, data, offset) != data.nbytes:
+                raise OSError("short write to a bits file")
+        self.filled = 0
 
     def outcome_csv(self) -> str:
         return _per_node_csv(self.scenario, OUTCOME_CSV_HEADER, *self.counts)
 
     def stats_csv(self) -> str:
         return _stats_csv(self.scenario, self.counts, self.elapsed_sums)
-
-    def write(self, out: Path, tag: str) -> tuple[str, str, str]:
-        """Write the point's outcome, bits and stats files into `out`; return their names."""
-        names = point_files(tag)
-        (out / names[0]).write_bytes(self.outcome_csv().encode("ascii"))
-        with open(out / names[1], "wb") as fh:
-            fh.write(self.bits)
-        (out / names[2]).write_bytes(self.stats_csv().encode("ascii"))
-        return names
 
 
 _COUNT_FIELDS = np.arange(0, 16 * len(Outcome), 16, dtype=np.uint64)[:, None]  # each outcome's shift in a packed count
@@ -286,25 +339,59 @@ def point_files(tag: str) -> tuple[str, str, str]:
     return f"outcome_{tag}.csv", f"bits_{tag}.txt", f"stats_{tag}.csv"
 
 
-def read_point(bits_path: Path, stats_path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One simulated point read back from the bits and stats files `simulate_points` wrote: the
-    (n, periods) transmitted bits, the (n,) int64 `Category` values and the (n,) elapsed sums.
+def read_point(bits_path: Path, stats_path: Path, groups: list[Category | None]) -> list[tuple[BitSums, np.ndarray]]:
+    """One simulated point read back from the bits and stats files `simulate_points` wrote: for
+    each of `groups` (a `Category`, or None for every node), the `BitSums` of its nodes' bits
+    rows and their (k,) int64 elapsed sums, in node order.
 
-    Raises ValueError when the bits/stats pair is malformed or inconsistent:
-    ragged or too short bits rows, a bits row with a character other than
-    '0' and '1', a bad stats line, different node counts, or a tx_count
-    that differs from the node's count of '1's.
+    The node-major bits file is read one block of whole rows at a time, about
+    `_READ_BLOCK_BYTES`, and each block is checked and added to the groups' sums before the
+    next is read, so what a point holds does not grow with the run's length.  Raises
+    ValueError when the bits/stats pair is malformed or inconsistent: too short bits rows,
+    rows of different lengths (each row, the last one too, ends in a newline), a bits row with
+    a character other than '0' and '1', a bad stats line, different node counts, or a
+    tx_count that differs from the node's count of '1's.
     """
-    rows = bits_path.read_bytes().split()
-    if len({len(r) for r in rows}) > 1:
-        raise ValueError(f"{bits_path.name}: bits rows differ in length")
-    raw = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), len(rows[0]) if rows else 0)
-    bits = raw == ord("1")
-    if bits.shape[1] < MIN_PERIODS:
-        raise ValueError(f"{bits_path.name}: {bits.shape[1]} periods, the estimators need {MIN_PERIODS}")
-    if raw.min() < ord("0") or raw.max() > ord("1"):
-        row = np.flatnonzero((~bits & (raw != ord("0"))).any(axis=1))[0]
-        raise ValueError(f"{bits_path.name} row {row + 1}: a character other than '0' and '1'")
+    with open(bits_path, "rb") as fh:
+        width = len(fh.readline())  # a row's periods and its newline
+        if width - 1 < MIN_PERIODS:
+            raise ValueError(f"{bits_path.name}: {max(width - 1, 0)} periods, the estimators need {MIN_PERIODS}")
+        n, ragged = divmod(os.fstat(fh.fileno()).st_size, width)
+        if ragged:
+            raise ValueError(f"{bits_path.name}: bits rows differ in length")
+        categories, tx, elapsed_sums = _read_stats(stats_path)
+        if len(categories) != n:
+            raise ValueError(f"{bits_path.name} has {n} nodes but {stats_path.name} has {len(categories)}")
+        members = [np.ones(n, dtype=bool) if group is None else categories == group for group in groups]
+        sums = [BitSums(width - 1) for _ in groups]
+        fh.seek(0)
+        step = max(1, _READ_BLOCK_BYTES // width)
+        for first in range(0, n, step):
+            raw = np.frombuffer(fh.read(step * width), dtype=np.uint8).reshape(-1, width)
+            body = raw[:, :-1]
+            if (raw[:, -1] != ord("\n")).any():
+                raise ValueError(f"{bits_path.name}: bits rows differ in length")
+            bits = body == ord("1")
+            if body.min() < ord("0") or body.max() > ord("1"):
+                if (body == ord("\n")).any():
+                    raise ValueError(f"{bits_path.name}: bits rows differ in length")
+                row = first + np.flatnonzero((~bits & (body != ord("0"))).any(axis=1))[0]
+                raise ValueError(f"{bits_path.name} row {row + 1}: a character other than '0' and '1'")
+            rows = slice(first, first + bits.shape[0])
+            ones = np.count_nonzero(bits, axis=1)
+            bad = np.flatnonzero(ones != tx[rows])
+            if bad.size:
+                i = first + bad[0]
+                raise ValueError(
+                    f"{stats_path.name} node row {i + 1}: tx_count {tx[i]} but {ones[bad[0]]} '1's in {bits_path.name}"
+                )
+            for group_sums, member in zip(sums, members):
+                group_sums.add(bits[member[rows]])
+    return [(group_sums, elapsed_sums[member]) for group_sums, member in zip(sums, members)]
+
+
+def _read_stats(stats_path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stats file's (n,) int64 `Category` values, tx counts and elapsed sums."""
     lines = stats_path.read_text(encoding="ascii").splitlines()
     if not lines or lines[0] != STATS_CSV_HEADER:
         raise ValueError(f"{stats_path.name}: unexpected stats CSV header")
@@ -317,14 +404,7 @@ def read_point(bits_path: Path, stats_path: Path) -> tuple[np.ndarray, np.ndarra
             elapsed_sums.append(int(elapsed))
         except ValueError:
             raise ValueError(f"{stats_path.name} line {lineno}: malformed stats row {line!r}") from None
-    if len(cats) != bits.shape[0]:
-        raise ValueError(f"{bits_path.name} has {bits.shape[0]} nodes but {stats_path.name} has {len(cats)}")
-    ones = bits.sum(axis=1)
-    bad = np.flatnonzero(ones != tx)
-    if bad.size:
-        i = bad[0]
-        raise ValueError(f"{stats_path.name} node row {i + 1}: tx_count {tx[i]} but {ones[i]} '1's in {bits_path.name}")
-    return bits, np.array(cats, dtype=np.int64), np.array(elapsed_sums, dtype=np.int64)
+    return tuple(np.array(column, dtype=np.int64) for column in (cats, tx, elapsed_sums))
 
 
 def classify_collision(node, start, end, adjacency: np.ndarray):
@@ -403,20 +483,28 @@ def simulate_points(out: Path, points) -> Iterator[tuple[tuple[str, str, str], d
     is written; nothing here keeps the runs' draws, so the walk frees them
     once stacked.  Any other run is computed, chunk by chunk, when its point
     is asked for.  A point's files are tallied as its run is computed, an
-    aligned run chunk by chunk and a walked run as one block, so no run's
-    (periods, n) arrays are kept: what a point holds beyond one chunk is its
-    bits text.
+    aligned run chunk by chunk and a walked run as one block, and its bits
+    file is written as the tally's block of columns fills, so no run's
+    (periods, n) arrays are kept: what a point holds beyond one chunk is one
+    block of its bits text (see `_PointTally`).
     """
     points = list(points)
     for (tag, config), chunks in zip(points, _simulated_chunks([config for _, config in points])):
-        tally = _PointTally(config.scenario, config.n_periods)
-        diagnostics = _fold(chunks, tally.add)
-        yield tally.write(out, tag), diagnostics
+        names = point_files(tag)
+        with open(out / names[1], "wb") as bits_file:
+            tally = _PointTally(config.scenario, config.n_periods, bits_file)
+            diagnostics = _fold(chunks, tally.add)
+            tally.finish()
+        (out / names[0]).write_bytes(tally.outcome_csv().encode("ascii"))
+        (out / names[2]).write_bytes(tally.stats_csv().encode("ascii"))
+        yield names, diagnostics
 
 
 def _simulated_chunks(configs: list[SimConfig]) -> Iterator[Iterator[tuple]]:
     """Per config, in order, its run as (first period, outcomes, elapsed, diagnostics) chunks of
-    consecutive periods: all of a walked phase-offset run in one, an aligned run's as computed."""
+    consecutive periods: all of a walked phase-offset run in one, an aligned run's as computed.
+    The closed-form runs share one `_Workspace`: a run's buffers freed at its end would be handed
+    back to the kernel by glibc's malloc and faulted in again by the next run."""
     groups: dict[tuple[int, int, int], list[int]] = {}
     for k, config in enumerate(configs):
         slots = config.params.slots_per_beacon
@@ -428,11 +516,11 @@ def _simulated_chunks(configs: list[SimConfig]) -> Iterator[Iterator[tuple]]:
             )
         if config.random_phase_offsets:
             groups.setdefault((slots, config.params.tx_occupancy_slots, config.n_periods), []).append(k)
-    walked = {}
+    walked, work = {}, _Workspace()
     for (slots, occupancy, _), ks in groups.items():
         walked.update(zip(ks, _run_walker([_draw_phase_offset_run(configs[k]) for k in ks], slots, occupancy)))
     for k, config in enumerate(configs):
-        yield iter([(0, *walked.pop(k))]) if k in walked else _run_aligned(config)
+        yield iter([(0, *walked.pop(k))]) if k in walked else _run_aligned(config, work)
 
 
 def _fold(chunks, add) -> dict:
@@ -462,27 +550,39 @@ def _draw_phase_offset_run(config: SimConfig):
 _NEVER = np.iinfo(np.int64).max // 2
 _END = np.iinfo(np.int64).max
 
-# Node-periods an aligned run draws and simulates at a time: 0.25 MB of int32 draws
-# (under 1 MB of temporaries while per-column bounds are drawn), about 1.1 MB of
-# closed-form temporaries and 0.5 MB to count outcomes, whatever the run's length.
-# Twice as many outgrow what glibc's malloc keeps for reuse (its trim threshold
-# follows the largest block freed so far, and `simulate` frees no per-run arrays),
-# so every chunk would fault its temporaries in afresh.
+# Bytes of bits text a point gathers before writing them (whole columns, at least one), and
+# bytes of a bits file `read_point` checks and sums at a time (whole rows, at least one).  A
+# write block of 256 kB makes one call per node row per 3 276 periods at 80 nodes; a read
+# block holds a few times its size in temporaries, and smaller ones made `report` slower
+# (64 kB: 0.11 s against 0.07 s over the 24 points of a 20 000-period full-connectivity grid).
+_FLUSH_NODE_PERIODS = 1 << 18
+_READ_BLOCK_BYTES = 1 << 18
+
+# Node-periods an aligned run draws and simulates at a time on the closed form: 0.25 MB
+# of int32 draws (under 1 MB of temporaries while per-column bounds are drawn), about
+# 1.2 MB of closed-form buffers that every chunk of a batch reuses and 0.5 MB to count outcomes,
+# whatever the run's length.
 _CHUNK_NODE_PERIODS = 1 << 16
+# The same on the walker, whose chunk holds about 110 bytes per node-period (its state
+# arrays and the classification of every transmission), more where more of them transmit:
+# a full chunk of 2^16 peaked at 9.3 MB at 10 nodes.  A quarter of that walks the default
+# grid's 1 000-period runs about 5 % more slowly (each chunk walks about as many steps as
+# its busiest period has starts) and its 10 000-period runs as fast.
+_WALK_NODE_PERIODS = 1 << 14
 
 
-def _run_aligned(config: SimConfig):
+def _run_aligned(config: SimConfig, work: _Workspace):
     """Yield an aligned run's chunks (see the module docstring) as (first period, outcomes,
     elapsed, diagnostics): the closed form on a complete graph, written into two buffers
-    that every chunk reuses, so a chunk's arrays hold until the next chunk is asked for;
-    else one walker row per period."""
+    that every chunk reuses, with its temporaries in `work`, so a chunk's arrays hold
+    until the next chunk is asked for; else one walker row per period."""
     scenario = config.scenario
     periods, n = config.n_periods, scenario.n_nodes
     slots, occupancy = config.params.slots_per_beacon, config.params.tx_occupancy_slots
     adjacency = build_adjacency(scenario, config.sense_range)
     complete = (adjacency | np.eye(n, dtype=bool)).all()
     rng = np.random.default_rng(config.seed)
-    step = min(periods, max(1, _CHUNK_NODE_PERIODS // n))
+    step = min(periods, max(1, (_CHUNK_NODE_PERIODS if complete else _WALK_NODE_PERIODS) // n))
     if complete:
         outcome_rows, elapsed_rows = np.empty((step, n), dtype=np.int8), np.empty((step, n), dtype=np.int32)
     for first in range(0, periods, step):
@@ -490,7 +590,7 @@ def _run_aligned(config: SimConfig):
         draws = draw_matrix(config.policy, scenario.categories, rows, rng)
         if complete:
             outcomes, elapsed = outcome_rows[:rows], elapsed_rows[:rows]
-            diag = _run_full_connectivity(draws, slots, occupancy, outcomes, elapsed)
+            diag = _run_full_connectivity(draws, slots, occupancy, outcomes, elapsed, work)
         else:
             runs = [(draws[:, None], np.zeros(n, dtype=np.int64), adjacency)]
             ((outcomes, elapsed, diag),) = _run_walker(runs, slots, occupancy)
@@ -499,10 +599,27 @@ def _run_aligned(config: SimConfig):
         yield first, outcomes, elapsed, diag
 
 
-def _run_full_connectivity(draws: np.ndarray, slots: int, occupancy: int, outcomes: np.ndarray, elapsed: np.ndarray):
+class _Workspace(dict):
+    """Buffers that chunks reuse, by name, so that a chunk's temporaries are not allocated
+    afresh (and, once freed, faulted in afresh wherever glibc's malloc hands large blocks
+    back to the kernel).  A call takes what it needs and leaves nothing in them."""
+
+    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialized array of `shape` and `dtype` in the buffer `name`, regrown if too small."""
+        size = math.prod(shape)
+        buf = self.get(name)
+        if buf is None or buf.dtype != dtype or buf.size < size:
+            buf = self[name] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+
+def _run_full_connectivity(
+    draws: np.ndarray, slots: int, occupancy: int, outcomes: np.ndarray, elapsed: np.ndarray, work: _Workspace
+):
     """Closed-form per-period outcomes under full connectivity with aligned periods,
     written into `outcomes` and `elapsed` (C-contiguous, shaped like `draws`); returns
-    the diagnostics.
+    the diagnostics.  Its temporaries are taken from `work`, which the chunks of a
+    batch's runs share.
 
     All stations freeze and decrement in lockstep, so transmissions happen in
     draw order: the k-th distinct draw value u transmits at slot u + k*occupancy
@@ -522,36 +639,37 @@ def _run_full_connectivity(draws: np.ndarray, slots: int, occupancy: int, outcom
     shift = (n - 1).bit_length()
     top = min(int(draws.max()), slots)
     # at least 16 bits: numpy sorts short rows of 8-bit keys about twice as slowly
-    keys = np.empty((periods, n), dtype=np.promote_types(np.min_scalar_type(top << shift | (n - 1)), np.uint16))
+    key_type = np.promote_types(np.min_scalar_type(top << shift | (n - 1)), np.uint16)
+    keys = work.take("keys", draws.shape, key_type)
     np.minimum(draws, top, out=keys, casting="unsafe")
     keys <<= shift
     keys |= np.arange(n, dtype=keys.dtype)
     keys.sort(axis=1)
-    value = keys >> shift
+    value = np.right_shift(keys, shift, out=work.take("value", draws.shape, key_type))
     # new[i]: flat entry i starts a run of equal draws in its period; the last entry closes the last period
     flat = value.reshape(-1)
-    new = np.empty(flat.size + 1, dtype=bool)
+    new = work.take("new", (flat.size + 1,), bool)
     np.not_equal(flat[1:], flat[:-1], out=new[1:-1])
     new[::n] = True
-    tie = ~(new[:-1] & new[1:]).reshape(periods, n)
+    tie = np.logical_and(new[:-1], new[1:], out=work.take("tie", (flat.size,), bool))
+    np.logical_not(tie, out=tie)
     # the running count of runs, less its period's first, is the number of smaller distinct draws
-    tx = np.cumsum(new[:-1], dtype=np.int32).reshape(periods, n)
+    tx = np.cumsum(new[:-1], dtype=np.int32, out=work.take("tx", (flat.size,), np.int32)).reshape(periods, n)
     tx -= tx[:, :1]
     tx *= occupancy
     np.add(tx, value, out=tx, casting="unsafe")  # value <= slots, and elapsed is int32 anyway
-    expired = tx >= slots
+    expired = np.greater_equal(tx, slots, out=new[:-1].reshape(periods, n))  # the run flags are spent
     np.copyto(tx, -1, where=expired)
     label = tie.view(np.int8)  # COLLIDED_SYNC where tied, else DELIVERED
-    np.copyto(label, int(Outcome.EXPIRED), where=expired)
-    del flat, value, new, expired  # freed before the scatter index, the largest temporary
-    index = np.bitwise_and(keys, (1 << shift) - 1, dtype=np.intp)
+    np.copyto(label, int(Outcome.EXPIRED), where=expired.reshape(-1))
+    index = np.bitwise_and(keys, (1 << shift) - 1, out=work.take("index", draws.shape, np.intp))
     index += np.arange(0, periods * n, n)[:, None]
     index = index.reshape(-1)
     elapsed.reshape(-1)[index] = tx.reshape(-1)
-    outcomes.reshape(-1)[index] = label.reshape(-1)
+    outcomes.reshape(-1)[index] = label
     return {
         "engine": "full-connectivity",
-        "sync_events": int(np.count_nonzero(label == int(Outcome.COLLIDED_SYNC))),
+        "sync_events": int(np.count_nonzero(np.equal(label, int(Outcome.COLLIDED_SYNC), out=new[:-1]))),
         "hn_events": 0,
         "dual_label_events": 0,
     }

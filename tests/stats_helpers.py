@@ -1,13 +1,14 @@
 """Statistics only the tests compute (the library's one estimator path is `metrics.build_estimates`):
 the chi-square fit of IRT gaps to the geometric law, the per-packet E[N_bo] mean with its CI half-width,
-and per-row reference versions of the zero-run estimators `metrics.estimate_irt` and `total_wait_periods`."""
+per-row reference versions of the zero-run estimators `metrics.estimate_irt` and `total_wait_periods`,
+and a field-by-field comparison of two `metrics.BitSums`."""
 
 import math
 
 import numpy as np
 from scipy.special import chdtrc
 
-from priobeacon.metrics import Z95, IrtEstimate
+from priobeacon.metrics import Z95, BitSums, IrtEstimate
 from priobeacon.sim import Outcome
 
 
@@ -90,3 +91,9 @@ def reference_total_wait_periods(row):
     pos = np.searchsorted(ones, zeros, side="left")
     waits = np.where(pos < ones.size, ones[np.minimum(pos, ones.size - 1)] - zeros, n - zeros)
     return int(waits.sum())
+
+
+def assert_same_sums(got: BitSums, want: BitSums):
+    """Two BitSums hold the same sums; a gap histogram may end in zeros where the other does not."""
+    assert (got.n_periods, got.tx, got.waits, got.without) == (want.n_periods, want.tx, want.waits, want.without)
+    assert np.array_equal(np.trim_zeros(got.gap_counts, "b"), np.trim_zeros(want.gap_counts, "b"))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from priobeacon import analytic as an
-from priobeacon import cli
+from priobeacon import cli, sim
 from priobeacon.cli import build_parser, main
 from priobeacon.config import ExperimentConfig, canonical_text, derive_seed, parse_config, parse_config_text, splitmix64
 from priobeacon.geometry import Category, SweepMode, category_from_token
@@ -812,6 +812,29 @@ def _break_stats_row(text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _edit_lines(text: str, edits: dict) -> str:
+    """`text` with line i (from 0) replaced by edits[i](line); a None result drops the line."""
+    lines = [edits[i](line) if i in edits else line for i, line in enumerate(text.splitlines())]
+    return "\n".join(line for line in lines if line is not None) + "\n"
+
+
+# node row 12 of the 20-node point: past the first block of 1 or 7 rows
+LATER_ROW = {
+    "bits-ragged-row": ("bits", {11: lambda r: r + "0"}, "bits rows differ in length"),
+    # the file keeps its size, so only the block holding row 12 sees it
+    "bits-ragged-rows-same-size": (
+        "bits", {11: lambda r: r + "0", 14: lambda r: r[:-1]}, "bits rows differ in length"
+    ),
+    "bits-foreign-character": ("bits", {11: lambda r: "x" + r[1:]}, "row 12: a character other than"),
+    "bits-cut-to-15-rows": ("bits", dict.fromkeys(range(15, 20), lambda r: None), "has 15 nodes but"),
+    "stats-missing-two-rows": ("stats", dict.fromkeys((12, 13), lambda r: None), "has 18"),
+    "stats-tx-count": (
+        "stats", {12: lambda r: ",".join([*r.split(",")[:2], "0", r.split(",")[3]])}, "node row 12: tx_count 0"
+    ),
+    "stats-bad-line": ("stats", {12: lambda r: r.replace(",", ";")}, "line 13: malformed stats row"),
+}
+
+
 class TestReportPairValidation:
     """A malformed bits/stats pair fails its own point; the others are still judged."""
 
@@ -847,6 +870,24 @@ class TestReportPairValidation:
         report = (out / "report.csv").read_text()
         assert "tau,traditional,all,127,10," in report
         assert ",traditional,all,127,20," not in report
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("case", list(LATER_ROW))
+    def test_bad_row_in_a_later_block_keeps_its_reason(self, tmp_path, monkeypatch, case, block):
+        # `report` reads a bits file `block` rows at a time (120 periods and a newline a row)
+        prefix, edits, reason = LATER_ROW[case]
+        monkeypatch.setattr(sim, "_READ_BLOCK_BYTES", block * 121)
+        cfgp = write_config(tmp_path, TWO_POINTS + f"[output]\ndir = {tmp_path}/out\n")
+        assert main(["analyze", "--config", cfgp]) == 0
+        assert main(["simulate", "--config", cfgp]) == 0
+        out = tmp_path / "out"
+        (path,) = out.glob(f"{prefix}_001_*_n20.*")
+        path.write_text(_edit_lines(path.read_text(), edits))
+        assert main(["report", "--config", cfgp]) == 1
+        summary = (out / "summary.txt").read_text()
+        bad = [ln for ln in summary.splitlines() if ln.startswith("missing: point 1 (traditional cw=127 n_sta=20): ")]
+        assert len(bad) == 1 and reason in bad[0], summary
+        assert "point policy=traditional category=all cw=127 n_sta=10" in summary
 
     @pytest.mark.parametrize(
         "corrupt, reason",
@@ -916,6 +957,40 @@ class TestReportPairValidation:
         assert "tau,traditional,all,127,10," in (tmp_path / "out" / "report.csv").read_text()
 
 
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_outputs_do_not_depend_on_the_block_sizes(self, tmp_path, monkeypatch, block):
+        # `simulate` writing `block` columns at a time (at 40 nodes) and `report` reading `block`
+        # rows at a time give the bytes of one write and one read per file: the bits files and
+        # report.csv, irt_cw15.csv (cw 15) and summary.txt, per category (proposed) and for all
+        # nodes (traditional), at 3 ms periods where packets expire
+        text = """
+[policy]
+policies = traditional proposed
+cw = 15 127
+[contention]
+n_sta = 20 40
+[mac]
+t_ibi = 0.003
+[sim]
+periods = 120
+full_connectivity = true
+"""
+        whole = write_config(tmp_path, text + f"[output]\ndir = {tmp_path}/whole\n", "whole.ini")
+        blocks = write_config(tmp_path, text + f"[output]\ndir = {tmp_path}/blocks\n", "blocks.ini")
+        assert 40 * 120 <= sim._FLUSH_NODE_PERIODS and 40 * 121 <= sim._READ_BLOCK_BYTES  # one of each
+        main(["sweep", "--config", whole])
+        monkeypatch.setattr(sim, "_FLUSH_NODE_PERIODS", block * 40 + 39)
+        monkeypatch.setattr(sim, "_READ_BLOCK_BYTES", block * 121)
+        main(["sweep", "--config", blocks])
+        names = sorted(p.name for p in (tmp_path / "whole").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "blocks").iterdir())
+        assert {"report.csv", "irt_cw15.csv", "summary.txt"} <= set(names)
+        for name in names:
+            assert (tmp_path / "blocks" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
+        assert "category=cat2" in (tmp_path / "whole" / "summary.txt").read_text()
+
+
 class TestEstimatorRoundTrip:
     """Estimates from a SimOutcome equal, exactly, those from the files cmd_simulate writes."""
 
@@ -948,19 +1023,16 @@ dir = {tmp_path}/out
         out = tmp_path / "out"
         (bits_path,) = out.glob("bits_*.txt")
         (stats_path,) = out.glob("stats_*.csv")
-        bits, categories, elapsed_sums = read_point(bits_path, stats_path)
-
         present = [Category(int(c)) for c in np.unique(outcome.config.scenario.categories)]
         assert len(present) >= 3
-        assert categories.dtype == np.int64 and np.array_equal(categories, outcome.config.scenario.categories)
         selections = [(None, np.arange(outcome.n_nodes))]
         selections += [(cat, outcome.category_nodes(cat)) for cat in present]
-        for cat, nodes in selections:
+        groups = read_point(bits_path, stats_path, [cat for cat, _ in selections])
+        for (cat, nodes), (bit_sums, elapsed_sums) in zip(selections, groups):
             from_outcome = build_estimates(
                 outcome.transmitted_bits()[nodes], outcome.elapsed_sums()[nodes], outcome.config.params
             )
-            sel = slice(None) if cat is None else categories == cat
-            from_files = build_estimates(bits[sel], elapsed_sums[sel], outcome.config.params)
+            from_files = build_estimates(bit_sums, elapsed_sums, outcome.config.params)
             assert from_outcome is not None and from_outcome.n_nodes == len(nodes)
             assert from_outcome == from_files, cat
 

@@ -9,6 +9,7 @@ from priobeacon.analytic import ContentionConfig, MacParameters, evaluate, solve
 from priobeacon.geometry import Category, CategoryThresholds, RegionSpec, drop_nodes
 from priobeacon.metrics import (
     MIN_PERIODS,
+    BitSums,
     compare,
     build_estimates,
     estimate_irt,
@@ -18,6 +19,7 @@ from priobeacon.metrics import (
 from priobeacon.policy import BackoffPolicy
 from priobeacon.sim import Outcome, SimConfig, run_simulation
 from stats_helpers import (
+    assert_same_sums,
     backoff_slot_mean,
     chi_square_geometric,
     reference_estimate_irt,
@@ -176,6 +178,20 @@ class TestZeroRunEstimators:
         waits = total_wait_periods(bits)
         assert waits.dtype == np.int64
         assert waits.tolist() == [reference_total_wait_periods(row) for row in bits]
+
+    @settings(max_examples=200, deadline=None)
+    @given(bit_matrices(), st.lists(st.integers(0, 8), max_size=4))
+    @example(EVERY_KIND, [1, 3, 3, 9])
+    def test_sums_added_block_by_block_equal_the_whole(self, bits, cuts):
+        # what `report` does with a bits file read in blocks of rows, empty blocks included
+        whole = BitSums.of(bits)
+        blocks = BitSums(bits.shape[1])
+        for block in np.split(bits, sorted(min(c, bits.shape[0]) for c in cuts)):
+            blocks.add(block)
+        assert_same_sums(blocks, whole)
+        assert blocks.n_nodes == bits.shape[0]
+        elapsed_sums = np.arange(bits.shape[0], dtype=np.int64)
+        assert build_estimates(blocks, elapsed_sums, PARAMS) == build_estimates(bits, elapsed_sums, PARAMS)
 
     def test_cdf_is_the_sequential_running_sum_in_gap_order(self):
         est = estimate_irt(np.random.default_rng(5).random((30, 400)) < 0.2)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from priobeacon.analytic import MacParameters
 from priobeacon.cli import MANIFEST_HEADER, main
 from priobeacon.geometry import Category, CategoryThresholds, RegionSpec, drop_nodes
+from priobeacon.metrics import BitSums
 from priobeacon.policy import BackoffPolicy, draw_matrix
 from priobeacon.sim import (
     OUTCOME_CSV_HEADER,
@@ -27,6 +28,7 @@ from priobeacon.sim import (
     simulate_points,
 )
 from priobeacon import sim
+from stats_helpers import assert_same_sums
 
 REGION = RegionSpec()
 TH = CategoryThresholds()
@@ -41,7 +43,7 @@ def closed_form(draws: np.ndarray, slots: int, occupancy: int):
     can take, so that an entry it leaves unwritten shows; returns (outcomes, elapsed, diagnostics)."""
     outcomes = np.full(draws.shape, 99, dtype=np.int8)
     elapsed = np.full(draws.shape, -99, dtype=np.int32)
-    diag = _run_full_connectivity(draws, slots, occupancy, outcomes, elapsed)
+    diag = _run_full_connectivity(draws, slots, occupancy, outcomes, elapsed, sim._Workspace())
     return outcomes, elapsed, diag
 
 
@@ -128,6 +130,12 @@ def reference_walk(draws: np.ndarray, offsets: np.ndarray, adjacency: np.ndarray
     outcomes[ev_packet, ev_node] = labels
     diag["engine"] = "slot-walker"
     return outcomes, elapsed, diag
+
+
+def set_chunk_rows(monkeypatch, rows: int, n: int):
+    """Make an aligned run of n nodes take `rows` periods a chunk, on either engine."""
+    for name in ("_CHUNK_NODE_PERIODS", "_WALK_NODE_PERIODS"):
+        monkeypatch.setattr(sim, name, rows * n + n - 1)
 
 
 def make_scenario(seed=1, density=2e-5):
@@ -236,9 +244,9 @@ class TestChunkedAlignedRuns:
             scenario=sc, policy=getattr(BackoffPolicy, kind)(127), params=MacParameters(t_ibi=10e-3),
             sense_range=sense_range, n_periods=50, seed=3,
         )
-        assert 50 * sc.n_nodes <= sim._CHUNK_NODE_PERIODS  # one chunk
+        assert 50 * sc.n_nodes <= min(sim._CHUNK_NODE_PERIODS, sim._WALK_NODE_PERIODS)  # one chunk
         whole = run_simulation(config)
-        monkeypatch.setattr(sim, "_CHUNK_NODE_PERIODS", chunk * sc.n_nodes + sc.n_nodes - 1)
+        set_chunk_rows(monkeypatch, chunk, sc.n_nodes)
         chunked = run_simulation(config)
         for name in ("outcomes", "elapsed"):
             a, b = getattr(whole, name), getattr(chunked, name)
@@ -258,7 +266,7 @@ class TestChunkedAlignedRuns:
 
         sc = make_scenario(seed=2)
         monkeypatch.setattr(sim, "_run_full_connectivity", counted)
-        monkeypatch.setattr(sim, "_CHUNK_NODE_PERIODS", chunk * sc.n_nodes + sc.n_nodes - 1)
+        set_chunk_rows(monkeypatch, chunk, sc.n_nodes)
         points = [
             (f"{s:03d}", SimConfig(
                 scenario=sc, policy=BackoffPolicy.traditional(15), n_periods=20, seed=s, sense_range=math.inf
@@ -308,26 +316,37 @@ class TestChunkedAlignedRuns:
         assert out.diagnostics["engine"] == "full-connectivity"
         assert peak - out.outcomes.nbytes - out.elapsed.nbytes <= 5_573_523
 
-    def test_simulate_holds_only_the_bits_text_beyond_a_chunk(self, tmp_path):
-        # `simulate` streams each point into its files: from P to 4P periods its peak grows by the
-        # bits text, one byte per node-period, not by the run's arrays (5 B) or copies of the text
-        n, periods = 40, 4096
+    @pytest.mark.parametrize("full_connectivity", ["true", "false"])
+    def test_simulate_and_report_peaks_do_not_grow_with_periods(self, tmp_path, full_connectivity):
+        # `simulate` writes each point's bits file one block of columns at a time and `report`
+        # reads it back one block of rows at a time, so from P to 4P periods neither peak grows
+        # by more than a small constant, where the bits text alone would grow by 3 * P * n bytes
+        # (983 kB).  At P = 8192 and 40 nodes the write block is already at its cap.  The
+        # walker's chunks differ by up to about 60 kB in what they hold to classify their
+        # transmissions, and the 4P run has more chunks to take the largest from.
+        n, periods = 40, 8192
+        assert sim._FLUSH_NODE_PERIODS // n < periods
 
-        def traced_peak(p):
+        def traced_peaks(p):
             cfgp = tmp_path / f"{p}.ini"
             cfgp.write_text(
-                f"[policy]\npolicies = traditional\ncw = 127\n[contention]\nn_sta = {n}\n"
-                f"[sim]\nperiods = {p}\nfull_connectivity = true\n[output]\ndir = {tmp_path}/out{p}\n"
+                f"[policy]\npolicies = traditional\ncw = 127\n[contention]\nn_sta = {n}\n[sim]\nperiods = {p}\n"
+                f"full_connectivity = {full_connectivity}\n[output]\ndir = {tmp_path}/out{p}\n"
             )
-            tracemalloc.start()
-            try:
-                assert main(["simulate", "--config", str(cfgp)]) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            assert main(["analyze", "--config", str(cfgp)]) == 0
+            peaks = []
+            for stage in ("simulate", "report"):
+                tracemalloc.start()
+                try:
+                    main([stage, "--config", str(cfgp)])
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return peaks
 
-        grown = traced_peak(4 * periods) - traced_peak(periods)
-        assert grown <= 1.1 * 3 * periods * n
+        small, large = traced_peaks(periods), traced_peaks(4 * periods)
+        assert large[0] - small[0] <= 128 * 1024, (small, large)
+        assert large[1] - small[1] <= 128 * 1024, (small, large)
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunked_closed_form_matches_walker(self, monkeypatch, chunk):
@@ -344,7 +363,7 @@ class TestChunkedAlignedRuns:
         expired = 0
         for sc, policy, params in cases:
             config = SimConfig(scenario=sc, policy=policy, params=params, sense_range=math.inf, n_periods=30, seed=5)
-            monkeypatch.setattr(sim, "_CHUNK_NODE_PERIODS", chunk * sc.n_nodes + sc.n_nodes - 1)
+            set_chunk_rows(monkeypatch, chunk, sc.n_nodes)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 out = run_simulation(config)
@@ -845,7 +864,7 @@ class TestPhaseOffsets:
             )
             for seed in range(4)
         ]
-        monkeypatch.setattr(sim, "_CHUNK_NODE_PERIODS", chunk * sc.n_nodes + sc.n_nodes - 1)
+        set_chunk_rows(monkeypatch, chunk, sc.n_nodes)
         from_draws = [tracemalloc.Filter(True, draw_matrix.__code__.co_filename)]
 
         def draw_bytes():  # bytes held of what `policy.py` allocated: traditional draws allocate nothing else there
@@ -885,26 +904,34 @@ class TestPointFiles:
         out = run_simulation(config)
         assert out.diagnostics["engine"] == ("slot-walker" if phase_offsets else "full-connectivity")
         n = config.scenario.n_nodes
-        monkeypatch.setattr(sim, "_CHUNK_NODE_PERIODS", chunk * n + n - 1)
+        set_chunk_rows(monkeypatch, chunk, n)
+        monkeypatch.setattr(sim, "_FLUSH_NODE_PERIODS", chunk * n + n - 1)  # `chunk` columns a write
+        monkeypatch.setattr(sim, "_READ_BLOCK_BYTES", chunk * 121)  # `chunk` rows a read
         ((names, diag),) = simulate_points(tmp_path, [("004_proposed_cw15_n20", config)])
         assert names == point_files("004_proposed_cw15_n20") and diag == out.diagnostics
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
-        bits, categories, elapsed_sums = read_point(tmp_path / names[1], tmp_path / names[2])
-        assert np.array_equal(bits, out.transmitted_bits()) and 0 < bits.mean() < 1
-        assert categories.dtype == np.int64 and np.array_equal(categories, config.scenario.categories)
-        assert elapsed_sums.dtype == np.int64 and np.array_equal(elapsed_sums, out.elapsed_sums())
+        present = [Category(c) for c in np.unique(config.scenario.categories)]
+        groups = read_point(tmp_path / names[1], tmp_path / names[2], [None, *present])
+        bits = out.transmitted_bits()
+        assert 0 < bits.mean() < 1 and len(present) >= 2
+        for (sums, elapsed_sums), nodes in zip(groups, [slice(None), *map(out.category_nodes, present)]):
+            assert_same_sums(sums, BitSums.of(bits[nodes]))
+            assert elapsed_sums.dtype == np.int64 and np.array_equal(elapsed_sums, out.elapsed_sums()[nodes])
         lines = (tmp_path / names[0]).read_text(encoding="ascii").splitlines()
         assert lines[0] == OUTCOME_CSV_HEADER
         assert [int(ln.split(",")[0]) for ln in lines[1:]] == config.scenario.ids.tolist()
         counts = np.array([[int(v) for v in ln.split(",")[2:]] for ln in lines[1:]])
         assert np.array_equal(counts.T, np.stack(list(out.counts().values())))
 
+    @pytest.mark.parametrize("flush", [1, 7])
     @pytest.mark.parametrize("chunk", [1, 7])
-    def test_streamed_files_equal_run_simulation_exports(self, tmp_path, monkeypatch, chunk):
-        # one mixed batch, streamed in chunks of `chunk` periods, against each run's own outcome
-        # computed in one chunk: phase-offset runs at n = 1, 5, 12 and the full drop (two period
-        # counts, so two stacked walks) and an aligned 700 m run (walker rows) and a complete-graph
-        # run (the closed form) at 3 ms periods (60 slots), where packets expire; then a
+    def test_streamed_files_equal_run_simulation_exports(self, tmp_path, monkeypatch, chunk, flush):
+        # one mixed batch, streamed in chunks of `chunk` periods and written `flush` columns at a
+        # time (at the full drop's size), against each run's own outcome computed in one chunk
+        # and exported whole: phase-offset runs at n = 1, 5, 12 and the full drop (two period
+        # counts, so two stacked walks), an aligned 700 m run (walker rows) and two complete-graph
+        # runs (the closed form, the full drop then 12 nodes) at 3 ms periods (60 slots), where
+        # packets expire; then a
         # complete-graph, an aligned 700 m and a phase-offset run at 10 ms, where hidden nodes collide
         sc = make_scenario(seed=1)
         params = MacParameters(t_ibi=3e-3)
@@ -924,13 +951,16 @@ class TestPointFiles:
         )
         configs = [
             *offset_runs[:2], aligned, offset_runs[2], replace(aligned, seed=8, sense_range=math.inf),
+            # a smaller closed-form run after it: the batch's closed-form runs share one workspace
+            replace(offset_runs[2], random_phase_offsets=False, sense_range=math.inf),
             offset_runs[3], second_walk,
             replace(slow, sense_range=math.inf), replace(slow, seed=4), replace(slow, seed=5, random_phase_offsets=True),
         ]
         points = [(f"{k:03d}", config) for k, config in enumerate(configs)]
-        assert all(config.n_periods * config.scenario.n_nodes <= sim._CHUNK_NODE_PERIODS for config in configs)
+        assert all(config.n_periods * config.scenario.n_nodes <= sim._WALK_NODE_PERIODS for config in configs)
         outcomes = [run_simulation(config) for config in configs]
-        monkeypatch.setattr(sim, "_CHUNK_NODE_PERIODS", chunk * sc.n_nodes + sc.n_nodes - 1)
+        set_chunk_rows(monkeypatch, chunk, sc.n_nodes)
+        monkeypatch.setattr(sim, "_FLUSH_NODE_PERIODS", flush * sc.n_nodes + sc.n_nodes - 1)
         results = list(simulate_points(tmp_path, points))
         assert len(results) == len(points)
         for (tag, _), outcome, (names, diag) in zip(points, outcomes, results):
@@ -940,8 +970,8 @@ class TestPointFiles:
             for name, text in zip(names, exports):
                 assert (tmp_path / name).read_bytes() == text.encode("ascii"), name
         engines = [diag["engine"] for _, diag in results]
-        assert engines.count("full-connectivity") == 2 and engines.count("slot-walker") == len(points) - 2
-        assert results[2][1]["hn_events"] > 0 and results[8][1]["hn_events"] > 0  # the aligned 700 m runs
+        assert engines.count("full-connectivity") == 3 and engines.count("slot-walker") == len(points) - 3
+        assert results[2][1]["hn_events"] > 0 and results[9][1]["hn_events"] > 0  # the aligned 700 m runs
         # packets expire in every run but the two smallest walks (n = 1 and 5)
         assert all((out.outcomes == int(Outcome.EXPIRED)).any() for out in outcomes[2:])
 

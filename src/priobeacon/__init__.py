@@ -30,6 +30,7 @@ from .analytic import (
 )
 from .sim import Outcome, SimConfig, SimOutcome, classify_collision, run_simulation
 from .metrics import (
+    BitSums,
     ComparisonReport,
     EmpiricalEstimates,
     build_estimates,

@@ -87,6 +87,13 @@ def _zero_runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows[0::2], ends - starts, (starts > 0) & (ends < periods)
 
 
+def _row_waits(n: int, rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """(n,) int64: each row's summed waits, from its zero runs' rows and lengths (`_zero_runs`)."""
+    waits = np.zeros(n, dtype=np.int64)
+    np.add.at(waits, rows, k * (k + 1) // 2)
+    return waits
+
+
 class BitSums:
     """What every estimate takes from a node set's (n, periods) transmission bits: the
     transmitted node-periods, each row's total wait (in row order), the count of each gap
@@ -120,8 +127,6 @@ class BitSums:
     def add(self, bits: np.ndarray) -> None:
         """Add the (rows, periods) bool block `bits`, the rows that follow those added so far."""
         rows, k, bounded = _zero_runs(bits)
-        waits = np.zeros(bits.shape[0], dtype=np.int64)
-        np.add.at(waits, rows, k * (k + 1) // 2)
         gaps = np.bincount(k[bounded] + 1, minlength=2)
         gaps[1] = np.count_nonzero(bits[:, 1:] & bits[:, :-1])
         if gaps.size > self.gap_counts.size:
@@ -130,7 +135,7 @@ class BitSums:
         ones = np.count_nonzero(bits, axis=1)
         self.tx += int(ones.sum())
         self.without += int(np.count_nonzero(ones < 2))
-        self.waits += waits.tolist()
+        self.waits += _row_waits(bits.shape[0], rows, k).tolist()
 
     def irt(self) -> IrtEstimate:
         """The inter-reception-time estimate of the rows added so far (see `estimate_irt`)."""
@@ -159,7 +164,9 @@ def total_wait_periods(bits: np.ndarray) -> np.ndarray:
     (one period if the very next period transmits), censored at the end of
     the sequence.
     """
-    return np.array(BitSums.of(bits).waits, dtype=np.int64)
+    bits = np.asarray(bits, dtype=bool)
+    rows, k, _bounded = _zero_runs(bits)
+    return _row_waits(bits.shape[0], rows, k)
 
 
 @dataclass(frozen=True)
@@ -173,18 +180,17 @@ class EmpiricalEstimates:
     irt: IrtEstimate
 
 
-def build_estimates(
-    bits: np.ndarray | BitSums, elapsed_sums: np.ndarray, params: MacParameters
-) -> EmpiricalEstimates | None:
+def build_estimates(sums: BitSums, elapsed_sums: np.ndarray, params: MacParameters) -> EmpiricalEstimates | None:
     """All empirical estimates for one tagged node set (None if it is empty).
 
-    bits: (n, periods) bool, True where the node transmitted (delivered or
-    collided) in that period, or the `BitSums` of such rows; elapsed_sums:
-    (n,) summed elapsed backoff slots over each node's transmitted periods.
-    The caller picks the rows of the tagged nodes: `SimOutcome` gives both
-    arrays (`transmitted_bits`, `elapsed_sums`, indexed by `category_nodes`),
-    and `sim.read_point` gives the sums from the exported `bits_*`/`stats_*`
-    files.  `compare` takes the grid key.
+    sums: the `BitSums` of the nodes' (n, periods) transmission bits, True
+    where the node transmitted (delivered or collided) in that period;
+    elapsed_sums: (n,) summed elapsed backoff slots over each node's
+    transmitted periods.  The caller picks the rows of the tagged nodes:
+    `BitSums.of` takes them from a `SimOutcome` (`transmitted_bits` and
+    `elapsed_sums`, indexed by `category_nodes`), and `sim.read_point` gives
+    both from the exported `bits_*`/`stats_*` files.  `compare` takes the
+    grid key.
 
     tau_hat is the transmitted fraction of node-periods, with its CI from
     `proportion_ci`.  E[N_bo] is the mean elapsed backoff per transmitted
@@ -192,7 +198,6 @@ def build_estimates(
     T_suc, and each expired one T_ibi per wasted period until the node's
     next transmission (censored at the end of the run).
     """
-    sums = bits if isinstance(bits, BitSums) else BitSums.of(bits)
     n, periods = sums.n_nodes, sums.n_periods
     if n == 0:
         return None

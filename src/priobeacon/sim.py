@@ -348,9 +348,11 @@ def read_point(bits_path: Path, stats_path: Path, groups: list[Category | None])
     `_READ_BLOCK_BYTES`, and each block is checked and added to the groups' sums before the
     next is read, so what a point holds does not grow with the run's length.  Raises
     ValueError when the bits/stats pair is malformed or inconsistent: too short bits rows,
-    rows of different lengths (each row, the last one too, ends in a newline), a bits row with
-    a character other than '0' and '1', a bad stats line, different node counts, or a
-    tx_count that differs from the node's count of '1's.
+    rows of different lengths (each row, the last one too, ends in a single newline), a bad
+    stats line, different node counts, a bits row with a character other than '0' and '1', or
+    a tx_count that differs from the node's count of '1's.  A foreign character is raised
+    only once every block's row ends are checked, and a tx_count once every block's
+    characters are, so a file's reason does not depend on which block holds its faults.
     """
     with open(bits_path, "rb") as fh:
         width = len(fh.readline())  # a row's periods and its newline
@@ -364,6 +366,8 @@ def read_point(bits_path: Path, stats_path: Path, groups: list[Category | None])
             raise ValueError(f"{bits_path.name} has {n} nodes but {stats_path.name} has {len(categories)}")
         members = [np.ones(n, dtype=bool) if group is None else categories == group for group in groups]
         sums = [BitSums(width - 1) for _ in groups]
+        ones = np.empty(n, dtype=np.int64)  # each row's count of '1's
+        foreign = None  # the first row with a character other than '0' and '1'; after it, blocks are only checked
         fh.seek(0)
         step = max(1, _READ_BLOCK_BYTES // width)
         for first in range(0, n, step):
@@ -375,18 +379,19 @@ def read_point(bits_path: Path, stats_path: Path, groups: list[Category | None])
             if body.min() < ord("0") or body.max() > ord("1"):
                 if (body == ord("\n")).any():
                     raise ValueError(f"{bits_path.name}: bits rows differ in length")
-                row = first + np.flatnonzero((~bits & (body != ord("0"))).any(axis=1))[0]
-                raise ValueError(f"{bits_path.name} row {row + 1}: a character other than '0' and '1'")
-            rows = slice(first, first + bits.shape[0])
-            ones = np.count_nonzero(bits, axis=1)
-            bad = np.flatnonzero(ones != tx[rows])
-            if bad.size:
-                i = first + bad[0]
-                raise ValueError(
-                    f"{stats_path.name} node row {i + 1}: tx_count {tx[i]} but {ones[bad[0]]} '1's in {bits_path.name}"
-                )
-            for group_sums, member in zip(sums, members):
-                group_sums.add(bits[member[rows]])
+                if foreign is None:
+                    foreign = first + np.flatnonzero((~bits & (body != ord("0"))).any(axis=1))[0]
+            if foreign is None:
+                rows = slice(first, first + bits.shape[0])
+                ones[rows] = np.count_nonzero(bits, axis=1)
+                for group_sums, member in zip(sums, members):
+                    group_sums.add(bits[member[rows]])
+    if foreign is not None:
+        raise ValueError(f"{bits_path.name} row {foreign + 1}: a character other than '0' and '1'")
+    bad = np.flatnonzero(ones != tx)
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"{stats_path.name} node row {i + 1}: tx_count {tx[i]} but {ones[i]} '1's in {bits_path.name}")
     return [(group_sums, elapsed_sums[member]) for group_sums, member in zip(sums, members)]
 
 
@@ -565,9 +570,10 @@ _READ_BLOCK_BYTES = 1 << 18
 _CHUNK_NODE_PERIODS = 1 << 16
 # The same on the walker, whose chunk holds about 110 bytes per node-period (its state
 # arrays and the classification of every transmission), more where more of them transmit:
-# a full chunk of 2^16 peaked at 9.3 MB at 10 nodes.  A quarter of that walks the default
-# grid's 1 000-period runs about 5 % more slowly (each chunk walks about as many steps as
-# its busiest period has starts) and its 10 000-period runs as fast.
+# a full chunk of 2^16 peaked at 9.3 MB at 10 nodes.  With a quarter of that, a default-config
+# sweep peaks about 9 MB lower at 1 000 and at 10 000 periods, in as much time as the
+# sweeps' spread can tell (each chunk walks about as many steps as its busiest period has
+# starts, so more chunks walk more steps).
 _WALK_NODE_PERIODS = 1 << 14
 
 

@@ -62,7 +62,7 @@ from priobeacon.analytic import (
 )
 from priobeacon.cli import main
 from priobeacon.geometry import Category, CategoryThresholds, RegionSpec, category_mix, drop_nodes
-from priobeacon.metrics import build_estimates
+from priobeacon.metrics import BitSums, build_estimates
 from priobeacon.policy import BackoffPolicy
 from priobeacon.sim import Outcome, SimConfig, run_simulation
 from stats_helpers import backoff_slot_mean, chi_square_geometric
@@ -98,7 +98,7 @@ def make_policy(name: str, cw: int) -> BackoffPolicy:
 def estimates(out, category):
     """The estimates `report` computes, over a category's nodes (every node for None); None if absent."""
     nodes = np.arange(out.n_nodes) if category is None else out.category_nodes(category)
-    return build_estimates(out.transmitted_bits()[nodes], out.elapsed_sums()[nodes], out.config.params)
+    return build_estimates(BitSums.of(out.transmitted_bits()[nodes]), out.elapsed_sums()[nodes], out.config.params)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from priobeacon import cli, sim
 from priobeacon.cli import build_parser, main
 from priobeacon.config import ExperimentConfig, canonical_text, derive_seed, parse_config, parse_config_text, splitmix64
 from priobeacon.geometry import Category, SweepMode, category_from_token
-from priobeacon.metrics import build_estimates
+from priobeacon.metrics import BitSums, build_estimates
 from priobeacon.policy import BackoffPolicy, PolicyKind, UncategorizedMode, backoff_range
 from priobeacon.sim import read_point, run_simulation
 
@@ -889,6 +889,38 @@ class TestReportPairValidation:
         assert len(bad) == 1 and reason in bad[0], summary
         assert "point policy=traditional category=all cw=127 n_sta=10" in summary
 
+    @pytest.mark.parametrize("block", [1, 7, None])
+    @pytest.mark.parametrize(
+        "bits_edits, stats_edit, reason",
+        [
+            # node row 4's tx_count is off, and bits row 12 holds an 'x'
+            ({11: lambda r: "x" + r[1:]}, _bump_tx_count, "row 12: a character other than '0' and '1'"),
+            # bits row 4 holds an 'x', and rows 12 and 15 differ in length but keep the file's size
+            ({3: lambda r: "x" + r[1:], 11: lambda r: r + "0", 14: lambda r: r[:-1]}, None, "differ in length"),
+        ],
+        ids=["tx-count-then-foreign-character", "foreign-character-then-ragged-row"],
+    )
+    def test_reason_does_not_depend_on_the_faults_blocks(
+        self, tmp_path, monkeypatch, bits_edits, stats_edit, reason, block
+    ):
+        # the later fault wins, as when the file is read whole, though with blocks of 1 or 7
+        # rows (121 bytes a row) the earlier fault lies in an earlier block
+        if block is not None:
+            monkeypatch.setattr(sim, "_READ_BLOCK_BYTES", block * 121)
+        cfgp = write_config(tmp_path, TWO_POINTS + f"[output]\ndir = {tmp_path}/out\n")
+        assert main(["analyze", "--config", cfgp]) == 0
+        assert main(["simulate", "--config", cfgp]) == 0
+        out = tmp_path / "out"
+        (bits,) = out.glob("bits_001_*_n20.*")
+        bits.write_text(_edit_lines(bits.read_text(), bits_edits))
+        if stats_edit is not None:
+            (stats,) = out.glob("stats_001_*_n20.*")
+            stats.write_text(stats_edit(stats.read_text()))
+        assert main(["report", "--config", cfgp]) == 1
+        summary = (out / "summary.txt").read_text()
+        bad = [ln for ln in summary.splitlines() if ln.startswith("missing: point 1 (traditional cw=127 n_sta=20): ")]
+        assert len(bad) == 1 and reason in bad[0], summary
+
     @pytest.mark.parametrize(
         "corrupt, reason",
         [
@@ -1030,7 +1062,7 @@ dir = {tmp_path}/out
         groups = read_point(bits_path, stats_path, [cat for cat, _ in selections])
         for (cat, nodes), (bit_sums, elapsed_sums) in zip(selections, groups):
             from_outcome = build_estimates(
-                outcome.transmitted_bits()[nodes], outcome.elapsed_sums()[nodes], outcome.config.params
+                BitSums.of(outcome.transmitted_bits()[nodes]), outcome.elapsed_sums()[nodes], outcome.config.params
             )
             from_files = build_estimates(bit_sums, elapsed_sums, outcome.config.params)
             assert from_outcome is not None and from_outcome.n_nodes == len(nodes)

@@ -43,7 +43,7 @@ def run_single_node(policy, periods=1000, seed=5, params=PARAMS):
 def estimates(out, category=None):
     """The estimates `report` computes, over a category's nodes (every node for None); None if absent."""
     nodes = np.arange(out.n_nodes) if category is None else out.category_nodes(category)
-    return build_estimates(out.transmitted_bits()[nodes], out.elapsed_sums()[nodes], out.config.params)
+    return build_estimates(BitSums.of(out.transmitted_bits()[nodes]), out.elapsed_sums()[nodes], out.config.params)
 
 
 class TestProportionCi:
@@ -191,7 +191,7 @@ class TestZeroRunEstimators:
         assert_same_sums(blocks, whole)
         assert blocks.n_nodes == bits.shape[0]
         elapsed_sums = np.arange(bits.shape[0], dtype=np.int64)
-        assert build_estimates(blocks, elapsed_sums, PARAMS) == build_estimates(bits, elapsed_sums, PARAMS)
+        assert build_estimates(blocks, elapsed_sums, PARAMS) == build_estimates(whole, elapsed_sums, PARAMS)
 
     def test_cdf_is_the_sequential_running_sum_in_gap_order(self):
         est = estimate_irt(np.random.default_rng(5).random((30, 400)) < 0.2)

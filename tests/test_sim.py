@@ -338,10 +338,15 @@ class TestChunkedAlignedRuns:
             for stage in ("simulate", "report"):
                 tracemalloc.start()
                 try:
-                    main([stage, "--config", str(cfgp)])
+                    rc = main([stage, "--config", str(cfgp)])
                     peaks.append(tracemalloc.get_traced_memory()[1])
                 finally:
                     tracemalloc.stop()
+                assert rc == 0, (stage, p)
+            # a peak of a run that failed early would say nothing: the report judged the point
+            summary = (tmp_path / f"out{p}" / "summary.txt").read_text()
+            assert "point policy=traditional category=all cw=127 n_sta=40" in summary, summary
+            assert "missing:" not in summary, summary
             return peaks
 
         small, large = traced_peaks(periods), traced_peaks(4 * periods)

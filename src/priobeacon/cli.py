@@ -144,6 +144,9 @@ MANIFEST_HEADER = "index,policy,cw,n_sta,sim_seed,subsample_seed,status,outcome_
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
+    # first: after a failed simulate, no manifest names an earlier run's point files for `report`
+    for name in ("manifest.csv", "sim_points.csv", "metadata.txt"):
+        (Path(cfg.out_dir) / name).unlink(missing_ok=True)
     scenario = _drop_scenario(cfg)
     out = _out_dir(cfg)
     mac = cfg.mac_params()
@@ -221,6 +224,9 @@ def _manifest_files(row: list[str] | None, policy: BackoffPolicy, n_sta: int) ->
 
 def cmd_report(cfg: ExperimentConfig) -> int:
     out = _out_dir(cfg)
+    # before any input is read: a failed report leaves no verdict, and a grid without cw 15 no IRT table
+    for name in ("report.csv", "irt_cw15.csv", "summary.txt"):
+        (out / name).unlink(missing_ok=True)
     mac = cfg.mac_params()
     analytic_rows, missing = an.read_analytic_rows(out / "analytic.csv")
     tolerances = cfg.tolerances()
@@ -278,7 +284,6 @@ def cmd_report(cfg: ExperimentConfig) -> int:
 
     all_pass = all_pass and not missing
     _write_text(out / "report.csv", "\n".join(report_lines) + "\n")
-    (out / "irt_cw15.csv").unlink(missing_ok=True)  # a grid without cw 15 leaves no stale table
     if len(irt_lines) > 1:
         _write_text(out / "irt_cw15.csv", "\n".join(irt_lines) + "\n")
     verdict = "PASS" if all_pass else "FAIL"

@@ -50,14 +50,16 @@ independent, so the chunks change no result.  `run_simulation` gathers a
 run's chunks into the (periods, n) arrays of a `SimOutcome` (5 bytes per
 node-period).  `simulate_points`, which `simulate` runs, keeps no such
 arrays: it tallies each chunk into what the point's files hold, per-node
-outcome counts and int64 elapsed sums, and gathers the chunks' columns of
-the node-major bits text into a block that is written in place, row by
-row, into the file sized for the whole run (a walked phase-offset run is
-one chunk).  A `SimOutcome`'s `to_*` exporters give the same bytes, and a
-streamed point holds one block of its bits text (at most 256 kB) and one
-chunk's working set, whatever the run's length.  `read_point` reads the
-file back one block of rows at a time, into the `metrics.BitSums` that
-every estimate takes.
+outcome counts and int64 elapsed sums, and encodes the chunk's columns of
+the node-major bits text, which it writes in place, row by row, into the
+file sized for the whole run.  `SimOutcome.to_bits_text` encodes its
+whole run with the same function, so a `SimOutcome`'s `to_*` exporters
+give the same bytes.  A streamed aligned point holds one chunk's working
+set, the chunk's bits text included (1 byte per node-period), whatever
+the run's length.  A walked phase-offset run is one chunk, so its text is encoded
+whole, beside the 5 bytes per node-period its walk already holds.
+`read_point` reads the file back one block of rows at a time, into the
+`metrics.BitSums` that every estimate takes.
 
 The closed form ranks each period's draws with one sort of packed keys,
 (draw << b) | node with b bits for the node, so the keys are unique and
@@ -185,7 +187,7 @@ class SimOutcome:
     def elapsed_sums(self) -> np.ndarray:
         """(n,) int64: each node's elapsed backoff slots summed over its transmitted periods."""
         # an expired period's elapsed is -1
-        return _column_sums(self.elapsed) + _outcome_counts(self.outcomes)[Outcome.EXPIRED]
+        return self.elapsed.sum(axis=0, dtype=np.int64) + _outcome_counts(self.outcomes)[Outcome.EXPIRED]
 
     def category_nodes(self, category: Category) -> np.ndarray:
         return np.flatnonzero(self.config.scenario.categories == int(category))
@@ -195,13 +197,12 @@ class SimOutcome:
 
     def to_bits_text(self) -> str:
         """One line of '1'/'0' per node, one character per period."""
-        text = np.full((self.n_nodes, self.n_periods + 1), ord("\n"), dtype=np.uint8)
-        _put_bits(self.outcomes, text[:, :-1])
-        return str(text.data, "ascii")
+        return str(_bits_text(self.outcomes, True).data, "ascii")
 
     def to_stats_csv(self) -> str:
         """Diagnostic per-node stats: transmission count and summed elapsed backoff slots."""
-        return _stats_csv(self.config.scenario, _outcome_counts(self.outcomes), _column_sums(self.elapsed))
+        raw_sums = self.elapsed.sum(axis=0, dtype=np.int64)
+        return _stats_csv(self.config.scenario, _outcome_counts(self.outcomes), raw_sums)
 
 
 def _stats_csv(scenario: SpatialScenario, counts: np.ndarray, raw_sums: np.ndarray) -> str:
@@ -220,36 +221,26 @@ def _per_node_csv(scenario: SpatialScenario, header: str, *columns: np.ndarray) 
     return "\n".join([header, *(line % row for row in zip(scenario.ids, tokens, *columns))]) + "\n"
 
 
-def _put_bits(outcomes: np.ndarray, out: np.ndarray) -> None:
-    """Write the '1'/'0' codes of the (rows, n) `outcomes` into the (n, rows) uint8 `out`: '1'
-    where the node's packet was transmitted that period."""
-    np.not_equal(outcomes.T, int(Outcome.EXPIRED), out=out)
-    out += ord("0")
-
-
-def _column_sums(a: np.ndarray) -> np.ndarray:
-    """The (n,) int64 column sums of the (rows, n) integer array `a`.
-
-    numpy reduces a narrow array row by row, so each whole group of 16 rows is summed as one
-    row 16 times as wide, whose 16 parts are then added; integer sums are exact in any order.
-    """
-    rows, n = a.shape
-    whole = rows - rows % 16
-    sums = a[whole:].sum(axis=0, dtype=np.int64)
-    if whole:
-        sums += a[:whole].reshape(-1, 16 * n).sum(axis=0, dtype=np.int64).reshape(16, n).sum(axis=0)
-    return sums
+def _bits_text(outcomes: np.ndarray, last: bool) -> np.ndarray:
+    """The node-major bits text of the (rows, n) `outcomes`, as (n, rows) uint8: '1' where the
+    node's packet was transmitted that period, '0' where it expired; and one column more, of
+    newlines, when `last`, for the periods that end the run."""
+    rows, n = outcomes.shape
+    text = np.empty((n, rows + last), dtype=np.uint8)
+    np.not_equal(outcomes.T, int(Outcome.EXPIRED), out=text[:, :rows])
+    text[:, :rows] += ord("0")
+    text[:, rows:] = ord("\n")
+    return text
 
 
 class _PointTally:
     """What a point's files hold, filled one chunk of periods at a time: each node's outcome
     counts and int64 elapsed sum, and its bits file, one line of '1'/'0' per node.
 
-    The bits file is node-major, so it is sized once and written in place: the chunks' columns
-    are gathered into one block of at most `_FLUSH_NODE_PERIODS` bytes, and each full block
-    is written out with one `os.pwrite` per node row, at the row's offset plus the block's
-    first period; the last block carries the rows' newlines.  So the tally holds one block of
-    the text, whatever the run's length.
+    The bits file is node-major, so it is sized once and each chunk's text is written in place
+    as it comes, with one `os.pwrite` per node row, at the row's offset plus the chunk's first
+    period; the chunk that ends the run carries the rows' newlines.  So the tally holds no text
+    beyond the chunk's own, whatever the run's length.
     """
 
     def __init__(self, scenario: SpatialScenario, periods: int, bits_file):
@@ -257,45 +248,18 @@ class _PointTally:
         self.scenario = scenario
         self.counts = np.zeros((len(Outcome), n), dtype=np.int64)
         self.elapsed_sums = np.zeros(n, dtype=np.int64)  # an expired period adds -1
-        self.fd, self.row_bytes = bits_file.fileno(), periods + 1
-        os.ftruncate(self.fd, n * self.row_bytes)
-        # one column more than a block holds, for the newlines
-        self.block = np.empty((n, min(periods, max(1, _FLUSH_NODE_PERIODS // n)) + 1), dtype=np.uint8)
-        self.first, self.filled = 0, 0  # the block holds periods first, ..., first + filled - 1
+        self.fd, self.periods = bits_file.fileno(), periods
+        os.ftruncate(self.fd, n * (periods + 1))
 
     def add(self, first: int, outcomes: np.ndarray, elapsed: np.ndarray) -> None:
-        """Tally periods first, first + 1, ... from their (rows, n) outcomes and elapsed; chunks
-        come in order, each after the periods tallied so far."""
+        """Tally periods first, first + 1, ... from their (rows, n) outcomes and elapsed, and
+        write their bits text."""
         self.counts += _outcome_counts(outcomes)
-        self.elapsed_sums += _column_sums(elapsed)
-        width = self.block.shape[1] - 1
-        done, rows = 0, outcomes.shape[0]
-        while done < rows:
-            if self.filled == width:  # written once more columns come, so the last block is never empty
-                self._write(width)
-            if not self.filled:
-                self.first = first + done
-            take = min(rows - done, width - self.filled)
-            _put_bits(outcomes[done:done + take], self.block[:, self.filled:self.filled + take])
-            self.filled += take
-            done += take
-
-    def finish(self) -> None:
-        """Write the last block and the rows' newlines after it."""
-        self.block[:, self.filled] = ord("\n")
-        self._write(self.filled + 1)
-
-    def _write(self, cols: int) -> None:
-        """Write the block's first `cols` columns into each row at period `first`; empty the block."""
-        block = self.block[:, :cols]
-        if cols == self.row_bytes:  # whole rows, which follow each other in the file: one call
-            pieces = [(block, 0)]
-        else:
-            pieces = [(data, row * self.row_bytes + self.first) for row, data in enumerate(block)]
-        for data, offset in pieces:
-            if os.pwrite(self.fd, data, offset) != data.nbytes:
+        self.elapsed_sums += elapsed.sum(axis=0, dtype=np.int64)
+        rows = outcomes.shape[0]
+        for row, data in enumerate(_bits_text(outcomes, first + rows == self.periods)):
+            if os.pwrite(self.fd, data, row * (self.periods + 1) + first) != data.nbytes:
                 raise OSError("short write to a bits file")
-        self.filled = 0
 
     def outcome_csv(self) -> str:
         return _per_node_csv(self.scenario, OUTCOME_CSV_HEADER, *self.counts)
@@ -487,11 +451,10 @@ def simulate_points(out: Path, points) -> Iterator[tuple[tuple[str, str, str], d
     per slot budget, occupancy and period count), made before the first point
     is written; nothing here keeps the runs' draws, so the walk frees them
     once stacked.  Any other run is computed, chunk by chunk, when its point
-    is asked for.  A point's files are tallied as its run is computed, an
-    aligned run chunk by chunk and a walked run as one block, and its bits
-    file is written as the tally's block of columns fills, so no run's
-    (periods, n) arrays are kept: what a point holds beyond one chunk is one
-    block of its bits text (see `_PointTally`).
+    is asked for.  A point's files are tallied and its bits file written as
+    its run is computed, an aligned run chunk by chunk and a walked run as
+    one chunk, so no aligned run's (periods, n) arrays are kept: what a
+    point holds is one chunk and its bits text (see `_PointTally`).
     """
     points = list(points)
     for (tag, config), chunks in zip(points, _simulated_chunks([config for _, config in points])):
@@ -499,7 +462,6 @@ def simulate_points(out: Path, points) -> Iterator[tuple[tuple[str, str, str], d
         with open(out / names[1], "wb") as bits_file:
             tally = _PointTally(config.scenario, config.n_periods, bits_file)
             diagnostics = _fold(chunks, tally.add)
-            tally.finish()
         (out / names[0]).write_bytes(tally.outcome_csv().encode("ascii"))
         (out / names[2]).write_bytes(tally.stats_csv().encode("ascii"))
         yield names, diagnostics
@@ -555,12 +517,9 @@ def _draw_phase_offset_run(config: SimConfig):
 _NEVER = np.iinfo(np.int64).max // 2
 _END = np.iinfo(np.int64).max
 
-# Bytes of bits text a point gathers before writing them (whole columns, at least one), and
-# bytes of a bits file `read_point` checks and sums at a time (whole rows, at least one).  A
-# write block of 256 kB makes one call per node row per 3 276 periods at 80 nodes; a read
+# Bytes of a bits file `read_point` checks and sums at a time (whole rows, at least one).  A
 # block holds a few times its size in temporaries, and smaller ones made `report` slower
 # (64 kB: 0.11 s against 0.07 s over the 24 points of a 20 000-period full-connectivity grid).
-_FLUSH_NODE_PERIODS = 1 << 18
 _READ_BLOCK_BYTES = 1 << 18
 
 # Node-periods an aligned run draws and simulates at a time on the closed form: 0.25 MB

@@ -451,6 +451,30 @@ class TestCliSimulate:
         assert named == point_files == {f"outcome_{tag}.csv", f"bits_{tag}.txt", f"stats_{tag}.csv"}
         assert (out / "notes.txt").read_text() == "kept\n"
 
+    def test_failed_run_leaves_no_files_for_report_to_judge(self, tmp_path, capsys, monkeypatch):
+        # after a 120-period sweep, a 240-period simulate whose second point's bits file is written
+        # one byte short fails; no manifest may name the earlier sweep's point files, and the
+        # report that follows fails too and leaves none of that sweep's verdict files
+        out = tmp_path / "out"
+        text = SMALL.replace("cw = 127", "cw = 15") + f"[output]\ndir = {out}\n"
+        assert main(["sweep", "--config", write_config(tmp_path, text)]) == 0
+        verdict = {"report.csv", "irt_cw15.csv", "summary.txt"}
+        assert verdict | {"manifest.csv", "sim_points.csv", "metadata.txt"} <= {p.name for p in out.iterdir()}
+        longer = write_config(tmp_path, text.replace("periods = 120", "periods = 240"), "longer.ini")
+        real_pwrite, firsts = os.pwrite, []
+
+        def pwrite(fd, data, offset):
+            firsts.append(offset == 0)  # each point's first row, once per point
+            return real_pwrite(fd, data if sum(firsts) < 2 else data[:-1], offset)
+
+        monkeypatch.setattr(sim.os, "pwrite", pwrite)
+        capsys.readouterr()
+        assert main(["simulate", "--config", longer]) == 2
+        assert capsys.readouterr().err == "error: short write to a bits file\n"
+        assert not {"manifest.csv", "sim_points.csv", "metadata.txt"} & {p.name for p in out.iterdir()}
+        assert main(["report", "--config", longer]) == 2
+        assert not verdict & {p.name for p in out.iterdir()}
+
     def test_full_connectivity_override_recorded_and_no_hn(self, tmp_path):
         cfgp = write_config(tmp_path, SMALL + f"[output]\ndir = {tmp_path}/out\n")
         main(["simulate", "--config", cfgp])
@@ -992,10 +1016,10 @@ class TestReportPairValidation:
 class TestBlockBoundaries:
     @pytest.mark.parametrize("block", [1, 7])
     def test_outputs_do_not_depend_on_the_block_sizes(self, tmp_path, monkeypatch, block):
-        # `simulate` writing `block` columns at a time (at 40 nodes) and `report` reading `block`
-        # rows at a time give the bytes of one write and one read per file: the bits files and
-        # report.csv, irt_cw15.csv (cw 15) and summary.txt, per category (proposed) and for all
-        # nodes (traditional), at 3 ms periods where packets expire
+        # `simulate` computing and writing `block` periods at a time (at 40 nodes) and `report`
+        # reading `block` rows at a time give the bytes of one chunk and one read per file: the
+        # bits files and report.csv, irt_cw15.csv (cw 15) and summary.txt, per category
+        # (proposed) and for all nodes (traditional), at 3 ms periods where packets expire
         text = """
 [policy]
 policies = traditional proposed
@@ -1010,11 +1034,11 @@ full_connectivity = true
 """
         whole = write_config(tmp_path, text + f"[output]\ndir = {tmp_path}/whole\n", "whole.ini")
         blocks = write_config(tmp_path, text + f"[output]\ndir = {tmp_path}/blocks\n", "blocks.ini")
-        assert 40 * 120 <= sim._FLUSH_NODE_PERIODS and 40 * 121 <= sim._READ_BLOCK_BYTES  # one of each
-        main(["sweep", "--config", whole])
-        monkeypatch.setattr(sim, "_FLUSH_NODE_PERIODS", block * 40 + 39)
+        assert 40 * 120 <= sim._CHUNK_NODE_PERIODS and 40 * 121 <= sim._READ_BLOCK_BYTES  # one of each
+        rc = main(["sweep", "--config", whole])
+        monkeypatch.setattr(sim, "_CHUNK_NODE_PERIODS", block * 40 + 39)
         monkeypatch.setattr(sim, "_READ_BLOCK_BYTES", block * 121)
-        main(["sweep", "--config", blocks])
+        assert main(["sweep", "--config", blocks]) == rc and rc in (0, 1)
         names = sorted(p.name for p in (tmp_path / "whole").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "blocks").iterdir())
         assert {"report.csv", "irt_cw15.csv", "summary.txt"} <= set(names)

@@ -318,14 +318,14 @@ class TestChunkedAlignedRuns:
 
     @pytest.mark.parametrize("full_connectivity", ["true", "false"])
     def test_simulate_and_report_peaks_do_not_grow_with_periods(self, tmp_path, full_connectivity):
-        # `simulate` writes each point's bits file one block of columns at a time and `report`
+        # `simulate` writes each point's bits file one chunk of columns at a time and `report`
         # reads it back one block of rows at a time, so from P to 4P periods neither peak grows
         # by more than a small constant, where the bits text alone would grow by 3 * P * n bytes
-        # (983 kB).  At P = 8192 and 40 nodes the write block is already at its cap.  The
-        # walker's chunks differ by up to about 60 kB in what they hold to classify their
-        # transmissions, and the 4P run has more chunks to take the largest from.
+        # (983 kB).  At P = 8192 and 40 nodes a run already takes several chunks on either
+        # engine.  The walker's chunks differ by up to about 60 kB in what they hold to classify
+        # their transmissions, and the 4P run has more chunks to take the largest from.
         n, periods = 40, 8192
-        assert sim._FLUSH_NODE_PERIODS // n < periods
+        assert 4 * (max(sim._CHUNK_NODE_PERIODS, sim._WALK_NODE_PERIODS) // n) <= periods
 
         def traced_peaks(p):
             cfgp = tmp_path / f"{p}.ini"
@@ -910,7 +910,6 @@ class TestPointFiles:
         assert out.diagnostics["engine"] == ("slot-walker" if phase_offsets else "full-connectivity")
         n = config.scenario.n_nodes
         set_chunk_rows(monkeypatch, chunk, n)
-        monkeypatch.setattr(sim, "_FLUSH_NODE_PERIODS", chunk * n + n - 1)  # `chunk` columns a write
         monkeypatch.setattr(sim, "_READ_BLOCK_BYTES", chunk * 121)  # `chunk` rows a read
         ((names, diag),) = simulate_points(tmp_path, [("004_proposed_cw15_n20", config)])
         assert names == point_files("004_proposed_cw15_n20") and diag == out.diagnostics
@@ -928,11 +927,10 @@ class TestPointFiles:
         counts = np.array([[int(v) for v in ln.split(",")[2:]] for ln in lines[1:]])
         assert np.array_equal(counts.T, np.stack(list(out.counts().values())))
 
-    @pytest.mark.parametrize("flush", [1, 7])
     @pytest.mark.parametrize("chunk", [1, 7])
-    def test_streamed_files_equal_run_simulation_exports(self, tmp_path, monkeypatch, chunk, flush):
-        # one mixed batch, streamed in chunks of `chunk` periods and written `flush` columns at a
-        # time (at the full drop's size), against each run's own outcome computed in one chunk
+    def test_streamed_files_equal_run_simulation_exports(self, tmp_path, monkeypatch, chunk):
+        # one mixed batch, streamed in chunks of `chunk` periods (at the full drop's size) and
+        # written one chunk at a time, against each run's own outcome computed in one chunk
         # and exported whole: phase-offset runs at n = 1, 5, 12 and the full drop (two period
         # counts, so two stacked walks), an aligned 700 m run (walker rows) and two complete-graph
         # runs (the closed form, the full drop then 12 nodes) at 3 ms periods (60 slots), where
@@ -965,7 +963,6 @@ class TestPointFiles:
         assert all(config.n_periods * config.scenario.n_nodes <= sim._WALK_NODE_PERIODS for config in configs)
         outcomes = [run_simulation(config) for config in configs]
         set_chunk_rows(monkeypatch, chunk, sc.n_nodes)
-        monkeypatch.setattr(sim, "_FLUSH_NODE_PERIODS", flush * sc.n_nodes + sc.n_nodes - 1)
         results = list(simulate_points(tmp_path, points))
         assert len(results) == len(points)
         for (tag, _), outcome, (names, diag) in zip(points, outcomes, results):

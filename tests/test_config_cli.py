@@ -544,6 +544,24 @@ class TestCliReport:
         assert "missing" in (tmp_path / "out" / "summary.txt").read_text()
 
 
+    def test_report_with_a_bad_analytic_header_leaves_no_verdict(self, tmp_path, capsys):
+        # a passing sweep with cw 15 writes every verdict file; a report that then fails on an
+        # analytic.csv with a wrong header returns 2 and leaves none of them
+        out = tmp_path / "out"
+        text = SMALL.replace("cw = 127", "cw = 15") + f"[output]\ndir = {out}\n"
+        cfgp = write_config(tmp_path, text)
+        assert main(["sweep", "--config", cfgp]) == 0
+        verdict = {"report.csv", "irt_cw15.csv", "summary.txt"}
+        assert verdict <= {p.name for p in out.iterdir()}
+        analytic = out / "analytic.csv"
+        header, *rows = analytic.read_text().splitlines()
+        analytic.write_text("\n".join([header.replace(",", ";"), *rows]) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--config", cfgp]) == 2
+        assert "unexpected analytic CSV header" in capsys.readouterr().err
+        assert not verdict & {p.name for p in out.iterdir()}
+
+
 class TestCliSweep:
     def test_end_to_end(self, tmp_path):
         cfgp = write_config(tmp_path, SMALL + f"[output]\ndir = {tmp_path}/out\n")

@@ -927,6 +927,26 @@ class TestPointFiles:
         counts = np.array([[int(v) for v in ln.split(",")[2:]] for ln in lines[1:]])
         assert np.array_equal(counts.T, np.stack(list(out.counts().values())))
 
+    def test_chunk_bits_text_joins_to_the_whole(self):
+        # the one bits encoder: a run's text cut into chunks of periods at any points, encoded
+        # chunk by chunk with newlines only on the last, is the whole run's text, row by row
+        config = SimConfig(
+            scenario=make_scenario(seed=3), policy=BackoffPolicy.traditional(15),
+            params=MacParameters(t_ibi=3e-3), sense_range=math.inf, n_periods=50, seed=2,
+        )
+        out = run_simulation(config)
+        whole = sim._bits_text(out.outcomes, True)
+        n = config.scenario.n_nodes
+        assert whole.shape == (n, 51) and (whole[:, -1] == ord("\n")).all()
+        assert bytes(whole) == out.to_bits_text().encode("ascii")
+        bits = out.transmitted_bits()
+        assert 0 < bits.mean() < 1
+        assert np.array_equal(whole[:, :-1] == ord("1"), bits) and np.isin(whole[:, :-1], list(b"01")).all()
+        cuts = [0, 1, 8, 9, 30, 50]
+        parts = [sim._bits_text(out.outcomes[a:b], b == 50) for a, b in zip(cuts, cuts[1:])]
+        assert [part.shape for part in parts] == [(n, b - a + (b == 50)) for a, b in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.concatenate(parts, axis=1), whole)
+
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_streamed_files_equal_run_simulation_exports(self, tmp_path, monkeypatch, chunk):
         # one mixed batch, streamed in chunks of `chunk` periods (at the full drop's size) and

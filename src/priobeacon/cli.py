@@ -101,6 +101,9 @@ def cmd_drop(cfg: ExperimentConfig) -> int:
 
 
 def cmd_analyze(cfg: ExperimentConfig) -> int:
+    # first: after a failed analyze, no earlier run's rows are left for `report` to judge
+    for name in ("analytic.csv", "analyze_errors.txt"):
+        (Path(cfg.out_dir) / name).unlink(missing_ok=True)
     scenario = _drop_scenario(cfg)
     out = _out_dir(cfg)
     mac = cfg.mac_params()
@@ -128,7 +131,6 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
     path = out / "analytic.csv"
     _write_text(path, "\n".join(rows) + "\n")
     print(f"analytic grid: {len(rows) - 1} rows -> {path}")
-    (out / "analyze_errors.txt").unlink(missing_ok=True)  # a rerun with no failed row leaves no stale list
     if errors:
         _write_text(out / "analyze_errors.txt", "\n".join(errors) + "\n")
         print(f"{len(errors)} point(s) failed; see analyze_errors.txt", file=sys.stderr)

@@ -42,11 +42,11 @@ its config and the adjacency it builds, whether it comes alone to
 
 An aligned run, on either engine, is drawn and simulated chunk by chunk:
 each chunk of periods takes its draws in turn from the run's one generator
-and yields its rows of int8 outcomes and int32 elapsed (the closed form
-writes them into two buffers that every chunk reuses, as it reuses its
-temporaries), and the event counts are summed over chunks.  Consecutive
-draws from one generator equal one draw of the whole run and periods are
-independent, so the chunks change no result.  `run_simulation` gathers a
+and yields fresh rows of int8 outcomes and int32 elapsed of its own, and
+the event counts are summed over chunks.  On either engine no array
+outlives its chunk, so nothing is held between chunks or between points.
+Consecutive draws from one generator equal one draw of the whole run and
+periods are independent, so the chunks change no result.  `run_simulation` gathers a
 run's chunks into the (periods, n) arrays of a `SimOutcome` (5 bytes per
 node-period).  `simulate_points`, which `simulate` runs, keeps no such
 arrays: it tallies each chunk into what the point's files hold, per-node
@@ -93,7 +93,6 @@ walk, and `classify_collision` against a pairwise definition.
 
 from __future__ import annotations
 
-import math
 import os
 import warnings
 from collections.abc import Iterator
@@ -469,9 +468,7 @@ def simulate_points(out: Path, points) -> Iterator[tuple[tuple[str, str, str], d
 
 def _simulated_chunks(configs: list[SimConfig]) -> Iterator[Iterator[tuple]]:
     """Per config, in order, its run as (first period, outcomes, elapsed, diagnostics) chunks of
-    consecutive periods: all of a walked phase-offset run in one, an aligned run's as computed.
-    The closed-form runs share one `_Workspace`: a run's buffers freed at its end would be handed
-    back to the kernel by glibc's malloc and faulted in again by the next run."""
+    consecutive periods: all of a walked phase-offset run in one, an aligned run's as computed."""
     groups: dict[tuple[int, int, int], list[int]] = {}
     for k, config in enumerate(configs):
         slots = config.params.slots_per_beacon
@@ -483,11 +480,11 @@ def _simulated_chunks(configs: list[SimConfig]) -> Iterator[Iterator[tuple]]:
             )
         if config.random_phase_offsets:
             groups.setdefault((slots, config.params.tx_occupancy_slots, config.n_periods), []).append(k)
-    walked, work = {}, _Workspace()
+    walked = {}
     for (slots, occupancy, _), ks in groups.items():
         walked.update(zip(ks, _run_walker([_draw_phase_offset_run(configs[k]) for k in ks], slots, occupancy)))
     for k, config in enumerate(configs):
-        yield iter([(0, *walked.pop(k))]) if k in walked else _run_aligned(config, work)
+        yield iter([(0, *walked.pop(k))]) if k in walked else _run_aligned(config)
 
 
 def _fold(chunks, add) -> dict:
@@ -524,8 +521,8 @@ _READ_BLOCK_BYTES = 1 << 18
 
 # Node-periods an aligned run draws and simulates at a time on the closed form: 0.25 MB
 # of int32 draws (under 1 MB of temporaries while per-column bounds are drawn), about
-# 1.2 MB of closed-form buffers that every chunk of a batch reuses and 0.5 MB to count outcomes,
-# whatever the run's length.
+# 1.2 MB of closed-form temporaries and outputs, allocated per chunk, and 0.5 MB to count
+# outcomes, whatever the run's length.
 _CHUNK_NODE_PERIODS = 1 << 16
 # The same on the walker, whose chunk holds about 110 bytes per node-period (its state
 # arrays and the classification of every transmission), more where more of them transmit:
@@ -536,11 +533,10 @@ _CHUNK_NODE_PERIODS = 1 << 16
 _WALK_NODE_PERIODS = 1 << 14
 
 
-def _run_aligned(config: SimConfig, work: _Workspace):
+def _run_aligned(config: SimConfig):
     """Yield an aligned run's chunks (see the module docstring) as (first period, outcomes,
-    elapsed, diagnostics): the closed form on a complete graph, written into two buffers
-    that every chunk reuses, with its temporaries in `work`, so a chunk's arrays hold
-    until the next chunk is asked for; else one walker row per period."""
+    elapsed, diagnostics), each with arrays of its own: the closed form on a complete graph,
+    else one walker row per period."""
     scenario = config.scenario
     periods, n = config.n_periods, scenario.n_nodes
     slots, occupancy = config.params.slots_per_beacon, config.params.tx_occupancy_slots
@@ -548,14 +544,12 @@ def _run_aligned(config: SimConfig, work: _Workspace):
     complete = (adjacency | np.eye(n, dtype=bool)).all()
     rng = np.random.default_rng(config.seed)
     step = min(periods, max(1, (_CHUNK_NODE_PERIODS if complete else _WALK_NODE_PERIODS) // n))
-    if complete:
-        outcome_rows, elapsed_rows = np.empty((step, n), dtype=np.int8), np.empty((step, n), dtype=np.int32)
     for first in range(0, periods, step):
         rows = min(step, periods - first)
         draws = draw_matrix(config.policy, scenario.categories, rows, rng)
         if complete:
-            outcomes, elapsed = outcome_rows[:rows], elapsed_rows[:rows]
-            diag = _run_full_connectivity(draws, slots, occupancy, outcomes, elapsed, work)
+            outcomes, elapsed = np.empty((rows, n), dtype=np.int8), np.empty((rows, n), dtype=np.int32)
+            diag = _run_full_connectivity(draws, slots, occupancy, outcomes, elapsed)
         else:
             runs = [(draws[:, None], np.zeros(n, dtype=np.int64), adjacency)]
             ((outcomes, elapsed, diag),) = _run_walker(runs, slots, occupancy)
@@ -564,27 +558,10 @@ def _run_aligned(config: SimConfig, work: _Workspace):
         yield first, outcomes, elapsed, diag
 
 
-class _Workspace(dict):
-    """Buffers that chunks reuse, by name, so that a chunk's temporaries are not allocated
-    afresh (and, once freed, faulted in afresh wherever glibc's malloc hands large blocks
-    back to the kernel).  A call takes what it needs and leaves nothing in them."""
-
-    def take(self, name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """An uninitialized array of `shape` and `dtype` in the buffer `name`, regrown if too small."""
-        size = math.prod(shape)
-        buf = self.get(name)
-        if buf is None or buf.dtype != dtype or buf.size < size:
-            buf = self[name] = np.empty(size, dtype=dtype)
-        return buf[:size].reshape(shape)
-
-
-def _run_full_connectivity(
-    draws: np.ndarray, slots: int, occupancy: int, outcomes: np.ndarray, elapsed: np.ndarray, work: _Workspace
-):
+def _run_full_connectivity(draws: np.ndarray, slots: int, occupancy: int, outcomes: np.ndarray, elapsed: np.ndarray):
     """Closed-form per-period outcomes under full connectivity with aligned periods,
     written into `outcomes` and `elapsed` (C-contiguous, shaped like `draws`); returns
-    the diagnostics.  Its temporaries are taken from `work`, which the chunks of a
-    batch's runs share.
+    the diagnostics.
 
     All stations freeze and decrement in lockstep, so transmissions happen in
     draw order: the k-th distinct draw value u transmits at slot u + k*occupancy
@@ -605,21 +582,20 @@ def _run_full_connectivity(
     top = min(int(draws.max()), slots)
     # at least 16 bits: numpy sorts short rows of 8-bit keys about twice as slowly
     key_type = np.promote_types(np.min_scalar_type(top << shift | (n - 1)), np.uint16)
-    keys = work.take("keys", draws.shape, key_type)
-    np.minimum(draws, top, out=keys, casting="unsafe")
+    keys = np.minimum(draws, top, out=np.empty(draws.shape, key_type), casting="unsafe")
     keys <<= shift
     keys |= np.arange(n, dtype=keys.dtype)
     keys.sort(axis=1)
-    value = np.right_shift(keys, shift, out=work.take("value", draws.shape, key_type))
+    value = keys >> shift
     # new[i]: flat entry i starts a run of equal draws in its period; the last entry closes the last period
     flat = value.reshape(-1)
-    new = work.take("new", (flat.size + 1,), bool)
+    new = np.empty(flat.size + 1, dtype=bool)
     np.not_equal(flat[1:], flat[:-1], out=new[1:-1])
     new[::n] = True
-    tie = np.logical_and(new[:-1], new[1:], out=work.take("tie", (flat.size,), bool))
+    tie = np.logical_and(new[:-1], new[1:])
     np.logical_not(tie, out=tie)
     # the running count of runs, less its period's first, is the number of smaller distinct draws
-    tx = np.cumsum(new[:-1], dtype=np.int32, out=work.take("tx", (flat.size,), np.int32)).reshape(periods, n)
+    tx = np.cumsum(new[:-1], dtype=np.int32).reshape(periods, n)
     tx -= tx[:, :1]
     tx *= occupancy
     np.add(tx, value, out=tx, casting="unsafe")  # value <= slots, and elapsed is int32 anyway
@@ -627,7 +603,7 @@ def _run_full_connectivity(
     np.copyto(tx, -1, where=expired)
     label = tie.view(np.int8)  # COLLIDED_SYNC where tied, else DELIVERED
     np.copyto(label, int(Outcome.EXPIRED), where=expired.reshape(-1))
-    index = np.bitwise_and(keys, (1 << shift) - 1, out=work.take("index", draws.shape, np.intp))
+    index = np.bitwise_and(keys, (1 << shift) - 1, dtype=np.intp)
     index += np.arange(0, periods * n, n)[:, None]
     index = index.reshape(-1)
     elapsed.reshape(-1)[index] = tx.reshape(-1)

@@ -475,6 +475,28 @@ class TestCliSimulate:
         assert main(["report", "--config", longer]) == 2
         assert not verdict & {p.name for p in out.iterdir()}
 
+    def test_failed_analyze_leaves_no_rows_for_report_to_judge(self, tmp_path, capsys, monkeypatch):
+        # after a sweep, an analyze whose drop fails may leave no analytic.csv (nor an error list)
+        # of the earlier run, so the report that follows fails and leaves no verdict files
+        out = tmp_path / "out"
+        cfgp = write_config(tmp_path, SMALL.replace("cw = 127", "cw = 15") + f"[output]\ndir = {out}\n")
+        assert main(["sweep", "--config", cfgp]) == 0
+        verdict = {"report.csv", "irt_cw15.csv", "summary.txt"}
+        assert verdict | {"analytic.csv"} <= {p.name for p in out.iterdir()}
+        (out / "analyze_errors.txt").write_text("an earlier run's failed rows\n")
+
+        def drop_nodes(*args, **kwargs):
+            raise ValueError("no drop")
+
+        monkeypatch.setattr(cli, "drop_nodes", drop_nodes)
+        capsys.readouterr()
+        assert main(["analyze", "--config", cfgp]) == 2
+        assert capsys.readouterr().err == "error: no drop\n"
+        assert not {"analytic.csv", "analyze_errors.txt"} & {p.name for p in out.iterdir()}
+        assert main(["report", "--config", cfgp]) == 2
+        assert "analytic.csv" in capsys.readouterr().err
+        assert not verdict & {p.name for p in out.iterdir()}
+
     def test_full_connectivity_override_recorded_and_no_hn(self, tmp_path):
         cfgp = write_config(tmp_path, SMALL + f"[output]\ndir = {tmp_path}/out\n")
         main(["simulate", "--config", cfgp])

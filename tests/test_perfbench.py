@@ -3,7 +3,9 @@ resolve: a rename or deletion in the package fails here rather than at the
 importer or in `perfbench/run.py --trace 1`.  Every exported name must be
 used by the package or named in the README, so code only tests reach stays
 out of the library.  The benchmark's reading of `summary.txt` must keep
-matching what `report` writes."""
+matching what `report` writes, and every benchmark workload's sweep at the
+default seed must give the bytes whose digests `perfbench/digests.json`
+records."""
 
 import ast
 import importlib
@@ -12,6 +14,8 @@ import pkgutil
 import re
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import priobeacon
 from priobeacon.cli import main
@@ -129,3 +133,17 @@ def test_bench_runner_reads_every_missing_line_kind(tmp_path):
     ]), readings
     # a line that names no grid key is the only kind the benchmark charges to every point
     assert [ln for ln, r in readings.items() if r is None] == ["missing: analytic.csv line 11: no grid key in 'junk'"]
+
+
+@pytest.mark.parametrize("workload", sorted(_load_perfbench("run").WORKLOADS))
+def test_benchmark_workload_outputs_match_the_recorded_digests(tmp_path, workload):
+    # the sweep `perfbench/child.py` runs, in process: each point's analytic rows and files
+    # must hash to the digests recorded for the default seed
+    run = _load_perfbench("run")
+    cfgp = tmp_path / "bench.ini"
+    cfgp.write_text(run.config_text(workload, run.DEFAULT_SEED))
+    out = tmp_path / "out"
+    stages = ("drop", "analyze", "simulate", "report")
+    rcs = {stage: main([stage, "--config", str(cfgp), "--out", str(out)]) for stage in stages}
+    expected = run.load_expected(workload, run.DEFAULT_SEED)
+    assert run.check_sweep(out, run.periods_of(workload), rcs, expected)["failed"] == {}

@@ -43,7 +43,7 @@ def closed_form(draws: np.ndarray, slots: int, occupancy: int):
     can take, so that an entry it leaves unwritten shows; returns (outcomes, elapsed, diagnostics)."""
     outcomes = np.full(draws.shape, 99, dtype=np.int8)
     elapsed = np.full(draws.shape, -99, dtype=np.int32)
-    diag = _run_full_connectivity(draws, slots, occupancy, outcomes, elapsed, sim._Workspace())
+    diag = _run_full_connectivity(draws, slots, occupancy, outcomes, elapsed)
     return outcomes, elapsed, diag
 
 
@@ -299,6 +299,26 @@ class TestChunkedAlignedRuns:
             return peak - out.outcomes.nbytes - out.elapsed.nbytes
 
         assert traced_peak(16384) <= 1.1 * traced_peak(4096)
+
+    def test_closed_form_batch_holds_nothing_between_points(self, tmp_path):
+        # once a point is written, the batch holds none of its chunks' arrays: what it keeps
+        # until the next point is asked for is less than one chunk's int32 draws
+        sc = make_scenario(density=40 / REGION.area)
+        config = SimConfig(
+            scenario=sc, policy=BackoffPolicy.traditional(127), n_periods=4000, seed=1, sense_range=math.inf
+        )
+        assert 4000 * sc.n_nodes > 2 * sim._CHUNK_NODE_PERIODS  # several chunks a point
+        results = simulate_points(tmp_path, [(f"{k:03d}", replace(config, seed=k)) for k in range(3)])
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            _, diag = next(results)
+            held = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        assert diag["engine"] == "full-connectivity"
+        assert held < sim._CHUNK_NODE_PERIODS * 4, held
+        assert len(list(results)) == 2
 
     def test_closed_form_peak_memory_stays_below_its_argsort_form(self):
         # 5 573 523 B: the peak beyond the returned arrays of the argsort-and-put_along_axis closed
@@ -974,7 +994,7 @@ class TestPointFiles:
         )
         configs = [
             *offset_runs[:2], aligned, offset_runs[2], replace(aligned, seed=8, sense_range=math.inf),
-            # a smaller closed-form run after it: the batch's closed-form runs share one workspace
+            # a smaller closed-form run after a larger one: each chunk's arrays are sized to it alone
             replace(offset_runs[2], random_phase_offsets=False, sense_range=math.inf),
             offset_runs[3], second_walk,
             replace(slow, sense_range=math.inf), replace(slow, seed=4), replace(slow, seed=5, random_phase_offsets=True),

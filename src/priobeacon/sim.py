@@ -41,7 +41,8 @@ its config and the adjacency it builds, whether it comes alone to
   periods, with the node axis padded to the largest station count.
 
 An aligned run, on either engine, is drawn and simulated chunk by chunk:
-each chunk of periods takes its draws in turn from the run's one generator
+each chunk of periods, as many as fit in one budget of node-periods that
+both engines share, takes its draws in turn from the run's one generator
 and yields fresh rows of int8 outcomes and int32 elapsed of its own, and
 the event counts are summed over chunks.  On either engine no array
 outlives its chunk, so nothing is held between chunks or between points.
@@ -519,31 +520,27 @@ _END = np.iinfo(np.int64).max
 # (64 kB: 0.11 s against 0.07 s over the 24 points of a 20 000-period full-connectivity grid).
 _READ_BLOCK_BYTES = 1 << 18
 
-# Node-periods an aligned run draws and simulates at a time on the closed form: 0.25 MB
-# of int32 draws (under 1 MB of temporaries while per-column bounds are drawn), about
-# 1.2 MB of closed-form temporaries and outputs, allocated per chunk, and 0.5 MB to count
-# outcomes, whatever the run's length.
-_CHUNK_NODE_PERIODS = 1 << 16
-# The same on the walker, whose chunk holds about 110 bytes per node-period (its state
-# arrays and the classification of every transmission), more where more of them transmit:
-# a full chunk of 2^16 peaked at 9.3 MB at 10 nodes.  With a quarter of that, a default-config
-# sweep peaks about 9 MB lower at 1 000 and at 10 000 periods, in as much time as the
-# sweeps' spread can tell (each chunk walks about as many steps as its busiest period has
-# starts, so more chunks walk more steps).
-_WALK_NODE_PERIODS = 1 << 14
+# Node-periods an aligned run draws and simulates at a time, on either engine, whatever the
+# run's length.  A streamed chunk holds about 110 bytes per node-period on the walker (its
+# state arrays and the classification of every transmission), more where more of them
+# transmit, and about 32 on the closed form (its draws, temporaries and output rows, the
+# outcome count and the bits text).  Chunks of 2^16 held 9.3 MB on the walker at 10 nodes,
+# and on the closed form made glibc trim the heap after each chunk and fault it in again.
+_CHUNK_NODE_PERIODS = 1 << 14
 
 
 def _run_aligned(config: SimConfig):
     """Yield an aligned run's chunks (see the module docstring) as (first period, outcomes,
-    elapsed, diagnostics), each with arrays of its own: the closed form on a complete graph,
-    else one walker row per period."""
+    elapsed, diagnostics), each of `_CHUNK_NODE_PERIODS // n` periods (at least one; the last
+    takes the rest) and with arrays of its own: the closed form on a complete graph, else one
+    walker row per period."""
     scenario = config.scenario
     periods, n = config.n_periods, scenario.n_nodes
     slots, occupancy = config.params.slots_per_beacon, config.params.tx_occupancy_slots
     adjacency = build_adjacency(scenario, config.sense_range)
     complete = (adjacency | np.eye(n, dtype=bool)).all()
     rng = np.random.default_rng(config.seed)
-    step = min(periods, max(1, (_CHUNK_NODE_PERIODS if complete else _WALK_NODE_PERIODS) // n))
+    step = min(periods, max(1, _CHUNK_NODE_PERIODS // n))
     for first in range(0, periods, step):
         rows = min(step, periods - first)
         draws = draw_matrix(config.policy, scenario.categories, rows, rng)

@@ -1055,12 +1055,14 @@ class TestReportPairValidation:
 
 class TestBlockBoundaries:
     @pytest.mark.parametrize("block", [1, 7])
-    def test_outputs_do_not_depend_on_the_block_sizes(self, tmp_path, monkeypatch, block):
+    @pytest.mark.parametrize("full_connectivity", ["true", "false"])
+    def test_outputs_do_not_depend_on_the_block_sizes(self, tmp_path, monkeypatch, full_connectivity, block):
         # `simulate` computing and writing `block` periods at a time (at 40 nodes) and `report`
         # reading `block` rows at a time give the bytes of one chunk and one read per file: the
         # bits files and report.csv, irt_cw15.csv (cw 15) and summary.txt, per category
-        # (proposed) and for all nodes (traditional), at 3 ms periods where packets expire
-        text = """
+        # (proposed) and for all nodes (traditional), at 3 ms periods where packets expire, on
+        # the closed form and on the walker (700 m, where hidden nodes collide)
+        text = f"""
 [policy]
 policies = traditional proposed
 cw = 15 127
@@ -1070,7 +1072,7 @@ n_sta = 20 40
 t_ibi = 0.003
 [sim]
 periods = 120
-full_connectivity = true
+full_connectivity = {full_connectivity}
 """
         whole = write_config(tmp_path, text + f"[output]\ndir = {tmp_path}/whole\n", "whole.ini")
         blocks = write_config(tmp_path, text + f"[output]\ndir = {tmp_path}/blocks\n", "blocks.ini")
@@ -1085,6 +1087,10 @@ full_connectivity = true
         for name in names:
             assert (tmp_path / "blocks" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
         assert "category=cat2" in (tmp_path / "whole" / "summary.txt").read_text()
+        points = [line.split(",") for line in (tmp_path / "whole" / "sim_points.csv").read_text().splitlines()[1:]]
+        engine = "full-connectivity" if full_connectivity == "true" else "slot-walker"
+        assert {point[2] for point in points} == {engine}
+        assert any(int(point[4]) > 0 for point in points) == (full_connectivity == "false")  # hn_events
 
 
 class TestEstimatorRoundTrip:

@@ -134,8 +134,7 @@ def reference_walk(draws: np.ndarray, offsets: np.ndarray, adjacency: np.ndarray
 
 def set_chunk_rows(monkeypatch, rows: int, n: int):
     """Make an aligned run of n nodes take `rows` periods a chunk, on either engine."""
-    for name in ("_CHUNK_NODE_PERIODS", "_WALK_NODE_PERIODS"):
-        monkeypatch.setattr(sim, name, rows * n + n - 1)
+    monkeypatch.setattr(sim, "_CHUNK_NODE_PERIODS", rows * n + n - 1)
 
 
 def make_scenario(seed=1, density=2e-5):
@@ -244,7 +243,7 @@ class TestChunkedAlignedRuns:
             scenario=sc, policy=getattr(BackoffPolicy, kind)(127), params=MacParameters(t_ibi=10e-3),
             sense_range=sense_range, n_periods=50, seed=3,
         )
-        assert 50 * sc.n_nodes <= min(sim._CHUNK_NODE_PERIODS, sim._WALK_NODE_PERIODS)  # one chunk
+        assert 50 * sc.n_nodes <= sim._CHUNK_NODE_PERIODS  # one chunk
         whole = run_simulation(config)
         set_chunk_rows(monkeypatch, chunk, sc.n_nodes)
         chunked = run_simulation(config)
@@ -320,6 +319,50 @@ class TestChunkedAlignedRuns:
         assert held < sim._CHUNK_NODE_PERIODS * 4, held
         assert len(list(results)) == 2
 
+    def test_both_engines_take_the_same_chunks(self, tmp_path, monkeypatch):
+        # one budget of node-periods sizes an aligned run's chunks, whichever engine runs it
+        sc = make_scenario(density=40 / REGION.area)
+        rows = []  # the periods of each chunk's draws, in call order
+        real = sim.draw_matrix
+
+        def recorded(policy, categories, n_periods, rng):
+            rows.append(n_periods)
+            return real(policy, categories, n_periods, rng)
+
+        monkeypatch.setattr(sim, "draw_matrix", recorded)
+        config = SimConfig(
+            scenario=sc, policy=BackoffPolicy.traditional(127), n_periods=4000, seed=1, sense_range=math.inf
+        )
+        points = [("000", config), ("001", replace(config, sense_range=700.0))]
+        engines = [diag["engine"] for _, diag in simulate_points(tmp_path, points)]
+        assert engines == ["full-connectivity", "slot-walker"]
+        half = len(rows) // 2
+        assert rows[:half] == rows[half:] and sum(rows) == 2 * 4000 and half > 2, rows
+        assert max(rows) <= sim._CHUNK_NODE_PERIODS // sc.n_nodes, rows
+
+    def test_closed_form_point_holds_no_more_than_a_walked_one(self, tmp_path):
+        # the closed form holds far fewer bytes per node-period than the walker, so with one
+        # chunk size for both a streamed closed-form point peaks below a walked one
+        sc = make_scenario(density=40 / REGION.area)
+        config = SimConfig(
+            scenario=sc, policy=BackoffPolicy.traditional(127), n_periods=16384, seed=1, sense_range=math.inf
+        )
+
+        def traced_peak(config):
+            tracemalloc.start()
+            try:
+                baseline = tracemalloc.get_traced_memory()[0]
+                ((_, diag),) = simulate_points(tmp_path, [("000", config)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return diag["engine"], peak - baseline
+
+        closed, closed_peak = traced_peak(config)
+        walked, walked_peak = traced_peak(replace(config, sense_range=700.0))
+        assert (closed, walked) == ("full-connectivity", "slot-walker")
+        assert closed_peak < walked_peak, (closed_peak, walked_peak)
+
     def test_closed_form_peak_memory_stays_below_its_argsort_form(self):
         # 5 573 523 B: the peak beyond the returned arrays of the argsort-and-put_along_axis closed
         # form for this run, a 3 276-period chunk; writing each chunk in place must not regrow it
@@ -345,7 +388,7 @@ class TestChunkedAlignedRuns:
         # engine.  The walker's chunks differ by up to about 60 kB in what they hold to classify
         # their transmissions, and the 4P run has more chunks to take the largest from.
         n, periods = 40, 8192
-        assert 4 * (max(sim._CHUNK_NODE_PERIODS, sim._WALK_NODE_PERIODS) // n) <= periods
+        assert 4 * (sim._CHUNK_NODE_PERIODS // n) <= periods
 
         def traced_peaks(p):
             cfgp = tmp_path / f"{p}.ini"
@@ -1000,7 +1043,7 @@ class TestPointFiles:
             replace(slow, sense_range=math.inf), replace(slow, seed=4), replace(slow, seed=5, random_phase_offsets=True),
         ]
         points = [(f"{k:03d}", config) for k, config in enumerate(configs)]
-        assert all(config.n_periods * config.scenario.n_nodes <= sim._WALK_NODE_PERIODS for config in configs)
+        assert all(config.n_periods * config.scenario.n_nodes <= sim._CHUNK_NODE_PERIODS for config in configs)
         outcomes = [run_simulation(config) for config in configs]
         set_chunk_rows(monkeypatch, chunk, sc.n_nodes)
         results = list(simulate_points(tmp_path, points))

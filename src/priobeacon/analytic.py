@@ -14,8 +14,10 @@ negative-binomial, and
 
     tau = P[elapsed <= slots_per_beacon]
 
-averaged over B (and over the category mix for the proposed policy).  The
-fixed point tau = F(tau) is solved by damped iteration from tau0 = 1.
+averaged over B (and over the category mix for the proposed policy).  A draw
+B past the period can never complete, so the model evaluates only draws of at
+most slots_per_beacon, and those past it count as zero.  The fixed point
+tau = F(tau) is solved by damped iteration from tau0 = 1.
 
 Derived quantities follow the per-beacon latency decomposition:
 
@@ -211,15 +213,15 @@ def _nbinom_cdf(k, n, p):
 # so the grid's categories and contention windows share most entries.
 @functools.lru_cache(maxsize=4096)
 def _tau_for_range(rng_: BackoffRange, p_busy: float, slots: int) -> float:
-    """P[elapsed slots to collect B idle slots <= slots], B uniform on the range."""
-    b = np.arange(rng_.lo, rng_.hi + 1, dtype=np.int64)
-    probs = np.zeros(b.shape[0], dtype=float)
-    feasible = b <= slots
-    zero = b == 0
-    probs[zero] = 1.0
-    pos = feasible & ~zero
-    if pos.any():
-        probs[pos] = _nbinom_cdf(slots - b[pos], b[pos], 1.0 - p_busy)
+    """P[elapsed slots to collect B idle slots <= slots], B uniform on the range.  Only the
+    draws 1..slots take the cdf, in a zero-filled row as long as the range: numpy's pairwise
+    mean depends on the row's length, so it then equals that of the row evaluated value by value."""
+    probs = np.zeros(rng_.hi - rng_.lo + 1)
+    probs[0] = rng_.lo == 0
+    lo, hi = max(rng_.lo, 1), min(rng_.hi, slots)
+    if lo <= hi:
+        b = np.arange(lo, hi + 1, dtype=np.int64)
+        probs[lo - rng_.lo:hi - rng_.lo + 1] = _nbinom_cdf(slots - b, b, 1.0 - p_busy)
     return float(probs.mean())
 
 
@@ -313,20 +315,13 @@ def solve_tau(config: ContentionConfig, tol: float = 1e-10, max_iter: int = 200)
 def expected_backoff_slots(config: ContentionConfig, solution: TauSolution) -> float:
     """E[N_bo]: expected elapsed slots of the backoff process, conditioned on the
     packet completing backoff before the period ends (the same busy-slot model
-    as solve_tau)."""
+    as solve_tau).  A zero draw completes at once, after no slot, and a draw
+    past the period never completes, so only the draws 1..slots are summed."""
     slots = config.params.slots_per_beacon
-    p_busy = solution.p_busy
     rng_ = config.tagged_range()
-    b = np.arange(rng_.lo, rng_.hi + 1, dtype=np.int64)
-    num = 0.0
-    den = 0.0
-    for b_i in b:
-        if b_i > slots:
-            continue
-        if b_i == 0:
-            den += 1.0
-            continue
-        mass, prob = _completion_sums(int(b_i), p_busy, slots)
+    num, den = 0.0, float(rng_.lo == 0)
+    for b in range(max(rng_.lo, 1), min(rng_.hi, slots) + 1):
+        mass, prob = _completion_sums(b, solution.p_busy, slots)
         num += mass
         den += prob
     if den <= 0.0:

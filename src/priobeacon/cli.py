@@ -124,7 +124,7 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
                 )
                 try:
                     result = an.evaluate(config)
-                except (an.ConvergenceError, ValueError) as exc:
+                except (an.ConvergenceError, ValueError, MemoryError) as exc:  # MemoryError: a window too wide
                     errors.append(f"{_point_label(idx, policy, n_sta, tok)}: {exc}")
             # keyed by the grid point, which report joins on, whatever the station count modeled
             rows.append(an.analytic_csv_row((policy.kind.value, tok, policy.cw, n_sta), result))
@@ -146,9 +146,10 @@ MANIFEST_HEADER = "index,policy,cw,n_sta,sim_seed,subsample_seed,status,outcome_
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
-    # first: after a failed simulate, no manifest names an earlier run's point files for `report`
-    for name in ("manifest.csv", "sim_points.csv", "metadata.txt"):
-        (Path(cfg.out_dir) / name).unlink(missing_ok=True)
+    # first: after a failed simulate, no manifest and no point file of an earlier run is left for `report`
+    for pattern in ("manifest.csv", "sim_points.csv", "metadata.txt", *point_files("*")):
+        for path in Path(cfg.out_dir).glob(pattern):
+            path.unlink()
     scenario = _drop_scenario(cfg)
     out = _out_dir(cfg)
     mac = cfg.mac_params()
@@ -175,11 +176,9 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
     results = simulate_points(out, simulated)
     manifest = [MANIFEST_HEADER]
     sim_points = ["index,stations,engine,sync_events,hn_events,dual_label_events"]
-    written = set()
     for (idx, policy, n_sta), config in points:
         if isinstance(config, SimConfig):
             status, (names, diag) = "ok", next(results)
-            written.update(names)
             sim_points.append(
                 f"{idx},{config.scenario.n_nodes},{diag['engine']},{diag['sync_events']},{diag['hn_events']},"
                 f"{diag['dual_label_events']}"
@@ -190,10 +189,6 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
             f"{idx},{policy.kind.value},{policy.cw},{n_sta},{cfg.sim_seed(idx)},{cfg.subsample_seed(idx)},{status},"
             f"{','.join(names)},{str(cfg.full_connectivity).lower()}"
         )
-    for pattern in point_files("*"):  # an earlier grid's points leave no files
-        for stale in out.glob(pattern):
-            if stale.name not in written:
-                stale.unlink()
     _write_text(out / "sim_points.csv", "\n".join(sim_points) + "\n")
     _write_text(out / "manifest.csv", "\n".join(manifest) + "\n")
     meta = [

@@ -60,8 +60,8 @@ class BackoffPolicy:
     cw: int
 
     def __post_init__(self):
-        if self.cw < 1:
-            raise ValueError("contention window must be a positive slot count")
+        if not (1 <= self.cw < 2**63):  # draws are int64
+            raise ValueError(f"contention window must be a positive slot count below 2^63, not {self.cw}")
         if self.kind is PolicyKind.PROPOSED and self.cw < 3:
             raise ValueError("proposed policy needs cw >= 3 for three non-degenerate chunks")
 

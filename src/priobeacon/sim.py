@@ -62,13 +62,18 @@ whole, beside the 5 bytes per node-period its walk already holds.
 `read_point` reads the file back one block of rows at a time, into the
 `metrics.BitSums` that every estimate takes.
 
+A draw of `slots` (the slots per beacon) or more expires whatever else
+happens in its period, so both engines clip draws at `slots` where they
+take them in, which changes no outcome: the closed form as it builds its
+sort keys, which the clip bounds by the period whatever the window, and
+the walker as it stacks its runs' draws, which keeps the stack narrow and
+every start time exact in int64.
+
 The closed form ranks each period's draws with one sort of packed keys,
 (draw << b) | node with b bits for the node, so the keys are unique and
-their order is the stable order by draw.  Draws are clipped at the slots
-per beacon first: a larger draw expires whatever its rank, and the clip
-bounds the keys by the period whatever the window (at the paper's windows
-and station counts they are 16 bits wide).  The k-th distinct value u of a
-period starts at u + k * occupancy (k <= u, so a start is at most
+their order is the stable order by draw (16 bits wide at the paper's
+windows and station counts).  The k-th distinct value u of a period
+starts at u + k * occupancy (k <= u, so a start is at most
 slots * (occupancy + 1), which `MacParameters` keeps inside int32).  Each
 node-period's start slot (-1 where it expires) and its outcome are then
 scattered, through one index, into the chunk's elapsed and outcome rows.
@@ -563,9 +568,9 @@ def _run_full_connectivity(draws: np.ndarray, slots: int, occupancy: int, outcom
     All stations freeze and decrement in lockstep, so transmissions happen in
     draw order: the k-th distinct draw value u transmits at slot u + k*occupancy
     (k counted from 0), stations sharing a draw start together (SYNC), and a
-    start slot beyond the period expires.  A draw of `slots` or more expires
-    whatever its rank, so draws are clipped at `slots`: that changes neither
-    the order nor the ties of the draws below it.  Each period sorts the keys
+    start slot beyond the period expires.  Draws are clipped at `slots` (see
+    the module docstring), which changes neither the order nor the ties of
+    the draws below it.  Each period sorts the keys
     (clipped draw << b) | node, with b bits for the node, in the smallest
     unsigned type of 16 bits or more that holds them (uint16 up to cw 512 at
     128 nodes).  The keys are unique, so their order is the stable order by
@@ -622,8 +627,9 @@ def _run_walker(runs, slots: int, occupancy: int):
     The walk drops its references to the runs' draws once they are stacked,
     and the stack once the walk ends, without changing the caller's list.
 
-    The rows of all runs are stacked, the node axis padded to the largest n;
-    padded nodes never start.  Each row has its run's sensing block, keeps
+    The rows of all runs are stacked, their draws clipped at `slots` (see the
+    module docstring) and the node axis padded to the largest n; padded
+    nodes never start.  Each row has its run's sensing block, keeps
     its own clock and jumps from one transmission start to the next (see
     the module docstring).  Per (row, node) the walk keeps the flat index of
     the current packet in the stacked draws, the period end, resume =
@@ -651,8 +657,10 @@ def _run_walker(runs, slots: int, occupancy: int):
     run_span = [int(offsets.max()) + periods * slots for _, offsets, _ in runs]
     block = np.repeat(np.arange(len(runs)), sizes)  # each row's sensing block
     hears = np.zeros((len(runs), n, n), dtype=bool)  # hears[b, j, i]: i senses a transmitting j
-    # the smallest integer type that holds every draw keeps the padded stack small
-    draws = np.zeros((first[-1], periods, n), dtype=np.min_scalar_type(max(int(d.max()) for d, _, _ in runs)))
+    # draws clipped at slots (see the module docstring), in the smallest integer type that holds
+    # them, keep the padded stack small and every start time exact in int64
+    top = min(max(int(d.max()) for d, _, _ in runs), slots)
+    draws = np.zeros((first[-1], periods, n), dtype=np.min_scalar_type(top))
     # each node's first packet, in the period that starts at its offset; padded nodes resume at
     # _NEVER, in a period that never ends
     resume = np.full((first[-1], n), _NEVER)
@@ -660,7 +668,7 @@ def _run_walker(runs, slots: int, occupancy: int):
     for k, (run_draws, offsets, adjacency) in enumerate(runs):
         m = adjacency.shape[0]
         hears[k, :m, :m] = adjacency.T
-        draws[first[k]:first[k + 1], :, :m] = run_draws
+        np.minimum(run_draws, slots, out=draws[first[k]:first[k + 1], :, :m], casting="unsafe")
         resume[first[k]:first[k + 1], :m] = offsets
         end[first[k]:first[k + 1], :m] = offsets + slots
     del run_draws

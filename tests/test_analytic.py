@@ -1,3 +1,4 @@
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from priobeacon.analytic import (
     ContentionConfig,
     ConvergenceError,
     MacParameters,
+    TauSolution,
     analytic_csv_row,
     ANALYTIC_CSV_HEADER,
     average_latency,
@@ -405,6 +407,70 @@ class TestExpectedBackoffSlots:
         sol = TauSolution(tau=0.5, tau_mix=0.5, p_busy=p_busy, iterations=1, residual=0.0)
         got = expected_backoff_slots(cfg, sol)
         assert got == pytest.approx(want, rel=1e-10)
+
+
+def full_range_tau(rng_, p_busy, slots):
+    """`_tau_for_range` evaluated at every value of the range, the ones past the period too."""
+    b = np.arange(rng_.lo, rng_.hi + 1, dtype=np.int64)
+    probs = (b == 0).astype(float)
+    pos = (b >= 1) & (b <= slots)
+    probs[pos] = _nbinom_cdf(slots - b[pos], b[pos], 1.0 - p_busy)
+    return float(probs.mean())
+
+
+def full_range_backoff_slots(rng_, p_busy, slots):
+    """`expected_backoff_slots` summed over every value of the range, skipping the infeasible ones."""
+    num = den = 0.0
+    for b in range(rng_.lo, rng_.hi + 1):
+        if b == 0:
+            den += 1.0
+        elif b <= slots:
+            mass, prob = _completion_sums(b, p_busy, slots)
+            num += mass
+            den += prob
+    return num / den
+
+
+def peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFeasibleRange:
+    """The model evaluates only the draws 1..slots; a zero draw completes at once and a draw past
+    the period never does."""
+
+    def test_random_ranges_equal_the_full_range_evaluation(self):
+        # proposed chunks start at zero or past it, and at short periods lie partly or wholly past them
+        rng = np.random.default_rng(20)
+        for _ in range(300):
+            slots, cw = int(rng.integers(1, 60)), int(rng.integers(3, 300))
+            category = (Category.CAT1, Category.CAT2, Category.CAT3)[rng.integers(3)]
+            cfg = proposed_config(12, cw, category, MacParameters(t_ibi=slots * 50e-6))
+            assert cfg.params.slots_per_beacon == slots
+            rng_, p_busy = cfg.tagged_range(), float(rng.choice([0.0, rng.uniform(0.0, 0.5)]))
+            assert _tau_for_range.__wrapped__(rng_, p_busy, slots) == full_range_tau(rng_, p_busy, slots)
+            if rng_.lo <= slots:
+                sol = TauSolution(tau=0.5, tau_mix=0.5, p_busy=p_busy, iterations=1, residual=0.0)
+                assert expected_backoff_slots(cfg, sol) == full_range_backoff_slots(rng_, p_busy, slots)
+
+    def test_window_far_past_the_period_costs_no_array_over_the_window(self):
+        # 20 slots, cw 10^6: the row of tau values is the one array as long as the window
+        # (8 bytes a value), and E[N_bo] builds none
+        cw, params = 10**6, MacParameters(t_ibi=20 * 50e-6)
+        assert params.slots_per_beacon == 20
+        cfg = traditional_config(40, cw, params)
+        sol = TauSolution(tau=0.5, tau_mix=0.5, p_busy=0.3, iterations=1, residual=0.0)
+        rng_ = cfg.tagged_range()
+        assert _tau_for_range.__wrapped__(rng_, 0.3, 20) == full_range_tau(rng_, 0.3, 20)
+        assert expected_backoff_slots(cfg, sol) == full_range_backoff_slots(rng_, 0.3, 20)
+        _completion_sums.cache_clear()
+        assert peak_bytes(_tau_for_range.__wrapped__, rng_, 0.3, 20) <= 9 * cw
+        assert peak_bytes(expected_backoff_slots, cfg, sol) <= 1 * cw
 
 
 class TestEvaluate:

@@ -405,6 +405,28 @@ dir = {tmp_path}/out
         assert main(["analyze", "--config", write_config(tmp_path, text.replace("0.001", "0.1"))]) == 0
         assert not errors.exists()
 
+    def test_row_the_model_cannot_allocate_fails_alone(self, tmp_path, monkeypatch):
+        # a window too wide to allocate fails its own row, not the sweep
+        real = an.evaluate
+
+        def evaluate(config):
+            if config.category is Category.CAT2:
+                raise MemoryError("Unable to allocate 8.00 TiB")
+            return real(config)
+
+        monkeypatch.setattr(an, "evaluate", evaluate)
+        text = SMALL.replace("policies = traditional", "policies = proposed") + f"[output]\ndir = {tmp_path}/out\n"
+        assert main(["analyze", "--config", write_config(tmp_path, text)]) == 0
+        rows = [ln.split(",") for ln in (tmp_path / "out" / "analytic.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 6
+        for row in rows:
+            values = np.array(row[4:], dtype=float)
+            assert np.isnan(values).all() if row[1] == "cat2" else np.isfinite(values).all()
+        errors = (tmp_path / "out" / "analyze_errors.txt").read_text().splitlines()
+        assert errors == [
+            f"point {i} (proposed cat2 cw=127 n_sta={n}): Unable to allocate 8.00 TiB" for i, n in ((0, 5), (1, 10))
+        ]
+
     def test_proposed_tau_dominates_traditional_at_cw127(self, tmp_path):
         text = f"""
 [policy]
@@ -450,6 +472,21 @@ class TestCliSimulate:
         tag = "000_traditional_cw127_n5"
         assert named == point_files == {f"outcome_{tag}.csv", f"bits_{tag}.txt", f"stats_{tag}.csv"}
         assert (out / "notes.txt").read_text() == "kept\n"
+
+    def test_failed_rerun_leaves_no_point_file_of_the_earlier_run(self, tmp_path, capsys, monkeypatch):
+        # after a 2-point 120-period run, a 1-point 240-period run whose bits file is written one
+        # byte short fails: it leaves its own partial bits file and no file of the earlier run
+        out = tmp_path / "out"
+        text = SMALL + f"[output]\ndir = {out}\n"
+        assert main(["simulate", "--config", write_config(tmp_path, text)]) == 0
+        assert len(list(out.glob("*_n10*"))) == 3
+        rerun = text.replace("n_sta = 5 10", "n_sta = 5").replace("periods = 120", "periods = 240")
+        real_pwrite = os.pwrite
+        monkeypatch.setattr(sim.os, "pwrite", lambda fd, data, offset: real_pwrite(fd, data[:-1], offset))
+        capsys.readouterr()
+        assert main(["simulate", "--config", write_config(tmp_path, rerun, "rerun.ini")]) == 2
+        assert capsys.readouterr().err == "error: short write to a bits file\n"
+        assert {p.name for p in out.iterdir()} == {"bits_000_traditional_cw127_n5.txt"}
 
     def test_failed_run_leaves_no_files_for_report_to_judge(self, tmp_path, capsys, monkeypatch):
         # after a 120-period sweep, a 240-period simulate whose second point's bits file is written
@@ -710,6 +747,36 @@ class TestParseTimeLimits:
         assert main(["sweep", "--config", cfgp]) == 2
         assert "policy.cw" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cw", [2**63, 2**63 + 1])
+    @pytest.mark.parametrize("kind", ["traditional", "proposed"])
+    def test_sweep_with_a_window_past_int64_writes_nothing(self, tmp_path, capsys, kind, cw):
+        # draws are int64: such a window used to pass parsing and then stop `simulate`
+        text = SMALL.replace("policies = traditional", f"policies = {kind}").replace("cw = 127", f"cw = {cw}")
+        cfgp = write_config(tmp_path, text + f"[output]\ndir = {tmp_path}/out\n")
+        assert main(["sweep", "--config", cfgp]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: policy.cw: ") and str(cw) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["traditional", "proposed"])
+    def test_largest_int64_window_is_drawn_and_expires(self, tmp_path, capsys, kind):
+        # cw 2^63 - 1 is simulated, every packet expiring; the model cannot hold the window,
+        # which fails its rows alone, so the sweep runs to the report, which fails them
+        out = tmp_path / "out"
+        text = SMALL.replace("policies = traditional", f"policies = {kind}").replace("cw = 127", f"cw = {2**63 - 1}")
+        assert main(["sweep", "--config", write_config(tmp_path, text + f"[output]\ndir = {out}\n")]) == 1
+        assert "exceeds 2000 slots per beacon" in capsys.readouterr().err
+        manifest = (out / "manifest.csv").read_text().splitlines()[1:]
+        assert len(manifest) == 2 and all(",ok," in row for row in manifest)
+        outcome_files = list(out.glob("outcome_*.csv"))
+        assert len(outcome_files) == 2
+        for path in outcome_files:
+            for line in path.read_text().splitlines()[1:]:
+                assert line.endswith(",0,0,0,120")
+        rows = (out / "analytic.csv").read_text().splitlines()[1:]
+        assert rows and all(row.endswith(",nan" * 7) for row in rows)
+        assert len((out / "analyze_errors.txt").read_text().splitlines()) == len(rows)
 
     @pytest.mark.parametrize("line", ["danger_x = 100", "danger_y = 100"])
     def test_sweep_with_half_a_danger_point_writes_nothing(self, tmp_path, capsys, line):

@@ -905,6 +905,44 @@ class TestCollisionClassification:
         assert e[0, 1] == 8  # frozen during the 6-slot occupancy, then finishes its 2 counts
 
 
+class TestDrawsPastThePeriod:
+    """Draws of 2^62 and more expire like any draw of `slots` or more.  Stacked unclipped, they
+    would put start times past int64 (a cast that raises under errstate) and the walk might not end."""
+
+    @pytest.mark.parametrize("layout", ["aligned", "offset"])
+    def test_walker_equals_reference_and_clipped_draws(self, layout):
+        rng = np.random.default_rng(62)
+        n, slots, occ = 9, 30, 3
+        upper = np.triu(rng.random((n, n)) < 0.5, 1)
+        adj = upper | upper.T
+        draws = rng.integers(0, 40, size=(16, n))
+        huge = rng.random(draws.shape) < 0.3
+        draws[huge] = rng.choice([2**62, 3 * 2**61 + 1, 2**63 - 2], size=int(huge.sum()))
+        clipped = np.minimum(draws, slots)
+        offsets = rng.integers(0, slots, size=n) if layout == "offset" else np.zeros(n, dtype=np.int64)
+        rows = (lambda d: d[None]) if layout == "offset" else (lambda d: d[:, None])
+        with np.errstate(invalid="raise"):
+            ((o, e, d),) = _run_walker([(rows(draws), offsets, adj)], slots, occ)
+            ((oC, eC, dC),) = _run_walker([(rows(clipped), offsets, adj)], slots, occ)
+        oW, eW, dW = reference_walk(draws, offsets, adj, slots, occ)
+        assert np.array_equal(o, oW) and np.array_equal(e, eW) and d == dW
+        assert np.array_equal(o, oC) and np.array_equal(e, eC) and d == dC
+        assert (o[huge] == int(Outcome.EXPIRED)).all() and (o != int(Outcome.EXPIRED)).any()
+
+    @pytest.mark.parametrize("phase_offsets", [False, True])
+    def test_largest_window_expires_every_node_period(self, phase_offsets):
+        # at 700 m the drop is no complete graph, so both layouts are walked
+        sc = make_scenario(seed=1)
+        cfg = SimConfig(
+            scenario=sc, policy=BackoffPolicy.traditional(2**63 - 1), n_periods=30, seed=7,
+            random_phase_offsets=phase_offsets,
+        )
+        with np.errstate(invalid="raise"), pytest.warns(UserWarning, match="exceeds"):
+            out = run_simulation(cfg)
+        assert out.diagnostics["engine"] == "slot-walker"
+        assert (out.outcomes == int(Outcome.EXPIRED)).all() and (out.elapsed == -1).all()
+
+
 class TestPhaseOffsets:
     def test_conservation_and_determinism(self):
         sc = make_scenario(seed=8, density=10 / REGION.area)

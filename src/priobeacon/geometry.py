@@ -213,9 +213,6 @@ def build_adjacency(scenario: SpatialScenario, sense_range: float) -> np.ndarray
     if not (sense_range > 0):
         raise ValueError("sense_range must be positive")
     pos = scenario.positions
-    n = pos.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), dtype=bool)
     diff = pos[:, None, :] - pos[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
     adj = dist <= sense_range

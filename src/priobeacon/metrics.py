@@ -87,13 +87,6 @@ def _zero_runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows[0::2], ends - starts, (starts > 0) & (ends < periods)
 
 
-def _row_waits(n: int, rows: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """(n,) int64: each row's summed waits, from its zero runs' rows and lengths (`_zero_runs`)."""
-    waits = np.zeros(n, dtype=np.int64)
-    np.add.at(waits, rows, k * (k + 1) // 2)
-    return waits
-
-
 class BitSums:
     """What every estimate takes from a node set's (n, periods) transmission bits: the
     transmitted node-periods, each row's total wait (in row order), the count of each gap
@@ -135,7 +128,9 @@ class BitSums:
         ones = np.count_nonzero(bits, axis=1)
         self.tx += int(ones.sum())
         self.without += int(np.count_nonzero(ones < 2))
-        self.waits += _row_waits(bits.shape[0], rows, k).tolist()
+        waits = np.zeros(bits.shape[0], dtype=np.int64)
+        np.add.at(waits, rows, k * (k + 1) // 2)
+        self.waits += waits.tolist()
 
     def irt(self) -> IrtEstimate:
         """The inter-reception-time estimate of the rows added so far (see `estimate_irt`)."""
@@ -164,9 +159,7 @@ def total_wait_periods(bits: np.ndarray) -> np.ndarray:
     (one period if the very next period transmits), censored at the end of
     the sequence.
     """
-    bits = np.asarray(bits, dtype=bool)
-    rows, k, _bounded = _zero_runs(bits)
-    return _row_waits(bits.shape[0], rows, k)
+    return np.array(BitSums.of(bits).waits, dtype=np.int64)
 
 
 @dataclass(frozen=True)

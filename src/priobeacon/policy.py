@@ -116,14 +116,10 @@ def draw_matrix(policy: BackoffPolicy, categories: np.ndarray, n_periods: int, r
     values numpy takes the stream's next 32-bit output u and returns lo +
     ((u * w) >> 32) (Lemire's method), rejecting u, and taking the next,
     only when the low 32 bits of u * w fall below (2^32 - w) mod w; it
-    returns lo without drawing when w is 1.  So the raw draw skips width-1
-    columns (proposed cw 3 and 4 have them), and where no element is
-    rejected the map gives numpy's values and leaves the generator where
-    numpy would.  Rejection is rare (probability below w / 2^32 per
-    element).  When any element would be rejected, or some w exceeds 2^32
-    (numpy then draws 64-bit outputs), the generator's state is restored
-    and the matrix drawn by numpy's per-column call, so no draw and no later
-    stream changes.
+    returns lo without drawing when w is 1.  So where no element is rejected
+    the map gives numpy's values and leaves the generator where numpy would;
+    rejection is rare (probability below w / 2^32 per element).  Width-1
+    columns, widths above 2^32 and any rejected element take numpy's call.
     """
     dtype = np.int32 if policy.cw - 1 < 2**31 else np.int64
     size = (n_periods, categories.shape[0])
@@ -133,19 +129,14 @@ def draw_matrix(policy: BackoffPolicy, categories: np.ndarray, n_periods: int, r
     bounds = np.array([(r.lo, r.hi) for r in (backoff_range(policy, c) for c in Category)], dtype=np.int64)
     lo, hi = bounds[categories - int(Category.CAT1)].T
     width = hi - lo + 1
-    if (width <= 2**32).all():
+    if ((width > 1) & (width <= 2**32)).all():
         state = rng.bit_generator.state
-        drawn = width > 1
-        w = width[drawn].astype(np.uint64)
-        uw = rng.integers(0, 2**32, size=(n_periods, w.size), dtype=np.uint32).astype(np.uint64)
+        w = width.astype(np.uint64)
+        uw = rng.integers(0, 2**32, size=size, dtype=np.uint32).astype(np.uint64)
         uw *= w
         if not (uw.astype(np.uint32) < ((2**32 - w) % w).astype(np.uint32)).any():  # no u rejected
             uw >>= 32
-            uw += lo[drawn].astype(np.uint64)
-            if drawn.all():
-                return uw.astype(dtype)
-            draws = np.repeat(lo[None].astype(dtype), n_periods, axis=0)
-            draws[:, drawn] = uw
-            return draws
+            uw += lo.astype(np.uint64)
+            return uw.astype(dtype)
         rng.bit_generator.state = state
     return rng.integers(lo, hi + 1, size=size, dtype=dtype)

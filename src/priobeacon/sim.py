@@ -68,33 +68,6 @@ take them in, which changes no outcome: the closed form as it builds its
 sort keys, which the clip bounds by the period whatever the window, and
 the walker as it stacks its runs' draws, which keeps the stack narrow and
 every start time exact in int64.
-
-The closed form ranks each period's draws with one sort of packed keys,
-(draw << b) | node with b bits for the node, so the keys are unique and
-their order is the stable order by draw (16 bits wide at the paper's
-windows and station counts).  The k-th distinct value u of a period
-starts at u + k * occupancy (k <= u, so a start is at most
-slots * (occupancy + 1), which `MacParameters` keeps inside int32).  Each
-node-period's start slot (-1 where it expires) and its outcome are then
-scattered, through one index, into the chunk's elapsed and outcome rows.
-
-The walker jumps from one transmission start to the next.  A node waiting
-with counter c as of time tau, sensing the medium busy until b (the latest
-end of the transmissions it senses), starts at s = max(b, tau) + c unless a
-transmission it senses begins first.  Between two starts no busy time
-changes, so no s does either.  A packet whose s is not before its period
-end e expires there; the node's next packet counts down its fresh draw
-from max(b, e).  Busy times only rise, so an s only rises, and an expiry
-is known as soon as a busy time pushes s to e.  One step takes each row's
-earliest s: the nodes starting then go on air together (adjacent ones
-collide SYNC); every other counter is settled to that time, the starters'
-listeners' busy times rise to the starters' ends, and each starter and
-each expired packet gives way to the node's next packet.  A row ends when
-its nodes' packets have run out.  It hands each run's transmissions to
-`classify_collision` once.  Tests check the walker against the closed
-form on complete graphs, against a per-slot reference walker on random
-adjacency in both layouts and with runs of different sizes stacked in one
-walk, and `classify_collision` against a pairwise definition.
 """
 
 from __future__ import annotations
@@ -568,12 +541,13 @@ def _run_full_connectivity(draws: np.ndarray, slots: int, occupancy: int, outcom
     All stations freeze and decrement in lockstep, so transmissions happen in
     draw order: the k-th distinct draw value u transmits at slot u + k*occupancy
     (k counted from 0), stations sharing a draw start together (SYNC), and a
-    start slot beyond the period expires.  Draws are clipped at `slots` (see
-    the module docstring), which changes neither the order nor the ties of
-    the draws below it.  Each period sorts the keys
-    (clipped draw << b) | node, with b bits for the node, in the smallest
-    unsigned type of 16 bits or more that holds them (uint16 up to cw 512 at
-    128 nodes).  The keys are unique, so their order is the stable order by
+    start slot beyond the period expires.  k <= u, so a start is at most
+    slots * (occupancy + 1), which `MacParameters` keeps inside int32.
+    Draws are clipped at `slots` (see the module docstring), which changes
+    neither the order nor the ties of the draws below it.  Each period sorts
+    the keys (clipped draw << b) | node, with b bits for the node, in the
+    smallest unsigned type of 16 bits or more that holds them (uint16 up to
+    cw 512 at 128 nodes).  The keys are unique, so their order is the stable order by
     draw, and a key's low bits give its node back.  Each node-period's start
     slot (-1 where it expires) and its outcome (EXPIRED, else COLLIDED_SYNC
     where its draw is tied and DELIVERED where not) are computed in key order
@@ -629,26 +603,39 @@ def _run_walker(runs, slots: int, occupancy: int):
 
     The rows of all runs are stacked, their draws clipped at `slots` (see the
     module docstring) and the node axis padded to the largest n; padded
-    nodes never start.  Each row has its run's sensing block, keeps
-    its own clock and jumps from one transmission start to the next (see
-    the module docstring).  Per (row, node) the walk keeps the flat index of
-    the current packet in the stacked draws, the period end, resume =
-    max(busy, tau) and start = resume + the counter left at resume, from the
-    node's first packet, whose period starts at its offset, until the index
-    passes the row's last period.  A
-    starter at t ends at min(t + occupancy, its period end); a listener's
-    resume rises to the latest such end it hears, and its start by as much
-    as its resume rose past max(resume, t).  Collisions are classified
-    afterwards, run by run, from `elapsed`, with row r of a run placed at
-    r * span on one run clock (span is the run's last offset plus periods *
-    slots) and each transmission cut at its period end.  Returns one
-    (outcomes, elapsed, diagnostics) per run, its rows of periods stacked
-    into (rows * periods, n).  A walk of several runs copies each run's
-    elapsed out of the padded buffer, which is then freed before the runs are
-    classified.  A walk of one run returns a view of the walk's elapsed
-    buffer, which holds the runs' rows of periods and nothing else, so an
-    unpadded run's is the whole buffer; an aligned chunk's is tallied into
-    its point's files or copied once, into the run's array.
+    nodes never start.  Each row has its run's sensing block, keeps its own
+    clock and jumps from one transmission start to the next.  A node waiting
+    with counter c as of time tau, sensing the medium busy until b (the
+    latest end of the transmissions it senses), starts at s = max(b, tau) + c
+    unless a transmission it senses begins first.  Between two starts no busy
+    time changes, so no s does either.  A packet whose s is not before its
+    period end e expires there; the node's next packet counts down its fresh
+    draw from max(b, e).  Busy times only rise, so an s only rises, and an
+    expiry is known as soon as a busy time pushes s to e.
+
+    Per (row, node) the walk keeps the flat index of the current packet in
+    the stacked draws, the period end, resume = max(b, tau) and start =
+    resume + the counter left at resume, from the node's first packet, whose
+    period starts at its offset, until the index passes the row's last
+    period.  One step takes each row's earliest start t: the nodes starting
+    then go on air together (adjacent ones collide SYNC), each until
+    min(t + occupancy, its period end).  Every other counter is settled to
+    t; a listener's resume rises to the latest such end it hears, and its
+    start by as much as its resume rose past max(resume, t); each starter
+    and each expired packet gives way to the node's next packet.  A row ends
+    when its nodes' packets have run out.
+
+    Each run's transmissions go to `classify_collision` once, afterwards,
+    from `elapsed`, with row r of a run placed at r * span on one run clock
+    (span is the run's last offset plus periods * slots) and each
+    transmission cut at its period end.  Returns one (outcomes, elapsed,
+    diagnostics) per run, its rows of periods stacked into (rows * periods,
+    n).  Each run's elapsed is copied out of the padded buffer, which is
+    then freed before the runs are classified.  Tests check the walker
+    against the closed form on complete graphs and against a per-slot
+    reference walker on random adjacency in both layouts and with runs of
+    different sizes stacked in one walk, and `classify_collision` against a
+    pairwise definition.
     """
     periods = runs[0][0].shape[1]
     n = max(adjacency.shape[0] for _, _, adjacency in runs)
@@ -721,9 +708,8 @@ def _run_walker(runs, slots: int, occupancy: int):
 
     del draws
     elapsed = elapsed.reshape(first[-1], periods, n)
-    elapsed = [elapsed[first[k]:first[k + 1], :, :adj.shape[0]] for k, (_, adj) in enumerate(runs)]
-    if len(runs) > 1:  # copied out, so the padded buffer is freed before classification's temporaries
-        elapsed = [run_elapsed.copy() for run_elapsed in elapsed]
+    # copied out, so the padded buffer is freed before classification's temporaries
+    elapsed = [elapsed[first[k]:first[k + 1], :, :adj.shape[0]].copy() for k, (_, adj) in enumerate(runs)]
     results = []
     for k, ((offsets, adjacency), run_elapsed) in enumerate(zip(runs, elapsed)):
         m = adjacency.shape[0]

@@ -198,6 +198,11 @@ class TestAdjacency:
         adj_p = build_adjacency(relabeled, 700.0)
         assert (adj_p == adj[np.ix_(perm, perm)]).all()
 
+    def test_empty_scenario_gives_an_empty_bool_matrix(self):
+        sc = drop_nodes(DEFAULT_REGION, DEFAULT_TH, 2e-5, seed=4)
+        adj = build_adjacency(sc.select(np.zeros(sc.n_nodes, dtype=bool)), 700.0)
+        assert adj.shape == (0, 0) and adj.dtype == bool
+
 
 class TestScenarioFile:
     def test_writes_header_and_one_line_per_node(self, tmp_path):

@@ -131,6 +131,11 @@ class TestWaitPeriods:
     def test_all_transmitted(self):
         assert total_wait_periods(np.ones((1, 5), dtype=bool)).tolist() == [0]
 
+    @pytest.mark.parametrize("estimator", [total_wait_periods, estimate_irt])
+    def test_one_dimensional_input_rejected(self, estimator):
+        with pytest.raises(ValueError, match="2-d"):
+            estimator(np.array([True, False, True]))
+
 
 ROW_KINDS = ("random", "zeros", "ones", "single one", "zero-padded")
 

@@ -27,18 +27,21 @@ pair is hidden, and only stations that start together overlap.
 pins this.
 
 Two engines share these slot semantics; each run takes one, picked from
-its config and the adjacency it builds, whether it comes alone to
-`run_simulation` or in a batch to `simulate_points`:
+its config and the adjacency it builds:
 
 * aligned periods (``random_phase_offsets`` false) on a complete graph,
   which includes ``sense_range = inf``: a closed form (all stations sense
   the same medium, so transmissions serialize in draw order and ties
   collide);
 * any other run: a walker over independent rows, each with its own clock,
-  sensing block and span.  An aligned run is walked alone, one row per
-  period (periods are independent trials).  The phase-offset runs of a
-  batch are walked together, one row each, holding all of the run's
-  periods, with the node axis padded to the largest station count.
+  walked one row at a time by the C step loop of `_walk.c` (see
+  `_run_walker`).  An aligned run is walked one row per period (periods
+  are independent trials); a phase-offset run is one row holding all of
+  its periods.
+
+`sim` compiles `_walk.c` on first import with the system ``cc`` into
+``__pycache__/_walk-<SHA-256 of the source>.so`` beside it and loads it
+with `ctypes`; without a C compiler the import raises ImportError.
 
 An aligned run, on either engine, is drawn and simulated chunk by chunk:
 each chunk of periods, as many as fit in one budget of node-periods that
@@ -47,32 +50,37 @@ and yields fresh rows of int8 outcomes and int32 elapsed of its own, and
 the event counts are summed over chunks.  On either engine no array
 outlives its chunk, so nothing is held between chunks or between points.
 Consecutive draws from one generator equal one draw of the whole run and
-periods are independent, so the chunks change no result.  `run_simulation` gathers a
-run's chunks into the (periods, n) arrays of a `SimOutcome` (5 bytes per
-node-period).  `simulate_points`, which `simulate` runs, keeps no such
-arrays: it tallies each chunk into what the point's files hold, per-node
-outcome counts and int64 elapsed sums, and encodes the chunk's columns of
-the node-major bits text, which it writes in place, row by row, into the
-file sized for the whole run.  `SimOutcome.to_bits_text` encodes its
-whole run with the same function, so a `SimOutcome`'s `to_*` exporters
-give the same bytes.  A streamed aligned point holds one chunk's working
-set, the chunk's bits text included (1 byte per node-period), whatever
-the run's length.  A walked phase-offset run is one chunk, so its text is encoded
-whole, beside the 5 bytes per node-period its walk already holds.
-`read_point` reads the file back one block of rows at a time, into the
-`metrics.BitSums` that every estimate takes.
+periods are independent, so the chunks change no result.  A phase-offset
+run is one chunk: it is drawn, walked and classified whole, when its
+point is asked for.  `run_simulation` gathers a run's chunks into the
+(periods, n) arrays of a `SimOutcome` (5 bytes per node-period).
+`simulate_points`, which `simulate` runs, keeps no such arrays: it
+tallies each chunk into what the point's files hold, per-node outcome
+counts and int64 elapsed sums, and encodes the chunk's columns of the
+node-major bits text, which it writes in place, row by row, into the file
+sized for the whole run.  `SimOutcome.to_bits_text` encodes its whole run
+with the same function, so a `SimOutcome`'s `to_*` exporters give the
+same bytes.  A streamed aligned point holds one chunk's working set, the
+chunk's bits text included (1 byte per node-period), whatever the run's
+length; a phase-offset point holds its whole run.  `read_point` reads the
+file back one block of rows at a time, into the `metrics.BitSums` that
+every estimate takes.
 
 A draw of `slots` (the slots per beacon) or more expires whatever else
 happens in its period, so both engines clip draws at `slots` where they
 take them in, which changes no outcome: the closed form as it builds its
 sort keys, which the clip bounds by the period whatever the window, and
-the walker as it stacks its runs' draws, which keeps the stack narrow and
-every start time exact in int64.
+the walker as it reads each draw, which keeps every start time exact in
+int64 (draws wider than int32 are clipped before the walk).
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import os
+import subprocess
+import tempfile
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -416,8 +424,7 @@ def run_simulation(config: SimConfig) -> SimOutcome:
         outcomes[first:first + chunk_outcomes.shape[0]] = chunk_outcomes
         elapsed[first:first + chunk_elapsed.shape[0]] = chunk_elapsed
 
-    (chunks,) = _simulated_chunks([config])
-    return SimOutcome(config, outcomes, elapsed, _fold(chunks, gather))
+    return SimOutcome(config, outcomes, elapsed, _fold(_simulated_chunks(config), gather))
 
 
 def simulate_points(out: Path, points) -> Iterator[tuple[tuple[str, str, str], dict]]:
@@ -425,45 +432,32 @@ def simulate_points(out: Path, points) -> Iterator[tuple[tuple[str, str, str], d
     `out`, the bytes `SimOutcome.to_*` give for `run_simulation(config)`; yield, point by
     point, the files' names and the run's diagnostics.
 
-    Every phase-offset run of the batch is one row of a single walk (one walk
-    per slot budget, occupancy and period count), made before the first point
-    is written; nothing here keeps the runs' draws, so the walk frees them
-    once stacked.  Any other run is computed, chunk by chunk, when its point
-    is asked for.  A point's files are tallied and its bits file written as
-    its run is computed, an aligned run chunk by chunk and a walked run as
-    one chunk, so no aligned run's (periods, n) arrays are kept: what a
-    point holds is one chunk and its bits text (see `_PointTally`).
+    Each run is computed when its point is asked for, and its files are tallied and its bits
+    file written as it is computed, an aligned run chunk by chunk and a phase-offset run as
+    one chunk, so no aligned run's (periods, n) arrays are kept: what a point holds is one
+    chunk and its bits text (see `_PointTally`).
     """
-    points = list(points)
-    for (tag, config), chunks in zip(points, _simulated_chunks([config for _, config in points])):
+    for tag, config in points:
         names = point_files(tag)
         with open(out / names[1], "wb") as bits_file:
             tally = _PointTally(config.scenario, config.n_periods, bits_file)
-            diagnostics = _fold(chunks, tally.add)
+            diagnostics = _fold(_simulated_chunks(config), tally.add)
         (out / names[0]).write_bytes(tally.outcome_csv().encode("ascii"))
         (out / names[2]).write_bytes(tally.stats_csv().encode("ascii"))
         yield names, diagnostics
 
 
-def _simulated_chunks(configs: list[SimConfig]) -> Iterator[Iterator[tuple]]:
-    """Per config, in order, its run as (first period, outcomes, elapsed, diagnostics) chunks of
-    consecutive periods: all of a walked phase-offset run in one, an aligned run's as computed."""
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for k, config in enumerate(configs):
-        slots = config.params.slots_per_beacon
-        if config.policy.cw > slots:
-            warnings.warn(
-                f"contention window {config.policy.cw} exceeds {slots} slots per beacon; "
-                "large draws will always expire",
-                stacklevel=3,
-            )
-        if config.random_phase_offsets:
-            groups.setdefault((slots, config.params.tx_occupancy_slots, config.n_periods), []).append(k)
-    walked = {}
-    for (slots, occupancy, _), ks in groups.items():
-        walked.update(zip(ks, _run_walker([_draw_phase_offset_run(configs[k]) for k in ks], slots, occupancy)))
-    for k, config in enumerate(configs):
-        yield iter([(0, *walked.pop(k))]) if k in walked else _run_aligned(config)
+def _simulated_chunks(config: SimConfig) -> Iterator[tuple]:
+    """`config`'s run as (first period, outcomes, elapsed, diagnostics) chunks of consecutive
+    periods: a phase-offset run in one, an aligned run's as computed."""
+    slots = config.params.slots_per_beacon
+    if config.policy.cw > slots:
+        warnings.warn(
+            f"contention window {config.policy.cw} exceeds {slots} slots per beacon; "
+            "large draws will always expire",
+            stacklevel=3,
+        )
+    return _run_phase_offsets(config) if config.random_phase_offsets else _run_aligned(config)
 
 
 def _fold(chunks, add) -> dict:
@@ -477,21 +471,20 @@ def _fold(chunks, add) -> dict:
     return {**diag, **counts}
 
 
-def _draw_phase_offset_run(config: SimConfig):
-    """A phase-offset run's (1, periods, n) backoff draws, phase offsets and
-    sensing graph; its seed's stream gives the offsets first."""
-    scenario = config.scenario
+def _run_phase_offsets(config: SimConfig):
+    """Yield a phase-offset run as one chunk (see `_simulated_chunks`): one walker row of all
+    its periods, node i's first starting at its offset; its seed's stream gives the offsets
+    first, then the draws."""
+    scenario, params = config.scenario, config.params
     adjacency = build_adjacency(scenario, config.sense_range)
     rng = np.random.default_rng(config.seed)
-    offsets = rng.integers(0, config.params.slots_per_beacon, size=scenario.n_nodes)
-    draws = draw_matrix(config.policy, scenario.categories, config.n_periods, rng)
-    return draws[None], offsets, adjacency
+    offsets = rng.integers(0, params.slots_per_beacon, size=scenario.n_nodes)
+    # the draws are passed on unnamed, so the walk lets them go before it classifies the run
+    yield 0, *_run_walker(
+        draw_matrix(config.policy, scenario.categories, config.n_periods, rng)[None],
+        offsets, adjacency, params.slots_per_beacon, params.tx_occupancy_slots,
+    )
 
-
-# A walked node with no packet left resumes at _NEVER, later than any transmission start,
-# in a period that ends at _END
-_NEVER = np.iinfo(np.int64).max // 2
-_END = np.iinfo(np.int64).max
 
 # Bytes of a bits file `read_point` checks and sums at a time (whole rows, at least one).  A
 # block holds a few times its size in temporaries, and smaller ones made `report` slower
@@ -499,8 +492,8 @@ _END = np.iinfo(np.int64).max
 _READ_BLOCK_BYTES = 1 << 18
 
 # Node-periods an aligned run draws and simulates at a time, on either engine, whatever the
-# run's length.  A streamed chunk holds about 110 bytes per node-period on the walker (its
-# state arrays and the classification of every transmission), more where more of them
+# run's length.  A streamed chunk holds about 110 bytes per node-period on the walker (nearly
+# all of it the classification of every transmission), more where more of them
 # transmit, and about 32 on the closed form (its draws, temporaries and output rows, the
 # outcome count and the bits text).  Chunks of 2^16 held 9.3 MB on the walker at 10 nodes,
 # and on the closed form made glibc trim the heap after each chunk and fault it in again.
@@ -526,9 +519,7 @@ def _run_aligned(config: SimConfig):
             outcomes, elapsed = np.empty((rows, n), dtype=np.int8), np.empty((rows, n), dtype=np.int32)
             diag = _run_full_connectivity(draws, slots, occupancy, outcomes, elapsed)
         else:
-            runs = [(draws[:, None], np.zeros(n, dtype=np.int64), adjacency)]
-            ((outcomes, elapsed, diag),) = _run_walker(runs, slots, occupancy)
-            del runs
+            outcomes, elapsed, diag = _run_walker(draws[:, None], np.zeros(n, dtype=np.int64), adjacency, slots, occupancy)
         del draws
         yield first, outcomes, elapsed, diag
 
@@ -592,134 +583,103 @@ def _run_full_connectivity(draws: np.ndarray, slots: int, occupancy: int, outcom
     }
 
 
-def _run_walker(runs, slots: int, occupancy: int):
-    """Walk independent rows of consecutive periods, any adjacency, rows from several runs.
+def _compiled(source: Path) -> Path:
+    """The shared library built from the C file `source`: `__pycache__/<stem>-<SHA-256 of the
+    source>.so` beside it, compiled with the system `cc` first if it is not there.
 
-    runs is a list of (draws, offsets, adjacency), one per run: draws is
-    (rows, periods, n) with the same periods in every run, and node i's
-    period p of a row starts at offsets[i] + p * slots on that row's clock.
-    The walk drops its references to the runs' draws once they are stacked,
-    and the stack once the walk ends, without changing the caller's list.
+    The compiler writes a temporary file in the cache, which then replaces the library's name,
+    so processes that build it at once each load a whole library.  Raises ImportError when it
+    cannot be built.
+    """
+    code = source.read_bytes()
+    cache = source.parent / "__pycache__"
+    library = cache / f"{source.stem}-{hashlib.sha256(code).hexdigest()}.so"
+    if library.exists():
+        return library
+    try:
+        cache.mkdir(exist_ok=True)
+        fd, partial = tempfile.mkstemp(suffix=".so", dir=cache)
+        os.close(fd)
+        try:
+            cc = ["cc", "-O2", "-shared", "-fPIC", "-x", "c", "-o", partial, "-"]
+            subprocess.run(cc, input=code, capture_output=True, check=True)
+            os.replace(partial, library)
+        finally:
+            if os.path.exists(partial):
+                os.unlink(partial)
+    except (OSError, subprocess.CalledProcessError) as exc:
+        detail = exc.stderr.decode(errors="replace").strip() if isinstance(exc, subprocess.CalledProcessError) else exc
+        raise ImportError(
+            f"priobeacon needs a C compiler, `cc` on PATH, to build {source.name} into {cache}: {detail}"
+        ) from exc
+    return library
 
-    The rows of all runs are stacked, their draws clipped at `slots` (see the
-    module docstring) and the node axis padded to the largest n; padded
-    nodes never start.  Each row has its run's sensing block, keeps its own
-    clock and jumps from one transmission start to the next.  A node waiting
-    with counter c as of time tau, sensing the medium busy until b (the
-    latest end of the transmissions it senses), starts at s = max(b, tau) + c
-    unless a transmission it senses begins first.  Between two starts no busy
-    time changes, so no s does either.  A packet whose s is not before its
-    period end e expires there; the node's next packet counts down its fresh
-    draw from max(b, e).  Busy times only rise, so an s only rises, and an
+
+_walk_rows = ctypes.CDLL(str(_compiled(Path(__file__).with_name("_walk.c")))).walk_rows
+_walk_rows.restype = ctypes.c_int
+_walk_rows.argtypes = [
+    *[ctypes.c_int64] * 3,
+    np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS"),  # draws
+    np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"),  # offsets
+    np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS"),  # adjacency
+    ctypes.c_int64,
+    ctypes.c_int64,
+    np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS,WRITEABLE"),  # elapsed
+]
+
+
+def _run_walker(draws, offsets, adjacency, slots: int, occupancy: int):
+    """Walk a run's independent rows of consecutive periods, any adjacency.
+
+    draws is (rows, periods, n), offsets (n,) and adjacency the symmetric (n, n) sensing graph:
+    node i's period p of a row starts at offsets[i] + p * slots on that row's clock.  The walk
+    lets the draws go before it classifies the run.
+
+    The C step loop of `_walk.c` walks one row at a time, jumping from one transmission start
+    to the next, and clips each draw at `slots` as it reads it (see the module docstring).  A
+    node waiting with counter c as of time tau, sensing the medium busy until b (the latest end
+    of the transmissions it senses), starts at s = max(b, tau) + c unless a transmission it
+    senses begins first.  Between two starts no busy time changes, so no s does either.  A
+    packet whose s is not before its period end e expires there; the node's next packet counts
+    down its fresh draw from max(b, e).  Busy times only rise, so an s only rises, and an
     expiry is known as soon as a busy time pushes s to e.
 
-    Per (row, node) the walk keeps the flat index of the current packet in
-    the stacked draws, the period end, resume = max(b, tau) and start =
-    resume + the counter left at resume, from the node's first packet, whose
-    period starts at its offset, until the index passes the row's last
-    period.  One step takes each row's earliest start t: the nodes starting
-    then go on air together (adjacent ones collide SYNC), each until
-    min(t + occupancy, its period end).  Every other counter is settled to
-    t; a listener's resume rises to the latest such end it hears, and its
-    start by as much as its resume rose past max(resume, t); each starter
-    and each expired packet gives way to the node's next packet.  A row ends
-    when its nodes' packets have run out.
+    Per node the walk keeps its current packet, the period end, resume = max(b, tau) and
+    start = resume + the counter left at resume, from the node's first packet, whose period
+    starts at its offset, until its packets run out.  One step costs O(n): each sent or expired
+    packet gives way to the node's next, and the earliest start t is taken.  The nodes starting
+    then go on air together (adjacent ones collide SYNC), each until min(t + occupancy, its
+    period end), and their elapsed slots are written.  Every other counter is settled to t; a
+    listener's resume rises to the latest such end it hears, and its start by as much as its
+    resume rose past max(resume, t).  A row ends when its nodes' packets have run out.
 
-    Each run's transmissions go to `classify_collision` once, afterwards,
-    from `elapsed`, with row r of a run placed at r * span on one run clock
-    (span is the run's last offset plus periods * slots) and each
-    transmission cut at its period end.  Returns one (outcomes, elapsed,
-    diagnostics) per run, its rows of periods stacked into (rows * periods,
-    n).  Each run's elapsed is copied out of the padded buffer, which is
-    then freed before the runs are classified.  Tests check the walker
-    against the closed form on complete graphs and against a per-slot
-    reference walker on random adjacency in both layouts and with runs of
-    different sizes stacked in one walk, and `classify_collision` against a
-    pairwise definition.
+    The run's transmissions then go to `classify_collision` once, from `elapsed`, with row r
+    placed at r * span on one run clock (span is the run's last offset plus periods * slots)
+    and each transmission cut at its period end.  Returns (outcomes, elapsed, diagnostics), the
+    rows of periods stacked into (rows * periods, n).  Tests check the walker against the
+    closed form on complete graphs and against a per-slot reference walker on random adjacency
+    in both layouts, and `classify_collision` against a pairwise definition.
     """
-    periods = runs[0][0].shape[1]
-    n = max(adjacency.shape[0] for _, _, adjacency in runs)
-    sizes = [draws.shape[0] for draws, _, _ in runs]
-    first = np.cumsum([0, *sizes])  # run k holds rows first[k]:first[k + 1]
-    run_span = [int(offsets.max()) + periods * slots for _, offsets, _ in runs]
-    block = np.repeat(np.arange(len(runs)), sizes)  # each row's sensing block
-    hears = np.zeros((len(runs), n, n), dtype=bool)  # hears[b, j, i]: i senses a transmitting j
-    # draws clipped at slots (see the module docstring), in the smallest integer type that holds
-    # them, keep the padded stack small and every start time exact in int64
-    top = min(max(int(d.max()) for d, _, _ in runs), slots)
-    draws = np.zeros((first[-1], periods, n), dtype=np.min_scalar_type(top))
-    # each node's first packet, in the period that starts at its offset; padded nodes resume at
-    # _NEVER, in a period that never ends
-    resume = np.full((first[-1], n), _NEVER)
-    end = np.full((first[-1], n), _END)
-    for k, (run_draws, offsets, adjacency) in enumerate(runs):
-        m = adjacency.shape[0]
-        hears[k, :m, :m] = adjacency.T
-        np.minimum(run_draws, slots, out=draws[first[k]:first[k + 1], :, :m], casting="unsafe")
-        resume[first[k]:first[k + 1], :m] = offsets
-        end[first[k]:first[k + 1], :m] = offsets + slots
-    del run_draws
-    runs = [(offsets, adjacency) for _, offsets, adjacency in runs]
-    hears = hears.reshape(-1, n)
-    elapsed = np.full(draws.size, -1, dtype=np.int32)  # the layout of the draws
-
-    # per (row, node) of the rows still running, flat and compacted as rows finish
-    cols = np.arange(n)
-    packet = (np.arange(first[-1])[:, None] * periods * n + cols).reshape(-1)  # its index in `draws`
-    hear_ix = (block[:, None] * n + cols).reshape(-1)  # its row of `hears`
-    start = np.add(resume, draws[:, 0], dtype=np.int64).reshape(-1)  # resume + the counter left at resume
-    resume = resume.reshape(-1)  # the counter runs down from here unless a busy time raises it
-    end = end.reshape(-1)
-    draws = draws.reshape(-1)
-    while True:
-        # a sent packet, or one that can no longer start before its period end, gives way to the next
-        f = np.flatnonzero(start >= end)
-        while f.size:
-            p = packet[f] + n
-            packet[f] = p
-            last = p % (periods * n) < n  # wrapped into the next row: the row's packets have run out
-            d = draws.take(p, mode="clip")  # a last packet's draw is never used
-            e = end[f]
-            res = np.where(last, _NEVER, np.maximum(resume[f], e))
-            resume[f] = res
-            start[f] = s = res + d
-            end[f] = e = np.where(last, _END, e + slots)
-            f = f[s >= e]
-        t = start.reshape(-1, n).min(axis=1)  # each row's next transmission start
-        if t.max() >= _NEVER:  # a row whose packets have all run out is done
-            done = t >= _NEVER
-            t = t[~done]
-            if not t.size:
-                break
-            keep = np.repeat(~done, n)
-            packet, hear_ix, resume, start, end = packet[keep], hear_ix[keep], resume[keep], start[keep], end[keep]
-        f = np.flatnonzero(start.reshape(-1, n) == t[:, None])
-        r = f // n  # sorted, and every row has a starter
-        tr, e = t[r], end[f]
-        elapsed[packet[f]] = tr - e + slots
-        heard = hears[hear_ix[f]] * np.minimum(tr + occupancy, e)[:, None]
-        if f.size > t.size:  # a row with several starters: the latest end each node hears
-            heard = np.maximum.reduceat(heard, np.searchsorted(r, np.arange(t.size)), axis=0)
-        settled = np.maximum(resume.reshape(-1, n), t[:, None])
-        raised = np.maximum(settled, heard)
-        start += (raised - settled).reshape(-1)
-        resume = raised.reshape(-1)
-        start[f] = _NEVER  # sent: gives way to the node's next packet at the top of the loop
-
+    rows, periods, n = draws.shape
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    if offsets.shape != (n,) or adjacency.shape != (n, n):
+        raise ValueError(f"{n} nodes need (n,) offsets and an (n, n) adjacency")
+    # int32 draws go to the walk as they are; wider ones are clipped at slots, below 2^31
+    if draws.dtype == np.int32:
+        draws = np.ascontiguousarray(draws)
+    else:
+        draws = np.minimum(draws, slots, out=np.empty(draws.shape, np.int32), casting="unsafe")
+    hears = np.ascontiguousarray(adjacency, dtype=np.uint8)
+    elapsed = np.empty((rows, periods, n), dtype=np.int32)
+    if _walk_rows(rows, periods, n, draws, offsets, hears, slots, occupancy, elapsed):
+        raise MemoryError("the walk could not allocate its per-node state")
     del draws
-    elapsed = elapsed.reshape(first[-1], periods, n)
-    # copied out, so the padded buffer is freed before classification's temporaries
-    elapsed = [elapsed[first[k]:first[k + 1], :, :adj.shape[0]].copy() for k, (_, adj) in enumerate(runs)]
-    results = []
-    for k, ((offsets, adjacency), run_elapsed) in enumerate(zip(runs, elapsed)):
-        m = adjacency.shape[0]
-        row, period, node = np.nonzero(run_elapsed >= 0)
-        base = row * run_span[k] + offsets[node] + period * slots
-        start = base + run_elapsed[row, period, node]
-        labels, diag = classify_collision(node, start, np.minimum(start + occupancy, base + slots), adjacency)
-        outcomes = np.full(run_elapsed.shape, int(Outcome.EXPIRED), dtype=np.int8)
-        outcomes[row, period, node] = labels
-        diag["engine"] = "slot-walker"
-        results.append((outcomes.reshape(-1, m), run_elapsed.reshape(-1, m), diag))
-    return results
 
+    row, period, node = np.nonzero(elapsed >= 0)
+    base = row * (int(offsets.max()) + periods * slots) + offsets[node] + period * slots
+    start = base + elapsed[row, period, node]
+    labels, diag = classify_collision(node, start, np.minimum(start + occupancy, base + slots), adjacency)
+    outcomes = np.full(elapsed.shape, int(Outcome.EXPIRED), dtype=np.int8)
+    outcomes[row, period, node] = labels
+    diag["engine"] = "slot-walker"
+    return outcomes.reshape(-1, n), elapsed.reshape(-1, n), diag

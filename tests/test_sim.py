@@ -1,7 +1,12 @@
 import math
+import os
+import shutil
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,10 +55,7 @@ def closed_form(draws: np.ndarray, slots: int, occupancy: int):
 def walk_complete(draws: np.ndarray, slots: int, occupancy: int):
     """The walker on a complete graph, one row per period of the (periods, n) draws."""
     n = draws.shape[1]
-    ((outcomes, elapsed, diag),) = _run_walker(
-        [(draws[:, None], np.zeros(n, dtype=np.int64), complete_graph(n))], slots, occupancy
-    )
-    return outcomes, elapsed, diag
+    return _run_walker(draws[:, None], np.zeros(n, dtype=np.int64), complete_graph(n), slots, occupancy)
 
 
 def reference_walk(draws: np.ndarray, offsets: np.ndarray, adjacency: np.ndarray, slots: int, occupancy: int):
@@ -562,7 +564,7 @@ class TestEngineEquivalence:
                 offsets = master.integers(0, slots, size=n)
                 for layout, rows, offs in (("aligned", draws[:, None], zero), ("offset", draws[None], offsets)):
                     oW, eW, dW = reference_walk(draws, offs, adj, slots, occ)
-                    ((oB, eB, dB),) = _run_walker([(rows, offs, adj)], slots, occ)
+                    oB, eB, dB = _run_walker(rows, offs, adj, slots, occ)
                     assert np.array_equal(oW, oB) and np.array_equal(eW, eB), layout
                     assert oB.dtype == oW.dtype and eB.dtype == eW.dtype
                     for key in keys[1:]:
@@ -572,12 +574,11 @@ class TestEngineEquivalence:
         assert all(v > 0 for t in totals.values() for v in t.values()), totals
 
     @pytest.mark.parametrize("occ", [1, 6])
-    def test_stacked_runs_match_reference(self, occ):
-        # runs of different sizes as rows of one walk, the node axis padded to the
-        # largest: n = 1, n = 2, the hidden-node chain and random graphs of up to 12
-        # nodes, each one row with random per-node offsets; each run must equal the
-        # per-slot reference walked alone, with budgets below and above the largest
-        # run's n*occ
+    def test_runs_of_different_sizes_match_reference(self, occ):
+        # runs of different sizes walked one after another: n = 1, n = 2, the hidden-node
+        # chain and random graphs of up to 12 nodes, each one row with random per-node
+        # offsets; each run must equal the per-slot reference, with budgets below and above
+        # the largest run's n*occ
         master = np.random.default_rng(10 + occ)
         adjacencies = [np.zeros((1, 1), dtype=bool), complete_graph(2), TestCollisionClassification.CHAIN]
         for _ in range(8):
@@ -592,8 +593,7 @@ class TestEngineEquivalence:
                 n = adj.shape[0]
                 draws = master.integers(0, int(master.choice([3, 15, 127])), size=(25, n))
                 runs.append((draws[None], master.integers(0, slots, size=n), adj))
-            results = _run_walker(runs, slots, occ)
-            assert len(results) == len(runs)
+            results = [_run_walker(*run, slots, occ) for run in runs]
             for (rows, offs, adj), (oB, eB, dB) in zip(runs, results):
                 oW, eW, dW = reference_walk(rows[0], offs, adj, slots, occ)
                 assert np.array_equal(oW, oB) and np.array_equal(eW, eB), adj.shape
@@ -612,7 +612,7 @@ class TestEngineEquivalence:
         draws = np.array([[9, 0, 7], [1, 2, 9]])
         offsets = np.array([0, 0, 5])
         chain = TestCollisionClassification.CHAIN
-        ((o, e, d),) = _run_walker([(draws[None], offsets, chain)], 10, 6)
+        o, e, d = _run_walker(draws[None], offsets, chain, 10, 6)
         oW, eW, dW = reference_walk(draws, offsets, chain, 10, 6)
         assert np.array_equal(o, oW) and np.array_equal(e, eW) and d == dW
         assert e.tolist() == [[-1, 0, 8], [1, 8, -1]]
@@ -622,7 +622,7 @@ class TestEngineEquivalence:
     @staticmethod
     def walk_one(draws, offsets, adjacency, slots, occupancy):
         """One run walked alone, checked against the per-slot reference; draws is (periods, n)."""
-        ((o, e, d),) = _run_walker([(draws[None], offsets, adjacency)], slots, occupancy)
+        o, e, d = _run_walker(draws[None], offsets, adjacency, slots, occupancy)
         oW, eW, dW = reference_walk(draws, offsets, adjacency, slots, occupancy)
         assert np.array_equal(o, oW) and np.array_equal(e, eW) and d == dW
         return o, e, d
@@ -656,14 +656,14 @@ class TestEngineEquivalence:
         assert o[1, 0] == sync and o[0, 1] == sync and d["sync_events"] == 2
 
     def test_rows_go_on_after_another_run_runs_out(self):
-        # a 1-node run whose two packets are sent by slot 10, stacked with the chain 0-1-2 at
+        # a 1-node run whose two packets are sent by slot 10, then the chain 0-1-2 at
         # offsets 0, 3 and 9, whose row goes on to slot 24.  In the chain, node 1's second
         # packet (period [13, 23)) is frozen by node 2 from 14 to 18 and by node 0 from 15 to
         # 19, so its 6 counts would end at 24: it expires.  Nodes 0 and 2, hidden from each
         # other, overlap at node 1: HN
         alone = (np.array([[0], [0]]), np.array([0]), np.zeros((1, 1), dtype=bool))
         chain = (np.array([[2, 0, 4], [5, 6, 1]]), np.array([0, 3, 9]), TestCollisionClassification.CHAIN)
-        results = _run_walker([(draws[None], offsets, adj) for draws, offsets, adj in (alone, chain)], 10, 4)
+        results = [_run_walker(draws[None], offsets, adj, 10, 4) for draws, offsets, adj in (alone, chain)]
         for (draws, offsets, adj), (o, e, d) in zip((alone, chain), results):
             oW, eW, dW = reference_walk(draws, offsets, adj, 10, 4)
             assert np.array_equal(o, oW) and np.array_equal(e, eW) and d == dW
@@ -673,8 +673,8 @@ class TestEngineEquivalence:
         hn = int(Outcome.COLLIDED_HIDDEN)
         assert oB[1, 1] == int(Outcome.EXPIRED) and oB[1, 0] == hn and oB[0, 2] == hn and dB["hn_events"] == 2
 
-    def test_random_stacked_batches_match_reference(self):
-        # seeded batches of 1-3 runs of 1-13 nodes and 1-2 rows each, occupancy 1-7, 2-59
+    def test_random_runs_match_reference(self):
+        # seeded groups of 1-3 runs of 1-13 nodes and 1-2 rows each, occupancy 1-7, 2-59
         # slots, 1-7 periods, draws up to 2 * slots (many expire, some at their period end
         # exactly), zero or random offsets; each row of each run must equal the per-slot
         # reference walked alone, outcome for outcome and in the SYNC/HN/dual counts
@@ -690,7 +690,8 @@ class TestEngineEquivalence:
                 offsets = master.integers(0, slots, size=n) if master.random() < 0.5 else np.zeros(n, dtype=np.int64)
                 draws = master.integers(0, 2 * slots + 1, size=(int(master.integers(1, 3)), periods, n))
                 runs.append((draws, offsets, upper | upper.T))
-            for (draws, offsets, adj), (o, e, d) in zip(runs, _run_walker(runs, slots, occ)):
+            for draws, offsets, adj in runs:
+                o, e, d = _run_walker(draws, offsets, adj, slots, occ)
                 want = [reference_walk(row, offsets, adj, slots, occ) for row in draws]
                 assert np.array_equal(o, np.concatenate([w[0] for w in want]))
                 assert np.array_equal(e, np.concatenate([w[1] for w in want]))
@@ -700,12 +701,11 @@ class TestEngineEquivalence:
                 totals["expired"] += int((o == int(Outcome.EXPIRED)).sum())
         assert all(v > 0 for v in totals.values()), totals
 
-    def test_stacked_runs_own_their_arrays(self):
-        # a walked run's arrays hold no view of the padded batch, so the batch's buffer is
-        # freed before its runs are classified
+    def test_walked_runs_own_their_arrays(self):
+        # a walked run's arrays hold no view of a buffer larger than themselves
         rng = np.random.default_rng(4)
         runs = [(rng.integers(0, 15, size=(1, 6, m)), rng.integers(0, 20, size=m), complete_graph(m)) for m in (3, 5)]
-        (oA, eA, _), (oB, eB, _) = _run_walker(runs, 20, 2)
+        (oA, eA, _), (oB, eB, _) = [_run_walker(*run, 20, 2) for run in runs]
         for a in (oA, eA):
             for b in (oB, eB):
                 assert not np.shares_memory(a, b)
@@ -714,8 +714,8 @@ class TestEngineEquivalence:
 
     @pytest.mark.parametrize("layout", ["aligned", "offset"])
     def test_a_lone_run_is_walked_in_its_own_layout(self, layout):
-        # the walk's elapsed buffer holds the rows' periods and nothing else: a lone unpadded
-        # run's elapsed is a view of all of it, 80 nodes x 100 periods, in either layout
+        # the walk's elapsed buffer holds the rows' periods and nothing else: a run's
+        # elapsed is a view of all of it, 80 nodes x 100 periods, in either layout
         rng = np.random.default_rng(6)
         n, periods = 80, 100
         upper = np.triu(rng.random((n, n)) < 0.3, 1)
@@ -724,7 +724,7 @@ class TestEngineEquivalence:
             run = (draws[:, None], np.zeros(n, dtype=np.int64), upper | upper.T)
         else:
             run = (draws[None], rng.integers(0, 400, size=n), upper | upper.T)
-        ((o, e, _),) = _run_walker([run], 400, 6)
+        o, e, _ = _run_walker(*run, 400, 6)
         assert e.shape == o.shape == (periods, n) and e.flags.c_contiguous
         assert e.base is not None and e.base.dtype == np.int32 and e.base.size == periods * n
 
@@ -743,7 +743,7 @@ class TestEngineEquivalence:
                     adj[i, j] = adj[j, i] = master.random() < 0.5
             cw = int(master.integers(2, slots + 10))
             draws = master.integers(0, cw, size=(periods, n))
-            ((o, e, diag),) = _run_walker([(draws[:, None], np.zeros(n, dtype=np.int64), adj)], slots, occ)
+            o, e, diag = _run_walker(draws[:, None], np.zeros(n, dtype=np.int64), adj, slots, occ)
             assert ((o >= 0) & (o <= 3)).all()
             transmitted = o != int(Outcome.EXPIRED)
             assert (e[transmitted] >= draws[transmitted]).all()
@@ -898,7 +898,7 @@ class TestCollisionClassification:
     def test_hidden_node_end_to_end(self):
         # force the textbook dynamics through the walker: 0 and 2 draw 0, 1 larger
         draws = np.array([[0, 2, 0]])
-        ((o, e, diag),) = _run_walker([(draws[:, None], np.zeros(3, dtype=np.int64), self.CHAIN)], 30, 6)
+        o, e, diag = _run_walker(draws[:, None], np.zeros(3, dtype=np.int64), self.CHAIN, 30, 6)
         assert o[0, 0] == int(Outcome.COLLIDED_HIDDEN)
         assert o[0, 2] == int(Outcome.COLLIDED_HIDDEN)
         assert o[0, 1] == int(Outcome.DELIVERED)
@@ -922,8 +922,8 @@ class TestDrawsPastThePeriod:
         offsets = rng.integers(0, slots, size=n) if layout == "offset" else np.zeros(n, dtype=np.int64)
         rows = (lambda d: d[None]) if layout == "offset" else (lambda d: d[:, None])
         with np.errstate(invalid="raise"):
-            ((o, e, d),) = _run_walker([(rows(draws), offsets, adj)], slots, occ)
-            ((oC, eC, dC),) = _run_walker([(rows(clipped), offsets, adj)], slots, occ)
+            o, e, d = _run_walker(rows(draws), offsets, adj, slots, occ)
+            oC, eC, dC = _run_walker(rows(clipped), offsets, adj, slots, occ)
         oW, eW, dW = reference_walk(draws, offsets, adj, slots, occ)
         assert np.array_equal(o, oW) and np.array_equal(e, eW) and d == dW
         assert np.array_equal(o, oC) and np.array_equal(e, eC) and d == dC
@@ -960,8 +960,8 @@ class TestPhaseOffsets:
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_batch_keeps_no_draws(self, tmp_path, monkeypatch, chunk):
-        # once a phase-offset batch is stacked for its walk, no run's int64 draws are held:
-        # not while the walk classifies its runs, nor while the batch writes its points
+        # a phase-offset run's draws go into its walk and are not held after it: not while
+        # the walk classifies the run, nor once the batch has written its point
         sc = make_scenario(density=12 / REGION.area)
         configs = [
             SimConfig(
@@ -989,12 +989,59 @@ class TestPhaseOffsets:
             probe = draw_matrix(configs[0].policy, sc.categories, 30, np.random.default_rng(0))
             assert draw_bytes() >= probe.nbytes  # the filter sees draws that are held
             del probe
-            batch = simulate_points(tmp_path, [(f"{k:03d}", config) for k, config in enumerate(configs)])
-            next(batch)
-            held.append(draw_bytes())
+            for _ in simulate_points(tmp_path, [(f"{k:03d}", config) for k, config in enumerate(configs)]):
+                held.append(draw_bytes())
         finally:
             tracemalloc.stop()
-        assert held == [0] * (len(configs) + 1)
+        assert held == [0] * (2 * len(configs))
+
+
+class TestCompiledWalk:
+    """`_walk.c` is built on first import into `__pycache__/_walk-<SHA-256 of the source>.so`."""
+
+    SOURCE = Path(sim.__file__).with_name("_walk.c")
+
+    def test_source_compiles_cleanly_as_c99(self, tmp_path):
+        cc = ["cc", "-std=c99", "-Wall", "-Wextra", "-Werror", "-O2", "-shared", "-fPIC"]
+        proc = subprocess.run([*cc, "-o", str(tmp_path / "walk.so"), str(self.SOURCE)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cache_rebuilds_when_the_source_changes(self, tmp_path):
+        copy = tmp_path / "_walk.c"
+        copy.write_bytes(self.SOURCE.read_bytes())
+        same = sim._compiled(copy)
+        assert same == tmp_path / "__pycache__" / sim._compiled(self.SOURCE).name
+        copy.write_bytes(self.SOURCE.read_bytes() + b"/* one more comment */\n")
+        changed = sim._compiled(copy)
+        assert changed.name != same.name and changed.name.startswith("_walk-")
+        # both libraries stay, and no temporary file is left beside them
+        assert sorted((tmp_path / "__pycache__").iterdir()) == sorted([same, changed])
+
+    def test_import_without_a_compiler_names_the_requirement(self, tmp_path):
+        # a copy of the package with an empty cache, imported with no `cc` on PATH
+        shutil.copytree(self.SOURCE.parent, tmp_path / "priobeacon", ignore=shutil.ignore_patterns("__pycache__"))
+        env = {**os.environ, "PATH": str(tmp_path / "bin"), "PYTHONPATH": str(tmp_path), "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", "import priobeacon.sim"], env=env, cwd=tmp_path, capture_output=True, text=True
+        )
+        assert proc.returncode != 0
+        assert "ImportError: priobeacon needs a C compiler, `cc` on PATH, to build _walk.c" in proc.stderr
+        assert not list((tmp_path / "priobeacon").glob("__pycache__/*"))
+
+    def test_inputs_of_other_types_and_layouts_walk_the_same(self):
+        # 40 nodes: int32 offsets, a Fortran-ordered adjacency and a strided int64 view of the
+        # draws are converted before the walk and kept until it returns
+        rng = np.random.default_rng(32)
+        n, periods, slots, occ = 40, 12, 150, 3
+        upper = np.triu(rng.random((n, n)) < 0.4, 1)
+        adj = upper | upper.T
+        wide = rng.integers(0, 127, size=(periods, 2 * n))
+        draws = wide[:, ::2]
+        offsets = rng.integers(0, slots, size=n)
+        o, e, d = _run_walker(draws[None], offsets.astype(np.int32), np.asfortranarray(adj), slots, occ)
+        oW, eW, dW = reference_walk(draws, offsets, adj, slots, occ)
+        assert np.array_equal(o, oW) and np.array_equal(e, eW) and d == dW
+        assert (o != int(Outcome.DELIVERED)).any()
 
 
 class TestPointFiles:
@@ -1052,8 +1099,8 @@ class TestPointFiles:
     def test_streamed_files_equal_run_simulation_exports(self, tmp_path, monkeypatch, chunk):
         # one mixed batch, streamed in chunks of `chunk` periods (at the full drop's size) and
         # written one chunk at a time, against each run's own outcome computed in one chunk
-        # and exported whole: phase-offset runs at n = 1, 5, 12 and the full drop (two period
-        # counts, so two stacked walks), an aligned 700 m run (walker rows) and two complete-graph
+        # and exported whole: phase-offset runs at n = 1, 5, 12 and the full drop (at two period
+        # counts), an aligned 700 m run (walker rows) and two complete-graph
         # runs (the closed form, the full drop then 12 nodes) at 3 ms periods (60 slots), where
         # packets expire; then a
         # complete-graph, an aligned 700 m and a phase-offset run at 10 ms, where hidden nodes collide
